@@ -8,6 +8,7 @@ so the same object always produces the same bytes.
 from __future__ import annotations
 
 import io
+import math
 from importlib import resources
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -48,9 +49,14 @@ def _split_kv(token: str, number: int) -> Tuple[str, str]:
 
 def _parse_float(value: str, what: str, number: int) -> float:
     try:
-        return float(value)
+        parsed = float(value)
     except ValueError:
         raise ParseError("bad %s %r" % (what, value), line=number) from None
+    if not math.isfinite(parsed):
+        raise ParseError(
+            "%s must be a finite number, got %r" % (what, value), line=number
+        )
+    return parsed
 
 
 def _parse_int(value: str, what: str, number: int) -> int:
@@ -96,12 +102,9 @@ def parse_graph(text: str) -> SocialGraph:
                     "malicious must be 0 or 1, got %r" % fields["malicious"],
                     line=number,
                 )
+            bandwidth = _parse_float(fields["bandwidth"], "bandwidth", number)
             try:
-                graph.add_entity(
-                    eid,
-                    _parse_float(fields["bandwidth"], "bandwidth", number),
-                    fields["malicious"] == "1",
-                )
+                graph.add_entity(eid, bandwidth, fields["malicious"] == "1")
             except OnionTrustError as exc:
                 raise ParseError(str(exc), line=number) from None
             seen_entities += 1
@@ -127,7 +130,7 @@ def parse_graph(text: str) -> SocialGraph:
                         )
                 elif key.startswith("q:"):
                     profile.quantitative[key[2:]] = _parse_float(
-                        value, "attribute value", number
+                        value, "attribute %s" % key, number
                     )
                 elif key.startswith("c:"):
                     try:

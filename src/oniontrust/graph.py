@@ -12,6 +12,7 @@ mean friendship-circle size hits a target fraction of the graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -107,9 +108,9 @@ class SocialGraph:
     def add_entity(self, entity_id: int, bandwidth: float, malicious: bool = False):
         if self._frozen:
             raise FrozenGraphError("graph is frozen")
-        if bandwidth <= 0.0:
+        if not (math.isfinite(bandwidth) and bandwidth > 0.0):
             raise DomainError(
-                "entity %d: bandwidth must be positive, got %r"
+                "entity %d: bandwidth must be positive and finite, got %r"
                 % (entity_id, bandwidth)
             )
         self._entities[entity_id] = Entity(entity_id, float(bandwidth), bool(malicious))
@@ -204,16 +205,7 @@ class SocialGraph:
         by_net = self._adj[source].get(target)
         if not by_net:
             raise NoLinkError("no link %d->%d on any network" % (source, target))
-        best = -1.0
-        for net in sorted(by_net):
-            tv = by_net[net].trust_value
-            if tv is None:
-                raise DomainError(
-                    "link %d->%d network %d has no trust value yet"
-                    % (source, target, net)
-                )
-            best = max(best, tv)
-        return best
+        return _best_network(by_net, source, target)
 
     def merged_adjacency(self) -> Dict[int, Dict[int, float]]:
         """source -> target -> merged trust value, built fresh on each call."""
@@ -224,11 +216,44 @@ class SocialGraph:
                 row[target] = self.merge_trust(source, target)
         return merged
 
+    def pair_arrays(self, trust: bool = False):
+        """The id->row index and every linked pair as arrays, gathered fresh.
+
+        Returns (ids, src, tgt, tv): the entity ids in row order, the source
+        and target row of each linked pair, and with trust=True each pair's
+        merged trust value (None otherwise). Links on several networks
+        between the same pair count as one pair.
+        """
+        ids = self.entity_ids()
+        row = {eid: k for k, eid in enumerate(ids)}
+        src, tgt, tv = [], [], []
+        for source, targets in self._adj.items():
+            si = row[source]
+            for target, by_net in targets.items():
+                src.append(si)
+                tgt.append(row[target])
+                if trust:
+                    tv.append(_best_network(by_net, source, target))
+        return (
+            ids,
+            np.array(src, dtype=np.intp),
+            np.array(tgt, dtype=np.intp),
+            np.array(tv, dtype=float) if trust else None,
+        )
+
+    def link_mask(self) -> np.ndarray:
+        """Boolean (n, n) adjacency over the entity_ids() rows."""
+        ids, src, tgt, _ = self.pair_arrays()
+        mask = np.zeros((len(ids), len(ids)), dtype=bool)
+        mask[src, tgt] = True
+        return mask
+
     def friendship_circle(self, source: int, max_hops: int = 2) -> FriendshipCircle:
         """Circle of the source: every entity on some acyclic path of <= max_hops links.
 
-        Enumerates simple paths, so cost grows quickly with max_hops; the
-        default of 2 is what the rest of the pipeline uses.
+        Enumerates simple paths, so cost grows quickly with max_hops. The
+        pipeline takes circles from trust propagation instead; this stays
+        as the per-hop reference.
         """
         self._require_entity(source)
         if max_hops < 1:
@@ -280,36 +305,70 @@ class SocialGraph:
         return out
 
 
-def mean_circle_size(graph: SocialGraph, max_hops: int = 2,
-                     sample: Optional[int] = 300) -> float:
-    """Mean ||F_i|| over sources, by layered reachability.
+def _best_network(by_net: Dict[int, FriendLink], source: int, target: int) -> float:
+    best = -1.0
+    for net in sorted(by_net):
+        tv = by_net[net].trust_value
+        if tv is None:
+            raise DomainError(
+                "link %d->%d network %d has no trust value yet"
+                % (source, target, net)
+            )
+        best = max(best, tv)
+    return best
+
+
+def reach_frontiers(mask: np.ndarray, rows: np.ndarray, max_hops: int) -> List[np.ndarray]:
+    """Entities first reached from each source row after exactly r links.
+
+    Returns one boolean (len(rows), n) array per r = 1..max_hops. A source
+    counts as reached when some walk returns to it. Each step is a float32
+    matmul of the frontier with the adjacency; its entries count frontier
+    predecessors exactly, and only their sign is read.
+    """
+    link = mask.astype(np.float32)
+    frontier = mask[rows]
+    reached = frontier
+    out = [frontier]
+    for _ in range(max_hops - 1):
+        frontier = ((frontier.astype(np.float32) @ link) > 0.0) & ~reached
+        reached = reached | frontier
+        out.append(frontier)
+    return out
+
+
+def circle_sizes(mask: np.ndarray, rows: np.ndarray, max_hops: int) -> np.ndarray:
+    """||F_i|| of each source row: entities within max_hops links, itself excluded.
 
     Within a hop budget, reachability over walks equals reachability over
-    acyclic paths, so BFS levels suffice and stay cheap on dense graphs.
+    acyclic paths (dropping a cycle never lengthens a path), so BFS layers
+    give the circle exactly.
+    """
+    reached = np.zeros((len(rows), mask.shape[0]), dtype=bool)
+    for frontier in reach_frontiers(mask, rows, max_hops):
+        reached |= frontier
+    reached[np.arange(len(rows)), rows] = False
+    return reached.sum(axis=1)
+
+
+def _sample_rows(n: int, sample: Optional[int]) -> np.ndarray:
+    """All rows, or `sample` evenly spaced ones when n is larger."""
+    if sample is None or n <= sample:
+        return np.arange(n)
+    return np.linspace(0, n - 1, sample).astype(int)
+
+
+def mean_circle_size(graph: SocialGraph, max_hops: int = 2,
+                     sample: Optional[int] = 300) -> float:
+    """Mean ||F_i|| over sources.
+
     With more than `sample` entities the mean is taken over that many evenly
     spaced sources; pass sample=None to force all of them.
     """
-    ids = graph.entity_ids()
-    if not ids:
+    if not len(graph):
         raise DomainError("graph has no entities")
-    nbrs = {i: set(graph._adj[i]) for i in ids}
-    if sample is None or len(ids) <= sample:
-        sources = ids
-    else:
-        sources = [ids[int(k)] for k in np.linspace(0, len(ids) - 1, sample)]
-    total = 0
-    for i in sources:
-        reached = set(nbrs[i])
-        frontier = reached
-        for _ in range(max_hops - 1):
-            nxt = set()
-            for j in frontier:
-                nxt |= nbrs[j]
-            frontier = nxt - reached
-            reached |= nxt
-        reached.discard(i)
-        total += len(reached)
-    return total / len(sources)
+    rows = _sample_rows(len(graph), sample)
+    return int(circle_sizes(graph.link_mask(), rows, max_hops).sum()) / len(rows)
 
 
 # -- synthetic graphs -------------------------------------------------------
@@ -364,30 +423,9 @@ class GeneratorParams:
 
 
 def _mean_circle_size(mask: np.ndarray, max_hops: int) -> float:
-    """Mean number of entities within max_hops links, over sampled sources.
-
-    Reachability within g links over walks equals reachability over acyclic
-    paths (dropping a cycle never lengthens a path), so plain BFS levels do.
-    """
-    n = mask.shape[0]
-    nbrs = [set(np.nonzero(mask[i])[0].tolist()) for i in range(n)]
-    if n <= 300:
-        sources = range(n)
-    else:
-        sources = [int(i) for i in np.linspace(0, n - 1, 300)]
-    total = 0
-    for i in sources:
-        reached = set(nbrs[i])
-        frontier = reached
-        for _ in range(max_hops - 1):
-            nxt = set()
-            for j in frontier:
-                nxt |= nbrs[j]
-            frontier = nxt - reached
-            reached |= nxt
-        reached.discard(i)
-        total += len(reached)
-    return total / len(list(sources))
+    """One calibration step: mean circle size over 300 evenly spaced sources."""
+    rows = _sample_rows(mask.shape[0], 300)
+    return int(circle_sizes(mask, rows, max_hops).sum()) / len(rows)
 
 
 def _calibrate_edge_prob(u: np.ndarray, params: GeneratorParams) -> float:

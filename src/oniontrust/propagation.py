@@ -5,18 +5,22 @@ entity's trust score from a source is the best trust distance over acyclic
 paths of bounded length. Because every factor sits in [0, 1], dropping a
 cycle from a walk never hurts the product, so a Dijkstra-style search over
 (node, hops) states finds the same optimum as exhaustive path enumeration.
+
+The same argument lets the all-sources kernel run layer by layer over
+walks: layer r extends every source's best (r - 1)-link prefix product by
+one link, in the order the search multiplies, so both agree bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CyclicPathError, DisconnectedPathError, DomainError
-from .graph import FriendLink, SocialGraph
+from .graph import FriendLink, SocialGraph, reach_frontiers
 
 #: Hop budget used throughout unless a caller says otherwise.
 DEFAULT_MAX_HOPS = 2
@@ -143,6 +147,70 @@ def propagate(
     return TrustScoreTable(source, _search(adjacency, source, max_hops, keep_paths))
 
 
+@dataclass(frozen=True)
+class TrustArrays:
+    """All-sources trust scores as (n, n) arrays over one id->row index.
+
+    Entry [s, t] is about target ids[t] as seen from source ids[s]. reached
+    marks the scored pairs and is never set on the diagonal; best holds the
+    score there and 0.0 everywhere else; hops holds the fewest links among
+    best-product paths there and 0 everywhere else.
+    """
+
+    ids: List[int]
+    best: np.ndarray
+    hops: np.ndarray
+    reached: np.ndarray
+
+
+def propagate_arrays(graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS) -> TrustArrays:
+    """Trust scores from every source at once, as arrays.
+
+    Layer r takes, for each target j, the max over its in-neighbours k of
+    best[i, k] * t[k, j]: the best prefix product times the last link.
+    Since every factor is in [0, 1] and rounding is monotone, that is the
+    best product over walks of at most r links, which is what the search
+    finds. A target's hop count is the first layer that reaches it or
+    strictly raises its score. Reachability comes from the same frontier
+    matmuls that size friendship circles, so zero-trust paths still reach.
+    """
+    if max_hops < 1:
+        raise DomainError("max_hops must be >= 1")
+    ids, src, tgt, tv = graph.pair_arrays(trust=True)
+    n = len(ids)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[src, tgt] = True
+    frontiers = reach_frontiers(mask, np.arange(n), max_hops)
+
+    # The layers work on [target, source] arrays, so the in-neighbours of a
+    # target are whole contiguous rows.
+    best = np.zeros((n, n))
+    best[tgt, src] = tv
+    hops = mask.T.astype(np.int64)
+    order = np.argsort(tgt, kind="stable")
+    in_src, in_tv = src[order], tv[order]
+    bounds = np.searchsorted(tgt[order], np.arange(n + 1)).tolist()
+    for r in range(2, max_hops + 1):
+        extended = np.zeros_like(best)
+        for j in range(n):
+            lo, hi = bounds[j], bounds[j + 1]
+            if lo < hi:
+                np.multiply(best[in_src[lo:hi]], in_tv[lo:hi, None]).max(
+                    axis=0, out=extended[j]
+                )
+        hops[(extended > best) | frontiers[r - 1].T] = r
+        np.maximum(best, extended, out=best)
+
+    reached = np.logical_or.reduce(frontiers)
+    np.fill_diagonal(reached, False)
+    return TrustArrays(
+        ids=ids,
+        best=np.where(reached, best.T, 0.0),
+        hops=np.where(reached, hops.T, 0),
+        reached=reached,
+    )
+
+
 def propagate_all(
     graph: SocialGraph,
     max_hops: int = DEFAULT_MAX_HOPS,
@@ -150,58 +218,30 @@ def propagate_all(
 ) -> Dict[int, TrustScoreTable]:
     """Trust score tables for every source.
 
-    Without witness paths this runs as (max, *) matrix products over the
-    merged trust matrix, which is much faster than n searches and provably
-    agrees with them (tested); with witness paths it falls back to the
-    per-source search.
+    Without witness paths the tables are read off propagate_arrays, which
+    agrees with the per-source search exactly (tested); with witness paths
+    it falls back to that search.
     """
     if max_hops < 1:
         raise DomainError("max_hops must be >= 1")
-    ids = graph.entity_ids()
-    adjacency = graph.merged_adjacency()
     if keep_paths:
+        adjacency = graph.merged_adjacency()
         return {
             i: TrustScoreTable(i, _search(adjacency, i, max_hops, True))
-            for i in ids
+            for i in graph.entity_ids()
         }
-
-    index = {eid: k for k, eid in enumerate(ids)}
-    n = len(ids)
-    tv = np.zeros((n, n))
-    linked = np.zeros((n, n), dtype=bool)
-    for src, row in adjacency.items():
-        si = index[src]
-        for tgt, val in row.items():
-            tv[si, index[tgt]] = val
-            linked[si, index[tgt]] = True
-
-    best = tv.copy()
-    hops = np.where(linked, 1, 0)
-    reached = linked.copy()
-    linked_f = linked.astype(np.float32)
-    # Row chunks keep the (chunk, n, n) product tensor at a sane size.
-    chunk = max(1, 4_000_000 // max(1, n * n))
-    for r in range(2, max_hops + 1):
-        extended = np.empty_like(best)
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            extended[lo:hi] = (best[lo:hi, :, None] * tv[None, :, :]).max(axis=1)
-        extended = np.maximum(extended, tv)
-        now_reached = (reached.astype(np.float32) @ linked_f) > 0.0
-        new_nodes = now_reached & ~reached
-        improved = extended > best
-        hops[new_nodes | improved] = r
-        best = np.maximum(best, extended)
-        reached |= now_reached
-
+    arrays = propagate_arrays(graph, max_hops)
+    ids = arrays.ids
     tables: Dict[int, TrustScoreTable] = {}
-    for src in ids:
-        si = index[src]
-        scores = {}
-        for ti in np.nonzero(reached[si])[0]:
-            tgt = ids[int(ti)]
-            if tgt == src:
-                continue
-            scores[tgt] = TrustScore(float(best[si, ti]), int(hops[si, ti]))
+    for si, src in enumerate(ids):
+        cols = np.flatnonzero(arrays.reached[si])
+        scores = {
+            ids[t]: TrustScore(value, hop)
+            for t, value, hop in zip(
+                cols.tolist(),
+                arrays.best[si, cols].tolist(),
+                arrays.hops[si, cols].tolist(),
+            )
+        }
         tables[src] = TrustScoreTable(src, scores)
     return tables

@@ -17,7 +17,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .graph import (
     generate_graph,
     mean_circle_size,
 )
-from .propagation import TrustScoreTable, propagate, propagate_all
+from .propagation import TrustArrays, TrustScoreTable, propagate, propagate_arrays
 from .selection import (
     DEFAULT_CIRCUIT_LENGTH,
     SelectionMode,
@@ -127,6 +127,9 @@ class SimScenario:
             raise DomainError("rounds and draws must be >= 1")
         if self.generator_kind not in ("calibrated", "er"):
             raise DomainError("unknown generator kind %r" % (self.generator_kind,))
+        for name in ("n", "max_hops"):
+            if getattr(self, name) < 1:
+                raise DomainError("%s must be >= 1, got %r" % (name, getattr(self, name)))
 
     @property
     def policy(self) -> SelectionPolicy:
@@ -214,7 +217,7 @@ def mean_trust_scores(
     entity nobody knows averages to 0.
     """
     if tables is None:
-        tables = propagate_all(graph, max_hops)
+        return _mean_trust(propagate_arrays(graph, max_hops))
     ids = graph.entity_ids()
     totals = {eid: 0.0 for eid in ids}
     for table in tables.values():
@@ -224,11 +227,24 @@ def mean_trust_scores(
     return {eid: totals[eid] / denom for eid in ids}
 
 
+def _mean_trust(arrays: TrustArrays) -> Dict[int, float]:
+    # A column sum over C-ordered rows adds the sources in row order, the
+    # same order as the loop over score tables, so the floats are equal.
+    denom = max(1, len(arrays.ids) - 1)
+    totals = arrays.best.sum(axis=0).tolist()
+    return {eid: total / denom for eid, total in zip(arrays.ids, totals)}
+
+
 class _FlagPlan:
-    """Per-scenario flag machinery; draw() yields one round's flag indices."""
+    """Per-scenario flag machinery; draw() yields one round's flag indices.
+
+    circle is the source's friendship circle; it is derived from the
+    source's trust scores when not given.
+    """
 
     def __init__(self, graph: SocialGraph, scenario: SimScenario,
-                 mean_trust: Optional[Dict[int, float]] = None):
+                 mean_trust: Optional[Dict[int, float]] = None,
+                 circle: Optional[Iterable[int]] = None):
         self.ids = graph.entity_ids()
         self.n = len(self.ids)
         self.m = _flag_count(scenario.fraction, self.n)
@@ -247,8 +263,11 @@ class _FlagPlan:
                 [max(0.0, 1.0 - mean_trust[eid]) for eid in self.ids]
             )
         elif scenario.strategy is Strategy.THEORETICAL_STOR:
-            circle = graph.friendship_circle(scenario.source, scenario.max_hops)
-            excluded = set(circle.members) | {scenario.source}
+            if circle is None:
+                circle = propagate(
+                    graph, scenario.source, scenario.max_hops, keep_paths=False
+                ).targets()
+            excluded = set(circle) | {scenario.source}
             self.pool = np.array(
                 [k for k, eid in enumerate(self.ids) if eid not in excluded],
                 dtype=int,
@@ -352,9 +371,9 @@ class _Prepared:
         if not graph.has_entity(scenario.source):
             raise UnknownEntityError("unknown source entity %d" % scenario.source)
         scores = propagate(graph, scenario.source, scenario.max_hops, keep_paths=False)
-        circle = graph.friendship_circle(scenario.source, scenario.max_hops)
-        assert set(scores.targets()) == set(circle.members)
-        self.circle_size = circle.size
+        # Every entity within max_hops links gets a score, so the scored
+        # targets are the circle.
+        self.circle_size = len(scores.scores)
 
         if scenario.case is not CorrelationCase.NONE:
             graph = assign_bandwidth_correlation(
@@ -375,7 +394,7 @@ class _Prepared:
         )
         self.cand_idx = np.array([index[eid] for eid in candidates.ids()])
         self.weights = candidates.weights(policy)
-        self.plan = _FlagPlan(graph, scenario, mean_trust)
+        self.plan = _FlagPlan(graph, scenario, mean_trust, scores.targets())
 
 
 def run_selection_rounds(
@@ -522,7 +541,7 @@ def sweep(
     field = SWEEP_AXES[axis]
     rows: List[SweepRow] = []
     results: List[SimulationResult] = []
-    cache: Dict[int, Tuple[SocialGraph, Dict[int, TrustScoreTable], float]] = {}
+    cache: Dict[int, Tuple[SocialGraph, TrustArrays, float, Dict[int, float]]] = {}
     for value in values:
         if field == "n":
             sc = dataclasses.replace(scenario, n=int(value))
@@ -530,19 +549,17 @@ def sweep(
             sc = dataclasses.replace(scenario, **{field: value})
         if sc.n not in cache:
             graph = build_scenario_graph(sc, rules)
-            tables = propagate_all(graph, sc.max_hops)
-            cache[sc.n] = (graph, tables, mean_circle_size(graph, sc.max_hops))
-        graph, tables, mean_circle = cache[sc.n]
-        mean_trust = mean_trust_scores(graph, sc.max_hops, tables=tables)
-        result = run_simulation(graph, sc, mean_trust)
-        mean_tf = float(
-            np.mean(
-                [
-                    sum(1 for s in t.scores.values() if s.value >= sc.ts_threshold)
-                    for t in tables.values()
-                ]
+            arrays = propagate_arrays(graph, sc.max_hops)
+            cache[sc.n] = (
+                graph,
+                arrays,
+                mean_circle_size(graph, sc.max_hops),
+                _mean_trust(arrays),
             )
-        )
+        graph, arrays, mean_circle, mean_trust = cache[sc.n]
+        result = run_simulation(graph, sc, mean_trust)
+        trustworthy = (arrays.best >= sc.ts_threshold) & arrays.reached
+        mean_tf = float(np.mean(trustworthy.sum(axis=1)))
         rows.append(
             SweepRow(
                 axis=axis,

@@ -129,6 +129,34 @@ def test_parse_graph_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "line, fragment",
+    [
+        ("link 1 2 network=1 q:freq=nan", "attribute q:freq must be a finite number"),
+        ("link 1 2 network=1 q:time=-inf", "attribute q:time must be a finite number"),
+        ("link 1 2 network=1 tv=nan", "trust value must be a finite number"),
+    ],
+)
+def test_parse_graph_rejects_non_finite_numbers(line, fragment):
+    text = (
+        "entities 2\nentity 1 bandwidth=1.0 malicious=0\n"
+        "entity 2 bandwidth=1.0 malicious=0\n" + line
+    )
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert str(err.value) == "line 4: %s, got %r" % (fragment, line.split("=")[-1])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "infinity"])
+def test_parse_rejects_non_finite_bandwidth_and_scenario_values(value):
+    with pytest.raises(ParseError) as err:
+        parse_graph("entities 1\nentity 1 bandwidth=%s malicious=0" % value)
+    assert str(err.value).startswith("line 2: bandwidth must be a finite number")
+    with pytest.raises(ParseError) as err:
+        parse_scenario("strategy = original_tor\nfraction = 0.1\nomega = %s" % value)
+    assert str(err.value).startswith("line 3: omega must be a finite number")
+
+
 def test_parse_errors_carry_line_numbers():
     text = "entities 2\nentity 1 bandwidth=1.0 malicious=0\nentity 1 bandwidth=1.0 malicious=0"
     with pytest.raises(ParseError) as err:

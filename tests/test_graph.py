@@ -46,6 +46,14 @@ def test_entities_and_links_basics():
         g.add_entity(3, 0.0)
 
 
+@pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), float("-inf")])
+def test_add_entity_rejects_non_finite_bandwidth(bandwidth):
+    g = SocialGraph()
+    with pytest.raises(DomainError, match="positive and finite"):
+        g.add_entity(1, bandwidth)
+    assert len(g) == 0
+
+
 def test_link_replacement_and_networks():
     g = SocialGraph()
     g.add_entity(1, 1.0)

@@ -362,6 +362,10 @@ def test_scenario_validation():
         SimScenario(
             strategy=Strategy.ORIGINAL_TOR, fraction=0.1, generator_kind="nope"
         )
+    for field in ("n", "max_hops"):
+        for bad in (0, -3):
+            with pytest.raises(DomainError, match="%s must be >= 1, got %d" % (field, bad)):
+                SimScenario(strategy=Strategy.ORIGINAL_TOR, fraction=0.1, **{field: bad})
     assert Strategy.from_code("Practical_STOR") is Strategy.PRACTICAL_STOR
     with pytest.raises(DomainError):
         Strategy.from_code("unknown")
