@@ -6,11 +6,17 @@ above a trust threshold), then picks routers with probability proportional to
 omega = 1 is pure bandwidth. The plain-bandwidth mode reproduces ordinary
 onion-router selection (probability proportional to raw bandwidth over all
 other routers) and serves as the baseline in the simulations.
+
+All weighted draws go through one sampler, `weighted_picks`: sequential
+inverse-CDF picks without replacement on the cumulative weights. A single
+router, a circuit and a whole round of circuits are the same call with a
+different number of rows and picks per row.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -152,19 +158,75 @@ def selection_probability(
     raise UnknownEntityError("entity %d is not a candidate" % entity_id)
 
 
+def weighted_picks(
+    cum: np.ndarray,
+    weights: np.ndarray,
+    rng: np.random.Generator,
+    draws: int,
+    length: int,
+) -> np.ndarray:
+    """`draws` rows of `length` weighted picks without replacement.
+
+    cum is np.cumsum(weights), so candidate i holds [starts[i], cum[i]) of
+    the mass, with starts[i] = cum[i-1] and starts[0] = 0. Pick k of a row
+    scales a uniform by the mass its earlier picks left and maps the value
+    back onto the full axis: walking the earlier picks in ascending index
+    order, each one whose interval starts at or below the value pushes it
+    past itself by its weight. searchsorted then lands on the remaining
+    candidate that holds the point, so every pick follows weight / remaining
+    mass, the law of drawing one router at a time and zeroing its weight.
+    A row takes `length` uniforms, and for length 1 the stream is exactly
+    rng.random(draws) * weights.sum(). A weight too small to move cum (below
+    its rounding) can only come up once the larger ones are picked.
+
+    Returns a (draws, length) array of indices into weights.
+    """
+    n = len(weights)
+    if n < length:
+        raise InsufficientCandidatesError("need %d candidates, have %d" % (length, n))
+    total = weights.sum()
+    if not (weights.min() >= 0.0 and math.isfinite(total)):
+        raise DomainError("selection weights must be finite and >= 0")
+    positive = np.count_nonzero(weights)
+    if positive < length:
+        raise ZeroDenominatorError(
+            "only %d candidates carry positive weight, need %d" % (positive, length)
+        )
+    u = rng.random((draws, length))
+    picks = np.empty((draws, length), dtype=np.intp)
+    starts = np.concatenate(([0.0], cum[:-1])) if length > 1 else None
+    left = total  # per row from the second pick on: the mass not yet picked
+    for k in range(length):
+        value = u[:, k] * left
+        for earlier in np.sort(picks[:, :k], axis=1).T:
+            value = value + (starts[earlier] <= value) * weights[earlier]
+        pick = np.searchsorted(cum, value, side="right")
+        # A value at or past the top of the mass (the u * total == total
+        # float corner) falls off the end; it belongs to the last candidate
+        # that still carries weight.
+        for row in np.flatnonzero(pick == n):
+            i = n - 1
+            while weights[i] == 0.0 or i in picks[row, :k]:
+                i -= 1
+            pick[row] = i
+        picks[:, k] = pick
+        if k + 1 < length:
+            # Rounding can take the remainder below zero when the total
+            # absorbed tiny weights; a negative value would skip the walk.
+            left = np.maximum(left - weights[pick], 0.0)
+    assert (weights[picks] > 0.0).all(), "picked a zero-weight candidate"
+    assert length == 1 or (np.diff(np.sort(picks, axis=1), axis=1) != 0).all(), (
+        "repeated a pick"
+    )
+    return picks
+
+
 def select_router(
     candidates: CandidateSet, policy: SelectionPolicy, rng: np.random.Generator
 ) -> int:
     """One weighted draw from the candidate set."""
     w = candidates.weights(policy)
-    total = w.sum()
-    if total <= 0.0:
-        raise ZeroDenominatorError("all selection weights are zero")
-    cum = np.cumsum(w)
-    k = int(np.searchsorted(cum, rng.random() * total, side="right"))
-    k = min(k, len(cum) - 1)
-    while w[k] == 0.0:  # only reachable in the draw == total float corner
-        k -= 1
+    k = weighted_picks(np.cumsum(w), w, rng, 1, 1)[0, 0]
     return candidates.members[k].entity_id
 
 
@@ -186,27 +248,11 @@ def build_circuit(
 ) -> Circuit:
     """Weighted sampling without replacement until the circuit is full.
 
-    After each pick the chosen router's weight is zeroed and the rest are
-    implicitly renormalized. Running out of positive weight midway is an
-    error rather than a silent fallback.
+    Each pick is drawn from the weight the earlier picks left, which is the
+    same law as zeroing a chosen router's weight and renormalizing. Fewer
+    positive weights than circuit slots is an error rather than a silent
+    fallback.
     """
-    if candidates.size < policy.circuit_length:
-        raise InsufficientCandidatesError(
-            "need %d candidates, have %d" % (policy.circuit_length, candidates.size)
-        )
-    w = candidates.weights(policy).astype(float).copy()
-    picked = []
-    for _ in range(policy.circuit_length):
-        total = w.sum()
-        if total <= 0.0:
-            raise ZeroDenominatorError(
-                "remaining candidates all have zero weight"
-            )
-        cum = np.cumsum(w)
-        k = int(np.searchsorted(cum, rng.random() * total, side="right"))
-        k = min(k, len(cum) - 1)
-        while w[k] == 0.0:  # only reachable in the draw == total float corner
-            k -= 1
-        picked.append(candidates.members[k].entity_id)
-        w[k] = 0.0
-    return Circuit(members=tuple(picked))
+    w = candidates.weights(policy)
+    row = weighted_picks(np.cumsum(w), w, rng, 1, policy.circuit_length)[0]
+    return Circuit(members=tuple(candidates.members[k].entity_id for k in row))

@@ -5,7 +5,10 @@ an optional trust/bandwidth correlation case, the selection policy and the
 round layout. Each round re-places the malicious flags (except for the
 deterministic top-bandwidth strategy) and makes a batch of selections or
 circuits; the per-round report carries the malicious-selection ratio R_MR,
-the compromised-circuit ratio R_MC and the mean selected bandwidth.
+the compromised-circuit ratio R_MC and the mean selected bandwidth. Both
+kinds of round draw through `selection.weighted_picks`: a select round is
+`draws` single picks, a circuit round `draws` rows of `circuit_length`
+sequential picks without replacement.
 
 All randomness is derived from the scenario seed through fixed stream keys,
 so a scenario replays byte for byte and sweeps share draws across values.
@@ -24,9 +27,7 @@ import numpy as np
 from .errors import (
     DomainError,
     InfeasibleAssignmentError,
-    InsufficientCandidatesError,
     UnknownEntityError,
-    ZeroDenominatorError,
 )
 from .fuzzy import FuzzyRuleSet, compute_trust_values
 from .graph import (
@@ -42,6 +43,7 @@ from .selection import (
     SelectionMode,
     SelectionPolicy,
     build_candidates,
+    weighted_picks,
 )
 
 # Stream keys under the scenario seed. The graph generator owns spawn keys
@@ -397,36 +399,42 @@ class _Prepared:
         self.plan = _FlagPlan(graph, scenario, mean_trust, scores.targets())
 
 
+def _run_rounds(
+    graph: SocialGraph,
+    scenario: SimScenario,
+    mean_trust: Optional[Dict[int, float]],
+    circuits: bool,
+) -> SimulationResult:
+    prep = _Prepared(graph, scenario, mean_trust)
+    length = scenario.circuit_length if circuits else 1
+    cum = np.cumsum(prep.weights)
+    reports = []
+    for r in range(scenario.rounds):
+        flag_rng, draw_rng = _round_streams(scenario.seed, r)
+        flag_mask = np.zeros(len(prep.ids), dtype=bool)
+        flag_mask[prep.plan.draw(flag_rng)] = True
+        members = weighted_picks(cum, prep.weights, draw_rng, scenario.draws, length)
+        picked = prep.cand_idx[members]  # (draws, length) of global indices
+        hit = flag_mask[picked]
+        reports.append(
+            RoundReport(
+                index=r,
+                r_mr=float(hit.mean()),
+                r_mc=float(hit.any(axis=1).mean()) if circuits else None,
+                avg_bandwidth=float(prep.bw[picked].min(axis=1).mean()),
+                draws=scenario.draws,
+            )
+        )
+    return SimulationResult(scenario, reports, prep.circle_size, prep.trustworthy_size)
+
+
 def run_selection_rounds(
     graph: SocialGraph,
     scenario: SimScenario,
     mean_trust: Optional[Dict[int, float]] = None,
 ) -> SimulationResult:
     """Rounds of single-router draws."""
-    prep = _Prepared(graph, scenario, mean_trust)
-    w = prep.weights
-    total = w.sum()
-    if total <= 0.0:
-        raise ZeroDenominatorError("all selection weights are zero")
-    cum = np.cumsum(w)
-    reports = []
-    for r in range(scenario.rounds):
-        flag_rng, draw_rng = _round_streams(scenario.seed, r)
-        flag_mask = np.zeros(len(prep.ids), dtype=bool)
-        flag_mask[prep.plan.draw(flag_rng)] = True
-        sel = np.searchsorted(cum, draw_rng.random(scenario.draws) * total, side="right")
-        np.clip(sel, 0, len(cum) - 1, out=sel)
-        picked = prep.cand_idx[sel]
-        reports.append(
-            RoundReport(
-                index=r,
-                r_mr=float(flag_mask[picked].mean()),
-                r_mc=None,
-                avg_bandwidth=float(prep.bw[picked].mean()),
-                draws=scenario.draws,
-            )
-        )
-    return SimulationResult(scenario, reports, prep.circle_size, prep.trustworthy_size)
+    return _run_rounds(graph, scenario, mean_trust, circuits=False)
 
 
 def run_circuit_rounds(
@@ -435,44 +443,7 @@ def run_circuit_rounds(
     mean_trust: Optional[Dict[int, float]] = None,
 ) -> SimulationResult:
     """Rounds of full-circuit draws; a circuit with any flagged member counts."""
-    prep = _Prepared(graph, scenario, mean_trust)
-    w = prep.weights
-    length = scenario.circuit_length
-    if len(w) < length:
-        raise InsufficientCandidatesError(
-            "need %d candidates, have %d" % (length, len(w))
-        )
-    positive = w > 0.0
-    if int(positive.sum()) < length:
-        raise ZeroDenominatorError(
-            "only %d candidates carry positive weight, need %d"
-            % (int(positive.sum()), length)
-        )
-    inv = np.zeros_like(w)
-    inv[positive] = 1.0 / w[positive]
-    reports = []
-    for r in range(scenario.rounds):
-        flag_rng, draw_rng = _round_streams(scenario.seed, r)
-        flag_mask = np.zeros(len(prep.ids), dtype=bool)
-        flag_mask[prep.plan.draw(flag_rng)] = True
-        # Exponential-key sampling: per circuit, the top-`length` keys form a
-        # weighted sample without replacement (same law as sequential picks).
-        u = 1.0 - draw_rng.random((scenario.draws, len(w)))
-        keys = np.zeros_like(u)
-        keys[:, positive] = u[:, positive] ** inv[positive]
-        members = np.argpartition(-keys, length - 1, axis=1)[:, :length]
-        picked = prep.cand_idx[members]  # (draws, length) of global indices
-        hit = flag_mask[picked]
-        reports.append(
-            RoundReport(
-                index=r,
-                r_mr=float(hit.mean()),
-                r_mc=float(hit.any(axis=1).mean()),
-                avg_bandwidth=float(prep.bw[picked].min(axis=1).mean()),
-                draws=scenario.draws,
-            )
-        )
-    return SimulationResult(scenario, reports, prep.circle_size, prep.trustworthy_size)
+    return _run_rounds(graph, scenario, mean_trust, circuits=True)
 
 
 def run_simulation(
@@ -539,6 +510,10 @@ def sweep(
             "unknown sweep axis %r (have: %s)" % (axis, ", ".join(sorted(SWEEP_AXES)))
         )
     field = SWEEP_AXES[axis]
+    if field == "n":
+        for value in values:
+            if not float(value).is_integer():
+                raise DomainError("n must be a whole number, got %r" % (value,))
     rows: List[SweepRow] = []
     results: List[SimulationResult] = []
     cache: Dict[int, Tuple[SocialGraph, TrustArrays, float, Dict[int, float]]] = {}

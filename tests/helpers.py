@@ -1,8 +1,11 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles deliberately re-derive results from first principles (numeric
-quadrature, exhaustive path enumeration) instead of reusing package code.
+quadrature, exhaustive path and draw-order enumeration) instead of reusing
+package code.
 """
+
+import itertools
 
 import numpy as np
 from scipy.integrate import quad
@@ -90,6 +93,26 @@ def quad_trust_value(rules, e: float) -> float:
         mp += rule_mp
         m += rule_m
     return mp / m
+
+
+# -- sampling law --------------------------------------------------------------
+
+
+def exact_order_probability(weights, order):
+    """Chance that sequential no-replacement draws return order, in order."""
+    left, q = sum(weights), 1.0
+    for k in order:
+        q *= weights[k] / left
+        left -= weights[k]
+    return q
+
+
+def exact_subset_probability(weights, subset):
+    """Chance that sequential no-replacement draws return exactly subset."""
+    return sum(
+        exact_order_probability(weights, order)
+        for order in itertools.permutations(subset)
+    )
 
 
 # -- graphs ---------------------------------------------------------------------

@@ -147,3 +147,17 @@ def test_errors_exit_with_code_one(tmp_path, capsys):
          "--out", str(tmp_path)]
     ) == 1
     assert "sweep values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "40.7"])
+def test_sweep_n_axis_names_a_bad_value(tmp_path, capsys, token):
+    scenario_path = tmp_path / "scenario.txt"
+    scenario_path.write_text(SCENARIO)
+    rc = main(
+        ["sweep", str(scenario_path), "--axis", "n", "--values", "30," + token,
+         "--out", str(tmp_path / "out")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: n must be a whole number, got %r\n" % float(token)
+    assert not (tmp_path / "out" / "sweep.csv").exists()

@@ -1,0 +1,224 @@
+"""The weighted sampler against the exact sequential law and its float corners.
+
+Every router, circuit and round of circuits is drawn by `weighted_picks`, so
+its law is checked here against exhaustive enumeration, and its guards (no
+zero-weight pick, no repeat) against random and adversarial weights.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import stats
+
+from oniontrust import (
+    SelectionMode,
+    SelectionPolicy,
+    SimScenario,
+    Strategy,
+    build_candidates,
+    propagate,
+    run_selection_rounds,
+    select_router,
+)
+from oniontrust.errors import (
+    DomainError,
+    InsufficientCandidatesError,
+    ZeroDenominatorError,
+)
+from oniontrust.selection import weighted_picks
+from oniontrust.simulation import _Prepared, _round_streams
+
+from helpers import exact_order_probability, graph_from_trust_links
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def picks(weights, rng, draws, length):
+    w = np.asarray(weights, dtype=float)
+    return weighted_picks(np.cumsum(w), w, rng, draws, length)
+
+
+def assert_valid(weights, rows):
+    w = np.asarray(weights, dtype=float)
+    assert ((rows >= 0) & (rows < len(w))).all()
+    assert (w[rows] > 0.0).all()
+    for row in rows.tolist():
+        assert len(set(row)) == len(row)
+
+
+# -- law ------------------------------------------------------------------------
+
+LAW_CASES = [
+    [0.0, 3.0, 0.0, 1.0, 2.0, 4.0, 0.0],  # zeros at both ends and inside
+    [1e6, 1.0, 0.0, 2.0, 3.0],  # one weight dwarfs the rest
+    [0.5, 0.25, 0.125, 0.0625, 0.0625],
+]
+
+
+@pytest.mark.parametrize("weights", LAW_CASES)
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_picks_follow_the_sequential_law(weights, length):
+    support = [k for k, w in enumerate(weights) if w > 0.0]
+    orders = list(itertools.permutations(support, length))
+    probs = np.array([exact_order_probability(weights, o) for o in orders])
+    assert probs.sum() == pytest.approx(1.0)
+    draws = 60_000
+    rows = picks(weights, np.random.default_rng(100 + length), draws, length)
+    index = {o: k for k, o in enumerate(orders)}
+    counts = np.zeros(len(orders))
+    for row in map(tuple, rows.tolist()):
+        counts[index[row]] += 1  # a KeyError here is a pick off the support
+    # Cells with an expected count below 5 are pooled, and a pool that is
+    # still below 5 joins the largest cell.
+    expected = probs * draws
+    small = expected < 5.0
+    obs, exp = list(counts[~small]), list(expected[~small])
+    pooled_obs, pooled_exp = counts[small].sum(), expected[small].sum()
+    if pooled_exp >= 5.0:
+        obs.append(pooled_obs)
+        exp.append(pooled_exp)
+    elif small.any():
+        top = int(np.argmax(exp))
+        obs[top] += pooled_obs
+        exp[top] += pooled_exp
+    if len(obs) == 1:
+        assert obs[0] == draws
+        return
+    _, pvalue = stats.chisquare(obs, exp)
+    assert pvalue > 0.001
+
+
+# -- guards ---------------------------------------------------------------------
+
+WEIGHT = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, 1e6, 1e-16, 5e-324]),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+)
+
+
+@PROPERTY
+@given(
+    weights=st.lists(WEIGHT, min_size=1, max_size=12),
+    length=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_picks_are_distinct_positive_and_in_range(weights, length, seed):
+    assume(sum(w > 0.0 for w in weights) >= length)
+    rows = picks(weights, np.random.default_rng(seed), 40, length)
+    assert rows.shape == (40, length)
+    assert_valid(weights, rows)
+
+
+class TopOfUnitInterval:
+    """Stands in for a Generator whose every uniform is the largest double below 1."""
+
+    TOP = np.nextafter(1.0, 0.0)
+
+    def random(self, size=None):
+        if size is None:
+            return self.TOP
+        return np.full(size, self.TOP)
+
+
+CORNER_CASES = [
+    [0.1] * 10 + [0.0],  # pairwise total 1.0 above the running sum
+    [0.1] * 10 + [0.0, 0.0, 0.0],
+    [0.0, 0.3, 0.0, 0.6, 0.1, 0.0],
+    [1.0, 1e-16, 1e-16],  # the tiny weights vanish into the total
+    [1e6, 1e-10, 1e-10, 0.0],
+]
+
+
+@pytest.mark.parametrize("weights", CORNER_CASES)
+def test_top_of_the_unit_interval_never_lands_on_zero_or_repeats(weights):
+    positive = sum(w > 0.0 for w in weights)
+    for length in range(1, min(positive, 4) + 1):
+        rows = picks(weights, TopOfUnitInterval(), 3, length)
+        assert_valid(weights, rows)
+
+
+def test_the_corner_is_reached():
+    # Without the guard the first case above would pick its zero weight:
+    # the draw passes the last cumulative value.
+    w = np.array(CORNER_CASES[0])
+    cum = np.cumsum(w)
+    assert np.searchsorted(cum, TopOfUnitInterval.TOP * w.sum(), side="right") == len(w)
+    assert picks(w, TopOfUnitInterval(), 1, 1)[0, 0] == 9
+
+
+def test_sampler_errors():
+    rng = np.random.default_rng(0)
+    with pytest.raises(InsufficientCandidatesError):
+        picks([1.0, 2.0], rng, 1, 3)
+    with pytest.raises(ZeroDenominatorError):
+        picks([0.0, 0.0], rng, 1, 1)
+    with pytest.raises(ZeroDenominatorError):
+        picks([1.0, 0.0, 2.0], rng, 1, 3)
+    for bad in ([1.0, -0.5, 2.0], [1.0, float("nan")], [1.0, float("inf")]):
+        with pytest.raises(DomainError):
+            picks(bad, rng, 1, 1)
+
+
+# -- select-mode bytes ------------------------------------------------------------
+
+
+def reference_pick(cum, total, w, u):
+    """Single draw as select mode has always made it."""
+    k = min(int(np.searchsorted(cum, u * total, side="right")), len(cum) - 1)
+    while w[k] == 0.0:
+        k -= 1
+    return k
+
+
+def test_select_router_matches_the_cumsum_formula_bit_for_bit():
+    scores = {2: 0.9, 3: 0.0, 4: 0.35, 5: 0.05, 6: 0.7, 7: 0.0}
+    g = graph_from_trust_links(
+        [(1, k, tv) for k, tv in scores.items()],
+        bandwidths={k: 100.0 * k for k in range(1, 8)},
+    )
+    table = propagate(g, 1, 2, keep_paths=False)
+    for policy in (
+        SelectionPolicy(omega=0.0),
+        SelectionPolicy(omega=0.4),
+        SelectionPolicy(mode=SelectionMode.BANDWIDTH_ONLY),
+    ):
+        cands = build_candidates(g, table, 1, policy)
+        w = cands.weights(policy)
+        cum, total = np.cumsum(w), w.sum()
+        got = np.random.default_rng(17)
+        want = np.random.default_rng(17)
+        for _ in range(2000):
+            k = reference_pick(cum, total, w, want.random())
+            assert select_router(cands, policy, got) == cands.members[k].entity_id
+
+
+@pytest.mark.parametrize(
+    "strategy", [Strategy.PRACTICAL_STOR, Strategy.OPPORTUNISTIC_TOR]
+)
+def test_selection_rounds_match_the_cumsum_formula_bit_for_bit(strategy):
+    trust = [0.9, 0.0, 0.35, 0.05, 0.7, 0.0, 0.2, 0.6, 0.1, 0.45, 0.3]
+    g = graph_from_trust_links(
+        [(1, k + 2, tv) for k, tv in enumerate(trust)],
+        bandwidths={k: 37.0 * k for k in range(1, len(trust) + 2)},
+    )
+    g.freeze()
+    scenario = SimScenario(
+        strategy=strategy, fraction=0.25, rounds=30, draws=400, seed=3, omega=0.2
+    )
+    result = run_selection_rounds(g, scenario)
+    prep = _Prepared(g, scenario)
+    w = prep.weights
+    cum, total = np.cumsum(w), w.sum()
+    for r, report in enumerate(result.reports):
+        flag_rng, draw_rng = _round_streams(scenario.seed, r)
+        flags = np.zeros(len(prep.ids), dtype=bool)
+        flags[prep.plan.draw(flag_rng)] = True
+        sel = np.searchsorted(cum, draw_rng.random(scenario.draws) * total, side="right")
+        np.clip(sel, 0, len(cum) - 1, out=sel)
+        picked = prep.cand_idx[sel]
+        assert report.r_mr == float(flags[picked].mean())
+        assert report.avg_bandwidth == float(prep.bw[picked].mean())
+        assert report.r_mc is None

@@ -31,7 +31,7 @@ from oniontrust.errors import (
 )
 from oniontrust.simulation import _flag_count
 
-from helpers import default_rules, graph_from_trust_links
+from helpers import default_rules, exact_subset_probability, graph_from_trust_links
 
 
 def star(n, bandwidths=None, tv=0.5):
@@ -205,19 +205,6 @@ def test_opportunistic_rates_match_uniform_flagging_math():
         strategy=Strategy.OPPORTUNISTIC_TOR, fraction=0.2, rounds=500, draws=400
     )
     assert abs(run_selection_rounds(g, single).mean_r_mr - m / n) < 0.01
-
-
-def exact_subset_probability(weights, subset):
-    """Chance that sequential no-replacement draws return exactly subset."""
-    total = sum(weights)
-    p = 0.0
-    for order in itertools.permutations(subset):
-        left, q = total, 1.0
-        for k in order:
-            q *= weights[k] / left
-            left -= weights[k]
-        p += q
-    return p
 
 
 def test_circuit_rounds_match_sequential_sampling_law():
@@ -445,3 +432,18 @@ def test_sweep_n_axis_regenerates():
     assert result.rows[0].mean_circle_size != result.rows[1].mean_circle_size
     with pytest.raises(DomainError):
         sweep(scenario, "bandwidth", [1.0], default_rules())
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 40.7])
+def test_sweep_n_axis_rejects_non_integral_values(bad):
+    scenario = SimScenario(
+        strategy=Strategy.OPPORTUNISTIC_TOR,
+        fraction=0.2,
+        n=20,
+        generator_kind="er",
+        generator_value=0.4,
+        rounds=2,
+        draws=5,
+    )
+    with pytest.raises(DomainError, match="n must be a whole number, got %r" % bad):
+        sweep(scenario, "n", [20, bad], default_rules())
