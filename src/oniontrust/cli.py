@@ -22,7 +22,7 @@ from .fileio import (
 )
 from .fuzzy import compute_trust_values
 from .graph import DEFAULT_BANDWIDTH_MAX, GeneratorParams, generate_graph, mean_circle_size
-from .propagation import propagate_all
+from .propagation import propagate_arrays
 from .simulation import (
     SWEEP_AXES,
     DrawMode,
@@ -67,11 +67,11 @@ def cmd_trust(args) -> int:
     graph = read_graph(args.graph)
     rules = read_rules(args.rules)
     compute_trust_values(graph, rules)
-    tables = propagate_all(graph, args.max_hops)
+    arrays = propagate_arrays(graph, args.max_hops)
     link_path = _out_path(args, "link_trust.csv")
     score_path = _out_path(args, "trust_scores.csv")
     write_link_trust(link_path, graph)
-    write_trust_scores(score_path, tables)
+    write_trust_scores(score_path, arrays)
     _say(
         args,
         "scored %d links across %d entities; mean circle size %.1f; wrote %s, %s"

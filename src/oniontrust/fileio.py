@@ -3,6 +3,13 @@
 The text formats are line based; blank lines and lines starting with '#' are
 skipped everywhere. Serialization orders everything (entities, links, keys)
 so the same object always produces the same bytes.
+
+Every CSV goes through one column-wise writer: a table arrives as blocks of
+text columns and is joined row by row per block. Cells follow one rule
+(None -> empty, float -> shortest repr, anything else -> str). The trust
+score table is written straight from TrustArrays in blocks of source rows,
+so no per-pair object is built and the whole table's text is never held at
+once.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ import math
 from importlib import resources
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import OnionTrustError, ParseError
 from .fuzzy import FuzzyRuleSet, Rule, ValueClass
 from .graph import (
@@ -20,7 +29,7 @@ from .graph import (
     FriendLink,
     SocialGraph,
 )
-from .propagation import TrustScoreTable
+from .propagation import TrustArrays
 from .simulation import (
     CorrelationCase,
     DrawMode,
@@ -368,26 +377,49 @@ def read_scenario(path) -> SimScenario:
 
 # -- CSV output ----------------------------------------------------------------
 
+#: Sources per write in write_trust_scores: each block joins a few tens of
+#: thousands of rows at n = 1000, while the text of the whole table is never
+#: held at once.
+_SCORE_BLOCK_ROWS = 64
+
+
 def _fmt(value) -> str:
+    """One CSV cell: None -> empty, float -> shortest repr, else str.
+
+    float.__repr__ also prints numpy floats (a float subclass) as plain
+    numbers, where numpy's own repr would write np.float64(0.1).
+    """
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)
     return str(value)
 
 
-def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]):
+def _columns(rows: Iterable[Sequence]) -> List[List[str]]:
+    """Row tuples as columns of formatted cells; no rows gives no columns."""
+    return [list(map(_fmt, column)) for column in zip(*rows)]
+
+
+def _write_csv(path, header: Sequence[str], blocks: Iterable[Sequence[Sequence[str]]]):
+    """Write the header, then each block of equal-length text columns as rows.
+
+    Blocks are written as they come, so a caller can stream a large table
+    without holding all of its text at once.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(cell) for cell in row) + "\n")
+        for columns in blocks:
+            if columns and len(columns[0]):
+                handle.write("\n".join(map(",".join, zip(*columns))))
+                handle.write("\n")
 
 
 def write_round_reports(path, reports: Sequence[RoundReport]):
     _write_csv(
         path,
         ("round", "r_mr", "r_mc", "avg_bandwidth", "draws"),
-        ((r.index, r.r_mr, r.r_mc, r.avg_bandwidth, r.draws) for r in reports),
+        [_columns((r.index, r.r_mr, r.r_mc, r.avg_bandwidth, r.draws) for r in reports)],
     )
 
 
@@ -403,28 +435,52 @@ def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
 
 
 def write_cdf(path, values: Sequence[float]):
-    _write_csv(
-        path,
-        ("value", "cumulative_fraction"),
-        cdf_points(values),
-    )
+    _write_csv(path, ("value", "cumulative_fraction"), [_columns(cdf_points(values))])
 
 
 def write_link_trust(path, graph: SocialGraph):
-    rows = []
-    for link in graph.links():
-        rows.append((link.source, link.target, link.network, link.trust_value))
-    _write_csv(path, ("source", "target", "network", "trust_value"), rows)
+    links = graph.links()
+    id_text = {eid: str(eid) for eid in graph.entity_ids()}
+    _write_csv(
+        path,
+        ("source", "target", "network", "trust_value"),
+        [
+            (
+                [id_text[link.source] for link in links],
+                [id_text[link.target] for link in links],
+                [str(link.network) for link in links],
+                [_fmt(link.trust_value) for link in links],
+            )
+        ],
+    )
 
 
-def write_trust_scores(path, tables: Dict[int, TrustScoreTable]):
-    rows = []
-    for source in sorted(tables):
-        table = tables[source]
-        for target in table.targets():
-            score = table.scores[target]
-            rows.append((source, target, score.value, score.hops))
-    _write_csv(path, ("source", "target", "ts", "hops"), rows)
+def write_trust_scores(path, arrays: TrustArrays):
+    """One (source, target, ts, hops) row per reached pair of the arrays.
+
+    Rows run source-major over the sorted ids, the order of the per-source
+    tables' sorted targets. Id and hop cells come from small tables of
+    preformatted strings, scores from float.__repr__, and the rows are
+    formatted and written _SCORE_BLOCK_ROWS sources at a time.
+    """
+    id_text = np.array([str(eid) for eid in arrays.ids], dtype=object)
+    hop_text = np.array(
+        [str(h) for h in range(int(arrays.hops.max(initial=0)) + 1)], dtype=object
+    )
+
+    def blocks():
+        for lo in range(0, len(id_text), _SCORE_BLOCK_ROWS):
+            hi = lo + _SCORE_BLOCK_ROWS
+            reached = arrays.reached[lo:hi]
+            rows, cols = np.nonzero(reached)
+            yield (
+                id_text[rows + lo].tolist(),
+                id_text[cols].tolist(),
+                list(map(float.__repr__, arrays.best[lo:hi][reached].tolist())),
+                hop_text[arrays.hops[lo:hi][reached]].tolist(),
+            )
+
+    _write_csv(path, ("source", "target", "ts", "hops"), blocks())
 
 
 def write_sweep_rows(path, rows: Sequence[SweepRow]):
@@ -439,16 +495,18 @@ def write_sweep_rows(path, rows: Sequence[SweepRow]):
             "mean_circle_size",
             "mean_trustworthy_size",
         ),
-        (
-            (
-                row.axis,
-                row.value,
-                row.mean_r_mr,
-                row.mean_r_mc,
-                row.mean_bandwidth,
-                row.mean_circle_size,
-                row.mean_trustworthy_size,
+        [
+            _columns(
+                (
+                    row.axis,
+                    row.value,
+                    row.mean_r_mr,
+                    row.mean_r_mc,
+                    row.mean_bandwidth,
+                    row.mean_circle_size,
+                    row.mean_trustworthy_size,
+                )
+                for row in rows
             )
-            for row in rows
-        ),
+        ],
     )

@@ -433,24 +433,27 @@ def _calibrate_edge_prob(u: np.ndarray, params: GeneratorParams) -> float:
 
     The SAME uniform matrix u is thresholded at every candidate p, so the
     edge set (and with it the mean circle size) grows monotonically in p and
-    the search is well behaved.
+    the search is well behaved. Missing calibration_tol within 60 steps
+    raises GeneratorParamsError naming the closest size reached.
     """
     target = params.target_circle_fraction * params.n
     lo, hi = 0.0, 1.0
-    best_p, best_err = 1.0, float("inf")
+    best_p, best_size = 1.0, float("inf")
     for _ in range(60):
         mid = (lo + hi) / 2.0
         size = _mean_circle_size(u < mid, params.max_hops)
-        err = abs(size - target)
-        if err < best_err:
-            best_p, best_err = mid, err
-        if err <= params.calibration_tol:
-            break
+        if abs(size - target) <= params.calibration_tol:
+            return mid
+        if abs(size - target) < abs(best_size - target):
+            best_p, best_size = mid, size
         if size < target:
             lo = mid
         else:
             hi = mid
-    return best_p
+    raise GeneratorParamsError(
+        "calibration missed mean circle size %g within %g: closest was %g at p = %r"
+        % (target, params.calibration_tol, best_size, best_p)
+    )
 
 
 def generate_graph(params: GeneratorParams, seed: int) -> SocialGraph:

@@ -9,6 +9,10 @@ cycle from a walk never hurts the product, so a Dijkstra-style search over
 The same argument lets the all-sources kernel run layer by layer over
 walks: layer r extends every source's best (r - 1)-link prefix product by
 one link, in the order the search multiplies, so both agree bit for bit.
+Its output, TrustArrays, is what the all-sources consumers read (the score
+CSV writer, mean trust, sweeps); propagate_all is the library's table view
+of it, and TrustArrays.table is the one place an arrays row becomes a
+TrustScoreTable.
 """
 
 from __future__ import annotations
@@ -162,6 +166,22 @@ class TrustArrays:
     hops: np.ndarray
     reached: np.ndarray
 
+    def table(self, row: int) -> TrustScoreTable:
+        """The score table of source ids[row], without witness paths."""
+        cols = np.flatnonzero(self.reached[row])
+        ids = self.ids
+        return TrustScoreTable(
+            ids[row],
+            {
+                ids[t]: TrustScore(value, hop)
+                for t, value, hop in zip(
+                    cols.tolist(),
+                    self.best[row, cols].tolist(),
+                    self.hops[row, cols].tolist(),
+                )
+            },
+        )
+
 
 def propagate_arrays(graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS) -> TrustArrays:
     """Trust scores from every source at once, as arrays.
@@ -216,11 +236,12 @@ def propagate_all(
     max_hops: int = DEFAULT_MAX_HOPS,
     keep_paths: bool = False,
 ) -> Dict[int, TrustScoreTable]:
-    """Trust score tables for every source.
+    """Trust score tables for every source: the library's table view.
 
     Without witness paths the tables are read off propagate_arrays, which
     agrees with the per-source search exactly (tested); with witness paths
-    it falls back to that search.
+    it falls back to that search. Callers that only need the scores should
+    read propagate_arrays directly and skip building a TrustScore per pair.
     """
     if max_hops < 1:
         raise DomainError("max_hops must be >= 1")
@@ -231,17 +252,4 @@ def propagate_all(
             for i in graph.entity_ids()
         }
     arrays = propagate_arrays(graph, max_hops)
-    ids = arrays.ids
-    tables: Dict[int, TrustScoreTable] = {}
-    for si, src in enumerate(ids):
-        cols = np.flatnonzero(arrays.reached[si])
-        scores = {
-            ids[t]: TrustScore(value, hop)
-            for t, value, hop in zip(
-                cols.tolist(),
-                arrays.best[si, cols].tolist(),
-                arrays.hops[si, cols].tolist(),
-            )
-        }
-        tables[src] = TrustScoreTable(src, scores)
-    return tables
+    return {source: arrays.table(row) for row, source in enumerate(arrays.ids)}

@@ -364,15 +364,26 @@ def assign_bandwidth_correlation(
 
 
 class _Prepared:
-    """Scenario state that is identical across rounds."""
+    """Scenario state that is identical across rounds.
+
+    scores is the source's trust score table within the scenario's hop
+    budget; it is computed when not given.
+    """
 
     def __init__(self, graph: SocialGraph, scenario: SimScenario,
-                 mean_trust: Optional[Dict[int, float]] = None):
+                 mean_trust: Optional[Dict[int, float]] = None,
+                 scores: Optional[TrustScoreTable] = None):
         if not graph.frozen:
             raise DomainError("freeze the graph before simulating")
         if not graph.has_entity(scenario.source):
             raise UnknownEntityError("unknown source entity %d" % scenario.source)
-        scores = propagate(graph, scenario.source, scenario.max_hops, keep_paths=False)
+        if scores is None:
+            scores = propagate(graph, scenario.source, scenario.max_hops, keep_paths=False)
+        elif scores.source != scenario.source:
+            raise DomainError(
+                "score table is for entity %d, the scenario's source is %d"
+                % (scores.source, scenario.source)
+            )
         # Every entity within max_hops links gets a score, so the scored
         # targets are the circle.
         self.circle_size = len(scores.scores)
@@ -403,9 +414,10 @@ def _run_rounds(
     graph: SocialGraph,
     scenario: SimScenario,
     mean_trust: Optional[Dict[int, float]],
+    scores: Optional[TrustScoreTable],
     circuits: bool,
 ) -> SimulationResult:
-    prep = _Prepared(graph, scenario, mean_trust)
+    prep = _Prepared(graph, scenario, mean_trust, scores)
     length = scenario.circuit_length if circuits else 1
     cum = np.cumsum(prep.weights)
     reports = []
@@ -432,28 +444,36 @@ def run_selection_rounds(
     graph: SocialGraph,
     scenario: SimScenario,
     mean_trust: Optional[Dict[int, float]] = None,
+    scores: Optional[TrustScoreTable] = None,
 ) -> SimulationResult:
     """Rounds of single-router draws."""
-    return _run_rounds(graph, scenario, mean_trust, circuits=False)
+    return _run_rounds(graph, scenario, mean_trust, scores, circuits=False)
 
 
 def run_circuit_rounds(
     graph: SocialGraph,
     scenario: SimScenario,
     mean_trust: Optional[Dict[int, float]] = None,
+    scores: Optional[TrustScoreTable] = None,
 ) -> SimulationResult:
     """Rounds of full-circuit draws; a circuit with any flagged member counts."""
-    return _run_rounds(graph, scenario, mean_trust, circuits=True)
+    return _run_rounds(graph, scenario, mean_trust, scores, circuits=True)
 
 
 def run_simulation(
     graph: SocialGraph,
     scenario: SimScenario,
     mean_trust: Optional[Dict[int, float]] = None,
+    scores: Optional[TrustScoreTable] = None,
 ) -> SimulationResult:
+    """Run the scenario's rounds.
+
+    mean_trust and scores (the source's score table) are computed from the
+    graph when not given; a sweep passes them in to share one propagation.
+    """
     if scenario.draw_mode is DrawMode.CIRCUIT:
-        return run_circuit_rounds(graph, scenario, mean_trust)
-    return run_selection_rounds(graph, scenario, mean_trust)
+        return run_circuit_rounds(graph, scenario, mean_trust, scores)
+    return run_selection_rounds(graph, scenario, mean_trust, scores)
 
 
 def build_scenario_graph(scenario: SimScenario, rules: FuzzyRuleSet) -> SocialGraph:
@@ -503,7 +523,9 @@ def sweep(
 
     The graph is regenerated only when the axis is n; all other axes reuse
     one graph, so sweep points differ only in the swept knob (common random
-    numbers by construction).
+    numbers by construction). Each graph is propagated once: its arrays give
+    the mean trust, the trustworthy sizes and the source's score table of
+    every value.
     """
     if axis not in SWEEP_AXES:
         raise DomainError(
@@ -516,7 +538,10 @@ def sweep(
                 raise DomainError("n must be a whole number, got %r" % (value,))
     rows: List[SweepRow] = []
     results: List[SimulationResult] = []
-    cache: Dict[int, Tuple[SocialGraph, TrustArrays, float, Dict[int, float]]] = {}
+    cache: Dict[
+        int,
+        Tuple[SocialGraph, TrustArrays, float, Dict[int, float], Optional[TrustScoreTable]],
+    ] = {}
     for value in values:
         if field == "n":
             sc = dataclasses.replace(scenario, n=int(value))
@@ -530,9 +555,13 @@ def sweep(
                 arrays,
                 mean_circle_size(graph, sc.max_hops),
                 _mean_trust(arrays),
+                # An unknown source is left for the rounds to reject by name.
+                arrays.table(arrays.ids.index(sc.source))
+                if graph.has_entity(sc.source)
+                else None,
             )
-        graph, arrays, mean_circle, mean_trust = cache[sc.n]
-        result = run_simulation(graph, sc, mean_trust)
+        graph, arrays, mean_circle, mean_trust, scores = cache[sc.n]
+        result = run_simulation(graph, sc, mean_trust, scores)
         trustworthy = (arrays.best >= sc.ts_threshold) & arrays.reached
         mean_tf = float(np.mean(trustworthy.sum(axis=1)))
         rows.append(

@@ -2,12 +2,14 @@
 
 The oracles deliberately re-derive results from first principles (numeric
 quadrature, exhaustive path and draw-order enumeration) instead of reusing
-package code.
+package code. The CSV reference writer is the exception: it is the slow path
+the array writer replaced, kept to pin its bytes.
 """
 
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oniontrust import (
@@ -17,6 +19,7 @@ from oniontrust import (
     Rule,
     SocialGraph,
     ValueClass,
+    propagate,
 )
 
 # -- rule sets ----------------------------------------------------------------
@@ -190,3 +193,58 @@ def enumerate_best_paths(graph: SocialGraph, source: int, max_hops: int):
     return {
         target: (-neg, hops, path) for target, (neg, hops, path) in best.items()
     }
+
+
+TRUST = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+
+
+@st.composite
+def scored_graphs(draw):
+    """A scored graph over gapped ids; some entities may stay isolated."""
+    ids = sorted(draw(st.sets(st.integers(1, 60), min_size=1, max_size=9)))
+    graph = SocialGraph()
+    for eid in ids:
+        graph.add_entity(eid, draw(st.floats(1.0, 100.0)))
+    links = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(ids), st.sampled_from(ids), st.integers(1, 3), TRUST
+            ),
+            max_size=30,
+        )
+    )
+    for a, b, network, tv in links:
+        if a != b:
+            graph.add_link(scored_link(a, b, tv, network=network))
+    return graph
+
+
+# -- CSV reference --------------------------------------------------------------
+
+
+def reference_cell(value) -> str:
+    """A CSV cell as the row-at-a-time writers formatted it."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def reference_trust_scores_csv(graph: SocialGraph, max_hops: int) -> bytes:
+    """trust_scores.csv row by row over per-source propagate tables."""
+    lines = ["source,target,ts,hops"]
+    for source in graph.entity_ids():
+        table = propagate(graph, source, max_hops, keep_paths=False)
+        for target in table.targets():
+            score = table.scores[target]
+            lines.append(
+                ",".join(
+                    reference_cell(cell)
+                    for cell in (source, target, score.value, score.hops)
+                )
+            )
+    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -2,8 +2,10 @@
 
 import pytest
 
-from oniontrust import read_graph
+from oniontrust import compute_trust_values, read_graph, read_rules
 from oniontrust.cli import main
+
+from helpers import reference_trust_scores_csv
 
 
 WORKED_GRAPH = """\
@@ -62,6 +64,24 @@ def test_trust_scores_a_known_graph(tmp_path):
     assert score_rows[1] == "1,2,0.83125,1"
     assert score_rows[2] == "1,3,0.8333333333333333,1"
     assert len(score_rows) == 3
+
+
+@pytest.mark.parametrize("max_hops", ["1", "3"])
+def test_trust_scores_equal_the_row_writer(tmp_path, max_hops):
+    assert main(
+        ["generate", "--n", "90", "--generator", "er:0.03", "--seed", "4",
+         "--out", str(tmp_path), "--quiet"]
+    ) == 0
+    graph_path = tmp_path / "graph.txt"
+    rc = main(
+        ["trust", str(graph_path), "--max-hops", max_hops, "--out", str(tmp_path),
+         "--quiet"]
+    )
+    assert rc == 0
+    graph = read_graph(graph_path)
+    compute_trust_values(graph, read_rules())
+    want = reference_trust_scores_csv(graph, int(max_hops))
+    assert (tmp_path / "trust_scores.csv").read_bytes() == want
 
 
 def test_simulate_writes_rounds_and_cdf(tmp_path, capsys):

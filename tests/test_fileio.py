@@ -2,7 +2,10 @@
 
 from importlib import resources
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oniontrust import (
     AttributeProfile,
@@ -30,9 +33,10 @@ from oniontrust import (
     write_trust_scores,
 )
 from oniontrust.errors import ParseError, WeightSumError
-from oniontrust.propagation import TrustScore, TrustScoreTable
+from oniontrust.fileio import _SCORE_BLOCK_ROWS
+from oniontrust.propagation import TrustArrays, propagate_arrays
 
-from helpers import default_rules
+from helpers import default_rules, reference_trust_scores_csv, scored_graphs, scored_link
 
 
 def sample_graph():
@@ -313,18 +317,64 @@ def test_write_link_trust(tmp_path):
 
 
 def test_write_trust_scores(tmp_path):
-    tables = {
-        2: TrustScoreTable(2, {3: TrustScore(0.5, 1)}),
-        1: TrustScoreTable(1, {2: TrustScore(0.9, 1), 3: TrustScore(0.45, 2)}),
-    }
+    arrays = TrustArrays(
+        ids=[1, 2, 3],
+        best=np.array([[0.0, 0.9, 0.45], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]]),
+        hops=np.array([[0, 1, 2], [0, 0, 1], [0, 0, 0]]),
+        reached=np.array(
+            [[False, True, True], [False, False, True], [False, False, False]]
+        ),
+    )
     path = tmp_path / "ts.csv"
-    write_trust_scores(path, tables)
+    write_trust_scores(path, arrays)
     assert path.read_text() == (
         "source,target,ts,hops\n"
         "1,2,0.9,1\n"
         "1,3,0.45,2\n"
         "2,3,0.5,1\n"
     )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(scored_graphs(), st.integers(1, 3))
+def test_write_trust_scores_matches_the_row_writer(tmp_path_factory, graph, max_hops):
+    path = tmp_path_factory.mktemp("scores") / "ts.csv"
+    write_trust_scores(path, propagate_arrays(graph, max_hops))
+    assert path.read_bytes() == reference_trust_scores_csv(graph, max_hops)
+
+
+@pytest.mark.parametrize("max_hops", [1, 2, 3])
+def test_write_trust_scores_streams_several_blocks(tmp_path, max_hops):
+    rng = np.random.default_rng(17)
+    n = 2 * _SCORE_BLOCK_ROWS + 11
+    ids = np.sort(rng.choice(np.arange(1, 5 * n), size=n, replace=False)).tolist()
+    graph = SocialGraph()
+    for eid in ids:
+        graph.add_entity(eid, 10.0)
+    linked = ids[: n - 7]  # the last few entities stay isolated
+    for _ in range(3 * n):
+        a, b = rng.choice(linked, size=2, replace=False).tolist()
+        tv = float(rng.choice([0.0, 1.0, rng.random(), rng.random()]))
+        graph.add_link(scored_link(a, b, tv, network=int(rng.integers(1, 3))))
+    path = tmp_path / "ts.csv"
+    write_trust_scores(path, propagate_arrays(graph, max_hops))
+    assert path.read_bytes() == reference_trust_scores_csv(graph, max_hops)
+
+
+def test_numpy_scalars_are_written_as_plain_numbers(tmp_path):
+    path = tmp_path / "rounds.csv"
+    report = RoundReport(
+        index=np.int64(1),
+        r_mr=np.float64(0.1),
+        r_mc=None,
+        avg_bandwidth=np.float64(2.5),
+        draws=np.int64(1),
+    )
+    write_round_reports(path, [report])
+    assert path.read_text() == "round,r_mr,r_mc,avg_bandwidth,draws\n1,0.1,,2.5,1\n"
+    path = tmp_path / "cdf.csv"
+    write_cdf(path, [np.float64(0.1)])
+    assert path.read_text() == "value,cumulative_fraction\n0.1,1.0\n"
 
 
 def test_write_sweep_rows(tmp_path):

@@ -173,6 +173,17 @@ def test_calibrated_generation_hits_target():
     assert g == generate_graph(params, seed=7)
 
 
+def test_calibration_miss_raises():
+    # Three entities give mean circle sizes in thirds, never within 0.01 of 1.5.
+    params = GeneratorParams(n=3, target_circle_fraction=0.5, calibration_tol=0.01)
+    with pytest.raises(GeneratorParamsError) as info:
+        generate_graph(params, seed=2)
+    assert str(info.value) == (
+        "calibration missed mean circle size 1.5 within 0.01: "
+        "closest was 1.33333 at p = 0.5"
+    )
+
+
 def test_generator_params_validation():
     with pytest.raises(GeneratorParamsError):
         GeneratorParams(n=0, edge_prob=0.5)

@@ -9,40 +9,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oniontrust import SocialGraph, mean_circle_size, mean_trust_scores, propagate
+from oniontrust import mean_circle_size, mean_trust_scores, propagate
 from oniontrust.graph import circle_sizes
 from oniontrust.propagation import propagate_arrays
 
-from helpers import scored_link
+from helpers import scored_graphs as graphs
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
-
-TRUST = st.one_of(
-    st.sampled_from([0.0, 1.0, 0.5]),
-    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-)
-
-
-@st.composite
-def graphs(draw):
-    """A scored graph over gapped ids; some entities may stay isolated."""
-    ids = sorted(draw(st.sets(st.integers(1, 60), min_size=1, max_size=9)))
-    graph = SocialGraph()
-    for eid in ids:
-        graph.add_entity(eid, draw(st.floats(1.0, 100.0)))
-    links = draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(ids), st.sampled_from(ids), st.integers(1, 3), TRUST
-            ),
-            max_size=30,
-        )
-    )
-    for a, b, network, tv in links:
-        if a != b:
-            graph.add_link(scored_link(a, b, tv, network=network))
-    return graph
-
 
 def set_bfs_circle(nbrs, source, max_hops):
     """Reference circle size: BFS over Python sets, source excluded."""

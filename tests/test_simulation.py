@@ -1,5 +1,6 @@
 """Adversary simulation: flag placement, correlation cases, round metrics."""
 
+import dataclasses
 import itertools
 import math
 
@@ -29,6 +30,7 @@ from oniontrust.errors import (
     UnknownEntityError,
     ZeroDenominatorError,
 )
+from oniontrust.propagation import propagate_arrays
 from oniontrust.simulation import _flag_count
 
 from helpers import default_rules, exact_subset_probability, graph_from_trust_links
@@ -330,6 +332,53 @@ def test_simulation_input_errors():
         run_circuit_rounds(
             small, dataclasses.replace(scenario, draw_mode=DrawMode.CIRCUIT)
         )
+
+
+def test_rounds_take_a_given_source_table():
+    g = build_scenario_graph(
+        SimScenario(strategy=Strategy.THEORETICAL_STOR, fraction=0.1, n=30,
+                    generator_kind="er", generator_value=0.1),
+        default_rules(),
+    )
+    arrays = propagate_arrays(g, 2)
+    scenario = SimScenario(
+        strategy=Strategy.THEORETICAL_STOR, fraction=0.1, case=CorrelationCase.BEST,
+        n=30, generator_kind="er", generator_value=0.1, rounds=5, draws=30, source=3,
+    )
+    given_table = run_simulation(g, scenario, scores=arrays.table(2))
+    assert given_table.reports == run_simulation(g, scenario).reports
+    with pytest.raises(DomainError, match="score table is for entity 1"):
+        run_simulation(g, scenario, scores=arrays.table(0))
+
+
+@pytest.mark.parametrize(
+    "strategy, case",
+    [
+        (Strategy.PRACTICAL_STOR, CorrelationCase.BEST),
+        (Strategy.THEORETICAL_STOR, CorrelationCase.WORST),
+    ],
+)
+def test_sweep_reads_the_source_table_from_its_arrays(monkeypatch, strategy, case):
+    import oniontrust.simulation
+
+    scenario = SimScenario(
+        strategy=strategy, fraction=0.1, case=case, n=40, generator_kind="er",
+        generator_value=0.08, rounds=10, draws=40, source=5,
+    )
+    values = [0.0, 0.03]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("sweep ran the per-source search")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oniontrust.simulation, "propagate", no_search)
+        result = sweep(scenario, "ts_h", values, default_rules())
+    graph = build_scenario_graph(scenario, default_rules())
+    for value, point in zip(values, result.results):
+        alone = run_simulation(graph, dataclasses.replace(scenario, ts_threshold=value))
+        assert point.reports == alone.reports
+        assert point.circle_size == alone.circle_size
+        assert point.trustworthy_size == alone.trustworthy_size
 
 
 def test_mean_trust_scores_by_hand():
