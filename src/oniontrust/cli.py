@@ -27,7 +27,6 @@ from .simulation import (
     SWEEP_AXES,
     DrawMode,
     build_scenario_graph,
-    mean_trust_scores,
     run_simulation,
     sweep,
 )
@@ -103,8 +102,7 @@ def cmd_simulate(args) -> int:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     rules = read_rules(args.rules)
     graph = build_scenario_graph(scenario, rules)
-    mean_trust = mean_trust_scores(graph, scenario.max_hops)
-    result = run_simulation(graph, scenario, mean_trust)
+    result = run_simulation(graph, scenario)
     rounds_path = _out_path(args, "rounds.csv")
     write_round_reports(rounds_path, result.reports)
     write_cdf(_out_path(args, "cdf_r_mr.csv"), [r.r_mr for r in result.reports])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -207,15 +207,6 @@ class SocialGraph:
             raise NoLinkError("no link %d->%d on any network" % (source, target))
         return _best_network(by_net, source, target)
 
-    def merged_adjacency(self) -> Dict[int, Dict[int, float]]:
-        """source -> target -> merged trust value, built fresh on each call."""
-        merged: Dict[int, Dict[int, float]] = {i: {} for i in self._entities}
-        for source, targets in self._adj.items():
-            row = merged[source]
-            for target in targets:
-                row[target] = self.merge_trust(source, target)
-        return merged
-
     def pair_arrays(self, trust: bool = False):
         """The id->row index and every linked pair as arrays, gathered fresh.
 
@@ -351,23 +342,21 @@ def circle_sizes(mask: np.ndarray, rows: np.ndarray, max_hops: int) -> np.ndarra
     return reached.sum(axis=1)
 
 
-def _sample_rows(n: int, sample: Optional[int]) -> np.ndarray:
-    """All rows, or `sample` evenly spaced ones when n is larger."""
-    if sample is None or n <= sample:
-        return np.arange(n)
-    return np.linspace(0, n - 1, sample).astype(int)
+#: A mean circle size is taken over this many evenly spaced sources, or
+#: over all of them in a smaller graph.
+CIRCLE_SAMPLE = 300
 
 
-def mean_circle_size(graph: SocialGraph, max_hops: int = 2,
-                     sample: Optional[int] = 300) -> float:
-    """Mean ||F_i|| over sources.
+def _sample_rows(n: int) -> np.ndarray:
+    # With n <= CIRCLE_SAMPLE the step is exactly 1.0, so this is arange(n).
+    return np.linspace(0, n - 1, min(n, CIRCLE_SAMPLE)).astype(int)
 
-    With more than `sample` entities the mean is taken over that many evenly
-    spaced sources; pass sample=None to force all of them.
-    """
+
+def mean_circle_size(graph: SocialGraph, max_hops: int = 2) -> float:
+    """Mean ||F_i|| over the sources _sample_rows picks."""
     if not len(graph):
         raise DomainError("graph has no entities")
-    rows = _sample_rows(len(graph), sample)
+    rows = _sample_rows(len(graph))
     return int(circle_sizes(graph.link_mask(), rows, max_hops).sum()) / len(rows)
 
 
@@ -414,8 +403,10 @@ class GeneratorParams:
                 "target_circle_fraction must be in (0, 1), got %r"
                 % self.target_circle_fraction
             )
-        if self.bandwidth_max <= 0.0:
-            raise GeneratorParamsError("bandwidth_max must be positive")
+        if not (math.isfinite(self.bandwidth_max) and self.bandwidth_max > 0.0):
+            raise GeneratorParamsError(
+                "bandwidth_max must be positive and finite, got %r" % (self.bandwidth_max,)
+            )
         if self.max_hops < 1:
             raise GeneratorParamsError("max_hops must be >= 1")
         if not self.quantitative_names or not self.qualitative_names:
@@ -423,8 +414,8 @@ class GeneratorParams:
 
 
 def _mean_circle_size(mask: np.ndarray, max_hops: int) -> float:
-    """One calibration step: mean circle size over 300 evenly spaced sources."""
-    rows = _sample_rows(mask.shape[0], 300)
+    """One calibration step: mean_circle_size over a thresholded mask."""
+    rows = _sample_rows(mask.shape[0])
     return int(circle_sizes(mask, rows, max_hops).sum()) / len(rows)
 
 
@@ -462,6 +453,8 @@ def generate_graph(params: GeneratorParams, seed: int) -> SocialGraph:
     Edges, bandwidths and link attributes come from independent substreams
     of the seed, so calibration never perturbs bandwidths or attributes.
     """
+    if seed < 0:
+        raise GeneratorParamsError("seed must be >= 0, got %r" % (seed,))
     edge_ss, bw_ss, attr_ss = np.random.SeedSequence(seed).spawn(3)
     n = params.n
 

@@ -9,10 +9,10 @@ cycle from a walk never hurts the product, so a Dijkstra-style search over
 The same argument lets the all-sources kernel run layer by layer over
 walks: layer r extends every source's best (r - 1)-link prefix product by
 one link, in the order the search multiplies, so both agree bit for bit.
-Its output, TrustArrays, is what the all-sources consumers read (the score
-CSV writer, mean trust, sweeps); propagate_all is the library's table view
-of it, and TrustArrays.table is the one place an arrays row becomes a
-TrustScoreTable.
+Its output, TrustArrays, is the one trust input of every pipeline path
+(score CSVs, mean trust, simulations, sweeps). propagate_all is its table
+view, TrustArrays.table the one place a row becomes a TrustScoreTable, and
+propagate the witness-path API and the kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -143,11 +143,18 @@ def propagate(
     max_hops: int = DEFAULT_MAX_HOPS,
     keep_paths: bool = True,
 ) -> TrustScoreTable:
-    """Trust scores from one source over merged links, within max_hops."""
+    """Trust scores from one source over merged links, within max_hops.
+
+    The witness-path API and the kernel's test oracle. The heap keys are a
+    total order, so the neighbour dicts' order cannot change a result.
+    """
     graph._require_entity(source)
     if max_hops < 1:
         raise DomainError("max_hops must be >= 1")
-    adjacency = graph.merged_adjacency()
+    ids, src, tgt, tv = graph.pair_arrays(trust=True)
+    adjacency: Dict[int, Dict[int, float]] = {eid: {} for eid in ids}
+    for s, t, value in zip(src.tolist(), tgt.tolist(), tv.tolist()):
+        adjacency[ids[s]][ids[t]] = value
     return TrustScoreTable(source, _search(adjacency, source, max_hops, keep_paths))
 
 
@@ -232,24 +239,13 @@ def propagate_arrays(graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS) -> Tr
 
 
 def propagate_all(
-    graph: SocialGraph,
-    max_hops: int = DEFAULT_MAX_HOPS,
-    keep_paths: bool = False,
+    graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS
 ) -> Dict[int, TrustScoreTable]:
     """Trust score tables for every source: the library's table view.
 
-    Without witness paths the tables are read off propagate_arrays, which
-    agrees with the per-source search exactly (tested); with witness paths
-    it falls back to that search. Callers that only need the scores should
+    The tables are read off propagate_arrays row by row, without witness
+    paths (propagate gives those). Callers that only need the scores should
     read propagate_arrays directly and skip building a TrustScore per pair.
     """
-    if max_hops < 1:
-        raise DomainError("max_hops must be >= 1")
-    if keep_paths:
-        adjacency = graph.merged_adjacency()
-        return {
-            i: TrustScoreTable(i, _search(adjacency, i, max_hops, True))
-            for i in graph.entity_ids()
-        }
     arrays = propagate_arrays(graph, max_hops)
     return {source: arrays.table(row) for row, source in enumerate(arrays.ids)}

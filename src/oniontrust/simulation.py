@@ -10,6 +10,10 @@ kinds of round draw through `selection.weighted_picks`: a select round is
 `draws` single picks, a circuit round `draws` rows of `circuit_length`
 sequential picks without replacement.
 
+Trust enters through one `propagate_arrays` result per graph: the source's
+score table is its source row, PRACTICAL_STOR weighs flags by its column
+means and THEORETICAL_STOR flags entities outside the source's reached row.
+
 All randomness is derived from the scenario seed through fixed stream keys,
 so a scenario replays byte for byte and sweeps share draws across values.
 """
@@ -20,7 +24,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +41,7 @@ from .graph import (
     generate_graph,
     mean_circle_size,
 )
-from .propagation import TrustArrays, TrustScoreTable, propagate, propagate_arrays
+from .propagation import TrustArrays, TrustScoreTable, propagate_arrays
 from .selection import (
     DEFAULT_CIRCUIT_LENGTH,
     SelectionMode,
@@ -122,6 +126,8 @@ class SimScenario:
     draw_mode: DrawMode = DrawMode.SELECT
     circuit_length: int = DEFAULT_CIRCUIT_LENGTH
 
+    policy: SelectionPolicy = dataclasses.field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
             raise DomainError("fraction must be in [0, 1], got %r" % (self.fraction,))
@@ -132,15 +138,18 @@ class SimScenario:
         for name in ("n", "max_hops"):
             if getattr(self, name) < 1:
                 raise DomainError("%s must be >= 1, got %r" % (name, getattr(self, name)))
-
-    @property
-    def policy(self) -> SelectionPolicy:
-        return SelectionPolicy(
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0, got %r" % (self.seed,))
+        # The generator and the policy check their own fields, so every bad
+        # value fails here, before a graph is built.
+        self.generator_params()
+        policy = SelectionPolicy(
             omega=self.omega,
             ts_threshold=self.ts_threshold,
             mode=self.strategy.selection_mode,
             circuit_length=self.circuit_length,
         )
+        object.__setattr__(self, "policy", policy)
 
     def generator_params(self) -> GeneratorParams:
         if self.generator_kind == "er":
@@ -240,40 +249,35 @@ def _mean_trust(arrays: TrustArrays) -> Dict[int, float]:
 class _FlagPlan:
     """Per-scenario flag machinery; draw() yields one round's flag indices.
 
-    circle is the source's friendship circle; it is derived from the
-    source's trust scores when not given.
+    PRACTICAL_STOR reads mean trust off arrays unless mean_trust is given;
+    THEORETICAL_STOR flags entities outside the source's reached row.
     """
 
     def __init__(self, graph: SocialGraph, scenario: SimScenario,
-                 mean_trust: Optional[Dict[int, float]] = None,
-                 circle: Optional[Iterable[int]] = None):
+                 arrays: TrustArrays,
+                 mean_trust: Optional[Dict[int, float]] = None):
         self.ids = graph.entity_ids()
         self.n = len(self.ids)
         self.m = _flag_count(scenario.fraction, self.n)
-        self.strategy = scenario.strategy
-        bw = np.array([graph.bandwidth(eid) for eid in self.ids])
         self.fixed: Optional[np.ndarray] = None
         self.weights: Optional[np.ndarray] = None
         self.pool: Optional[np.ndarray] = None
         if scenario.strategy is Strategy.ORIGINAL_TOR:
+            bw = np.array([graph.bandwidth(eid) for eid in self.ids])
             order = np.lexsort((np.array(self.ids), -bw))
             self.fixed = order[: self.m]
         elif scenario.strategy is Strategy.PRACTICAL_STOR:
             if mean_trust is None:
-                mean_trust = mean_trust_scores(graph, scenario.max_hops)
+                mean_trust = _mean_trust(arrays)
             self.weights = np.array(
                 [max(0.0, 1.0 - mean_trust[eid]) for eid in self.ids]
             )
         elif scenario.strategy is Strategy.THEORETICAL_STOR:
-            if circle is None:
-                circle = propagate(
-                    graph, scenario.source, scenario.max_hops, keep_paths=False
-                ).targets()
-            excluded = set(circle) | {scenario.source}
-            self.pool = np.array(
-                [k for k, eid in enumerate(self.ids) if eid not in excluded],
-                dtype=int,
-            )
+            graph._require_entity(scenario.source)
+            row = self.ids.index(scenario.source)
+            outside = ~arrays.reached[row]
+            outside[row] = False
+            self.pool = np.flatnonzero(outside)
             if len(self.pool) < self.m:
                 raise InfeasibleAssignmentError(
                     "strategy needs %d routers outside the circle, only %d exist"
@@ -316,8 +320,13 @@ def assign_malicious(
     rng: np.random.Generator,
     mean_trust: Optional[Dict[int, float]] = None,
 ) -> SocialGraph:
-    """Copy of the graph with malicious flags placed by the strategy."""
-    plan = _FlagPlan(graph, scenario, mean_trust)
+    """Copy of the graph with malicious flags placed by the strategy.
+
+    The trust-based strategies read one propagate_arrays result.
+    """
+    plan = _FlagPlan(
+        graph, scenario, propagate_arrays(graph, scenario.max_hops), mean_trust
+    )
     chosen = set(plan.draw(rng).tolist())
     return graph.with_flags(
         {eid: (k in chosen) for k, eid in enumerate(plan.ids)}
@@ -366,24 +375,22 @@ def assign_bandwidth_correlation(
 class _Prepared:
     """Scenario state that is identical across rounds.
 
-    scores is the source's trust score table within the scenario's hop
-    budget; it is computed when not given.
+    arrays are propagate_arrays(graph, scenario.max_hops); they are computed
+    when not given, and the source's score table is their source row.
     """
 
     def __init__(self, graph: SocialGraph, scenario: SimScenario,
                  mean_trust: Optional[Dict[int, float]] = None,
-                 scores: Optional[TrustScoreTable] = None):
+                 arrays: Optional[TrustArrays] = None):
         if not graph.frozen:
             raise DomainError("freeze the graph before simulating")
         if not graph.has_entity(scenario.source):
             raise UnknownEntityError("unknown source entity %d" % scenario.source)
-        if scores is None:
-            scores = propagate(graph, scenario.source, scenario.max_hops, keep_paths=False)
-        elif scores.source != scenario.source:
-            raise DomainError(
-                "score table is for entity %d, the scenario's source is %d"
-                % (scores.source, scenario.source)
-            )
+        if arrays is None:
+            arrays = propagate_arrays(graph, scenario.max_hops)
+        elif arrays.ids != graph.entity_ids():
+            raise DomainError("trust arrays are not over this graph's entities")
+        scores = arrays.table(arrays.ids.index(scenario.source))
         # Every entity within max_hops links gets a score, so the scored
         # targets are the circle.
         self.circle_size = len(scores.scores)
@@ -393,7 +400,6 @@ class _Prepared:
                 graph, scenario.source, scenario.case, scores,
                 _setup_rng(scenario.seed),
             )
-        self.graph = graph
         self.ids = graph.entity_ids()
         index = {eid: k for k, eid in enumerate(self.ids)}
         self.bw = np.array([graph.bandwidth(eid) for eid in self.ids])
@@ -407,17 +413,17 @@ class _Prepared:
         )
         self.cand_idx = np.array([index[eid] for eid in candidates.ids()])
         self.weights = candidates.weights(policy)
-        self.plan = _FlagPlan(graph, scenario, mean_trust, scores.targets())
+        self.plan = _FlagPlan(graph, scenario, arrays, mean_trust)
 
 
 def _run_rounds(
     graph: SocialGraph,
     scenario: SimScenario,
     mean_trust: Optional[Dict[int, float]],
-    scores: Optional[TrustScoreTable],
+    arrays: Optional[TrustArrays],
     circuits: bool,
 ) -> SimulationResult:
-    prep = _Prepared(graph, scenario, mean_trust, scores)
+    prep = _Prepared(graph, scenario, mean_trust, arrays)
     length = scenario.circuit_length if circuits else 1
     cum = np.cumsum(prep.weights)
     reports = []
@@ -444,36 +450,37 @@ def run_selection_rounds(
     graph: SocialGraph,
     scenario: SimScenario,
     mean_trust: Optional[Dict[int, float]] = None,
-    scores: Optional[TrustScoreTable] = None,
+    arrays: Optional[TrustArrays] = None,
 ) -> SimulationResult:
     """Rounds of single-router draws."""
-    return _run_rounds(graph, scenario, mean_trust, scores, circuits=False)
+    return _run_rounds(graph, scenario, mean_trust, arrays, circuits=False)
 
 
 def run_circuit_rounds(
     graph: SocialGraph,
     scenario: SimScenario,
     mean_trust: Optional[Dict[int, float]] = None,
-    scores: Optional[TrustScoreTable] = None,
+    arrays: Optional[TrustArrays] = None,
 ) -> SimulationResult:
     """Rounds of full-circuit draws; a circuit with any flagged member counts."""
-    return _run_rounds(graph, scenario, mean_trust, scores, circuits=True)
+    return _run_rounds(graph, scenario, mean_trust, arrays, circuits=True)
 
 
 def run_simulation(
     graph: SocialGraph,
     scenario: SimScenario,
     mean_trust: Optional[Dict[int, float]] = None,
-    scores: Optional[TrustScoreTable] = None,
+    arrays: Optional[TrustArrays] = None,
 ) -> SimulationResult:
     """Run the scenario's rounds.
 
-    mean_trust and scores (the source's score table) are computed from the
-    graph when not given; a sweep passes them in to share one propagation.
+    Every trust input is read off arrays, propagate_arrays(graph,
+    scenario.max_hops), computed when not given; mean_trust, when given,
+    replaces their column means. Pass arrays to share one propagation.
     """
     if scenario.draw_mode is DrawMode.CIRCUIT:
-        return run_circuit_rounds(graph, scenario, mean_trust, scores)
-    return run_selection_rounds(graph, scenario, mean_trust, scores)
+        return run_circuit_rounds(graph, scenario, mean_trust, arrays)
+    return run_selection_rounds(graph, scenario, mean_trust, arrays)
 
 
 def build_scenario_graph(scenario: SimScenario, rules: FuzzyRuleSet) -> SocialGraph:
@@ -523,45 +530,36 @@ def sweep(
 
     The graph is regenerated only when the axis is n; all other axes reuse
     one graph, so sweep points differ only in the swept knob (common random
-    numbers by construction). Each graph is propagated once: its arrays give
-    the mean trust, the trustworthy sizes and the source's score table of
-    every value.
+    numbers by construction). Each graph is propagated once, and every value
+    reads its arrays: the rounds through run_simulation's arrays argument,
+    the trustworthy sizes directly. A bad value fails before any value runs.
     """
     if axis not in SWEEP_AXES:
         raise DomainError(
             "unknown sweep axis %r (have: %s)" % (axis, ", ".join(sorted(SWEEP_AXES)))
         )
     field = SWEEP_AXES[axis]
-    if field == "n":
-        for value in values:
-            if not float(value).is_integer():
-                raise DomainError("n must be a whole number, got %r" % (value,))
-    rows: List[SweepRow] = []
-    results: List[SimulationResult] = []
-    cache: Dict[
-        int,
-        Tuple[SocialGraph, TrustArrays, float, Dict[int, float], Optional[TrustScoreTable]],
-    ] = {}
+    # Every value's scenario is built (and so validated) before any runs.
+    scenarios = []
     for value in values:
         if field == "n":
-            sc = dataclasses.replace(scenario, n=int(value))
-        else:
-            sc = dataclasses.replace(scenario, **{field: value})
+            if not float(value).is_integer():
+                raise DomainError("n must be a whole number, got %r" % (value,))
+            value = int(value)
+        scenarios.append(dataclasses.replace(scenario, **{field: value}))
+    rows: List[SweepRow] = []
+    results: List[SimulationResult] = []
+    cache: Dict[int, Tuple[SocialGraph, TrustArrays, float]] = {}
+    for value, sc in zip(values, scenarios):
         if sc.n not in cache:
             graph = build_scenario_graph(sc, rules)
-            arrays = propagate_arrays(graph, sc.max_hops)
             cache[sc.n] = (
                 graph,
-                arrays,
+                propagate_arrays(graph, sc.max_hops),
                 mean_circle_size(graph, sc.max_hops),
-                _mean_trust(arrays),
-                # An unknown source is left for the rounds to reject by name.
-                arrays.table(arrays.ids.index(sc.source))
-                if graph.has_entity(sc.source)
-                else None,
             )
-        graph, arrays, mean_circle, mean_trust, scores = cache[sc.n]
-        result = run_simulation(graph, sc, mean_trust, scores)
+        graph, arrays, mean_circle = cache[sc.n]
+        result = run_simulation(graph, sc, arrays=arrays)
         trustworthy = (arrays.best >= sc.ts_threshold) & arrays.reached
         mean_tf = float(np.mean(trustworthy.sum(axis=1)))
         rows.append(

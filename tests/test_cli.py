@@ -181,3 +181,32 @@ def test_sweep_n_axis_names_a_bad_value(tmp_path, capsys, token):
     err = capsys.readouterr().err
     assert err == "error: n must be a whole number, got %r\n" % float(token)
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, scenario, message",
+    [
+        (["simulate", "{scenario}"], SCENARIO + "seed = -1\n", "seed must be >= 0, got -1"),
+        (["simulate", "{scenario}", "--seed", "-3"], SCENARIO, "seed must be >= 0, got -3"),
+        (["sweep", "{scenario}", "--axis", "omega", "--values", "0,0.5", "--seed", "-3"],
+         SCENARIO, "seed must be >= 0, got -3"),
+        (["generate", "--n", "20", "--seed", "-2"], None, "seed must be >= 0, got -2"),
+        (["generate", "--n", "20", "--bandwidth-max", "nan"], None,
+         "bandwidth_max must be positive and finite, got nan"),
+        (["generate", "--n", "20", "--bandwidth-max", "inf"], None,
+         "bandwidth_max must be positive and finite, got inf"),
+        (["sweep", "{scenario}", "--axis", "omega", "--values", "0,0.5,2"], SCENARIO,
+         "omega must be in [0, 1], got 2.0"),
+    ],
+)
+def test_bad_numbers_give_one_error_line(tmp_path, capsys, argv, scenario, message):
+    scenario_path = tmp_path / "scenario.txt"
+    if scenario is not None:
+        scenario_path.write_text(scenario)
+    out = tmp_path / "out"
+    argv = [arg.format(scenario=scenario_path) for arg in argv] + ["--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
+    assert not out.exists()

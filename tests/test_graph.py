@@ -1,5 +1,7 @@
 """Graph container, friendship circles and the synthetic generator."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,7 @@ def test_mean_circle_size_matches_circles():
             exact = np.mean(
                 [g.friendship_circle(i, hops).size for i in g.entity_ids()]
             )
-            assert mean_circle_size(g, hops, sample=None) == pytest.approx(exact)
+            assert mean_circle_size(g, hops) == pytest.approx(exact)
 
 
 def test_derived_copies():
@@ -167,7 +169,7 @@ def test_calibrated_generation_hits_target():
     params = GeneratorParams(n=100, target_circle_fraction=0.8)
     g = generate_graph(params, seed=7)
     assert len(g) == 100
-    size = mean_circle_size(g, params.max_hops, sample=None)
+    size = mean_circle_size(g, params.max_hops)
     assert abs(size - 80.0) <= 5.0
     # same seed, same graph even through calibration
     assert g == generate_graph(params, seed=7)
@@ -197,3 +199,14 @@ def test_generator_params_validation():
         GeneratorParams(n=5, target_circle_fraction=1.0)
     with pytest.raises(GeneratorParamsError):
         GeneratorParams(n=5, edge_prob=0.5, bandwidth_max=0.0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(
+            GeneratorParamsError,
+            match=r"bandwidth_max must be positive and finite, got %s" % re.escape(repr(bad)),
+        ):
+            GeneratorParams(n=5, edge_prob=0.5, bandwidth_max=bad)
+
+
+def test_generate_graph_rejects_negative_seeds():
+    with pytest.raises(GeneratorParamsError, match="seed must be >= 0, got -2"):
+        generate_graph(GeneratorParams(n=5, edge_prob=0.5), seed=-2)

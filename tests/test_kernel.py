@@ -9,7 +9,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oniontrust import mean_circle_size, mean_trust_scores, propagate
+from oniontrust import (
+    GeneratorParams,
+    generate_graph,
+    mean_circle_size,
+    mean_trust_scores,
+    propagate,
+)
 from oniontrust.graph import circle_sizes
 from oniontrust.propagation import propagate_arrays
 
@@ -57,7 +63,19 @@ def test_circle_sizes_equal_set_bfs(graph, max_hops):
     want = [set_bfs_circle(nbrs, eid, max_hops) for eid in ids]
     got = circle_sizes(graph.link_mask(), np.arange(len(ids)), max_hops)
     assert got.tolist() == want
-    assert mean_circle_size(graph, max_hops, sample=None) == sum(want) / len(want)
+    assert mean_circle_size(graph, max_hops) == sum(want) / len(want)
+
+
+def test_mean_circle_size_samples_evenly_spaced_sources_in_large_graphs():
+    # 301 and 450 entities: more than CIRCLE_SAMPLE, so the mean is over 300
+    # evenly spaced sources, the first and the last included.
+    for n in (301, 450):
+        graph = generate_graph(GeneratorParams(n=n, edge_prob=3.0 / n), seed=n)
+        ids = graph.entity_ids()
+        nbrs = {eid: {l.target for l in graph.links_from(eid)} for eid in ids}
+        rows = [k * (n - 1) // 299 for k in range(300)]
+        want = [set_bfs_circle(nbrs, ids[r], 2) for r in rows]
+        assert mean_circle_size(graph, 2) == sum(want) / 300
 
 
 @PROPERTY

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from oniontrust import (
 )
 from oniontrust.errors import (
     DomainError,
+    GeneratorParamsError,
     InfeasibleAssignmentError,
     InsufficientCandidatesError,
     UnknownEntityError,
@@ -335,20 +337,30 @@ def test_simulation_input_errors():
 
 
 def test_rounds_take_a_given_source_table():
-    g = build_scenario_graph(
-        SimScenario(strategy=Strategy.THEORETICAL_STOR, fraction=0.1, n=30,
-                    generator_kind="er", generator_value=0.1),
-        default_rules(),
-    )
-    arrays = propagate_arrays(g, 2)
     scenario = SimScenario(
         strategy=Strategy.THEORETICAL_STOR, fraction=0.1, case=CorrelationCase.BEST,
         n=30, generator_kind="er", generator_value=0.1, rounds=5, draws=30, source=3,
     )
-    given_table = run_simulation(g, scenario, scores=arrays.table(2))
-    assert given_table.reports == run_simulation(g, scenario).reports
-    with pytest.raises(DomainError, match="score table is for entity 1"):
-        run_simulation(g, scenario, scores=arrays.table(0))
+    g = build_scenario_graph(scenario, default_rules())
+    given = run_simulation(g, scenario, arrays=propagate_arrays(g, 2))
+    assert given.reports == run_simulation(g, scenario).reports
+    other = build_scenario_graph(dataclasses.replace(scenario, n=20), default_rules())
+    with pytest.raises(DomainError, match="trust arrays are not over this graph's entities"):
+        run_simulation(g, scenario, arrays=propagate_arrays(other, 2))
+
+
+def count_propagations(patch):
+    """Patch the simulation's propagate_arrays to log each graph's size."""
+    import oniontrust.simulation
+
+    calls = []
+
+    def counted(graph, max_hops=2):
+        calls.append(len(graph))
+        return propagate_arrays(graph, max_hops)
+
+    patch.setattr(oniontrust.simulation, "propagate_arrays", counted)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -359,26 +371,42 @@ def test_rounds_take_a_given_source_table():
     ],
 )
 def test_sweep_reads_the_source_table_from_its_arrays(monkeypatch, strategy, case):
-    import oniontrust.simulation
-
     scenario = SimScenario(
         strategy=strategy, fraction=0.1, case=case, n=40, generator_kind="er",
         generator_value=0.08, rounds=10, draws=40, source=5,
     )
-    values = [0.0, 0.03]
+    # one propagation per graph: the ts_h axis shares one, the n axis
+    # builds one graph per distinct n
+    for axis, values, field, graphs in (
+        ("ts_h", [0.0, 0.03], "ts_threshold", [40]),
+        ("n", [40, 50, 40], "n", [40, 50]),
+    ):
+        with monkeypatch.context() as patch:
+            calls = count_propagations(patch)
+            result = sweep(scenario, axis, values, default_rules())
+        assert calls == graphs
+        for value, point in zip(values, result.results):
+            sc = dataclasses.replace(scenario, **{field: value})
+            alone = run_simulation(build_scenario_graph(sc, default_rules()), sc)
+            assert point.reports == alone.reports
+            assert point.circle_size == alone.circle_size
+            assert point.trustworthy_size == alone.trustworthy_size
 
-    def no_search(*args, **kwargs):
-        raise AssertionError("sweep ran the per-source search")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(oniontrust.simulation, "propagate", no_search)
-        result = sweep(scenario, "ts_h", values, default_rules())
-    graph = build_scenario_graph(scenario, default_rules())
-    for value, point in zip(values, result.results):
-        alone = run_simulation(graph, dataclasses.replace(scenario, ts_threshold=value))
-        assert point.reports == alone.reports
-        assert point.circle_size == alone.circle_size
-        assert point.trustworthy_size == alone.trustworthy_size
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_run_simulation_propagates_once_unless_given_arrays(monkeypatch, strategy):
+    scenario = SimScenario(
+        strategy=strategy, fraction=0.1, case=CorrelationCase.WORST, n=30,
+        generator_kind="er", generator_value=0.1, rounds=3, draws=20, source=3,
+    )
+    g = build_scenario_graph(scenario, default_rules())
+    arrays = propagate_arrays(g, scenario.max_hops)
+    calls = count_propagations(monkeypatch)
+    alone = run_simulation(g, scenario)
+    assert calls == [30]
+    given = run_simulation(g, scenario, arrays=arrays)
+    assert calls == [30]
+    assert given.reports == alone.reports
 
 
 def test_mean_trust_scores_by_hand():
@@ -402,6 +430,25 @@ def test_scenario_validation():
         for bad in (0, -3):
             with pytest.raises(DomainError, match="%s must be >= 1, got %d" % (field, bad)):
                 SimScenario(strategy=Strategy.ORIGINAL_TOR, fraction=0.1, **{field: bad})
+    # policy, seed and generator fields fail when the scenario is built, in
+    # every strategy, not when a graph is run
+    for field, bad, message in (
+        ("omega", 2.0, "omega must be in [0, 1], got 2.0"),
+        ("omega", float("nan"), "omega must be in [0, 1], got nan"),
+        ("ts_threshold", -0.5, "ts_threshold must be in [0, 1], got -0.5"),
+        ("circuit_length", 0, "circuit_length must be >= 1"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ):
+        for strategy in Strategy:
+            with pytest.raises(DomainError, match=re.escape(message)):
+                SimScenario(strategy=strategy, fraction=0.1, **{field: bad})
+    for changes, message in (
+        ({"bandwidth_max": float("nan")}, "bandwidth_max must be positive and finite, got nan"),
+        ({"generator_kind": "er", "generator_value": 1.5}, "edge_prob must be in [0, 1], got 1.5"),
+        ({"generator_value": 1.0}, "target_circle_fraction must be in (0, 1), got 1.0"),
+    ):
+        with pytest.raises(GeneratorParamsError, match=re.escape(message)):
+            SimScenario(strategy=Strategy.ORIGINAL_TOR, fraction=0.1, **changes)
     assert Strategy.from_code("Practical_STOR") is Strategy.PRACTICAL_STOR
     with pytest.raises(DomainError):
         Strategy.from_code("unknown")
@@ -496,3 +543,27 @@ def test_sweep_n_axis_rejects_non_integral_values(bad):
     )
     with pytest.raises(DomainError, match="n must be a whole number, got %r" % bad):
         sweep(scenario, "n", [20, bad], default_rules())
+
+
+@pytest.mark.parametrize(
+    "axis, values, message",
+    [
+        ("omega", [0.0, 0.5, 2.0], "omega must be in [0, 1], got 2.0"),
+        ("ts_h", [0.0, 0.01, -0.5], "ts_threshold must be in [0, 1], got -0.5"),
+        ("fraction", [0.1, 1.5], "fraction must be in [0, 1], got 1.5"),
+        ("n", [20, 30, 0], "n must be >= 1, got 0"),
+    ],
+)
+def test_sweep_validates_every_value_before_running_any(monkeypatch, axis, values, message):
+    import oniontrust.simulation
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("sweep built a graph before checking every value")
+
+    monkeypatch.setattr(oniontrust.simulation, "build_scenario_graph", no_build)
+    scenario = SimScenario(
+        strategy=Strategy.PRACTICAL_STOR, fraction=0.2, n=20, generator_kind="er",
+        generator_value=0.4, rounds=2, draws=5,
+    )
+    with pytest.raises(DomainError, match=re.escape(message)):
+        sweep(scenario, axis, values, default_rules())
