@@ -32,7 +32,6 @@ from .fuzzy import (
 from .graph import (
     AttributeProfile,
     FriendLink,
-    FriendshipCircle,
     GeneratorParams,
     SocialGraph,
     generate_graph,
@@ -46,7 +45,6 @@ from .propagation import (
     trust_distance,
 )
 from .selection import (
-    Candidate,
     CandidateSet,
     Circuit,
     SelectionMode,

@@ -77,7 +77,7 @@ def cmd_trust(args) -> int:
         % (
             len(graph.links()),
             len(graph),
-            mean_circle_size(graph, args.max_hops),
+            arrays.mean_circle_size(),
             link_path,
             score_path,
         ),

@@ -16,6 +16,7 @@ so evaluation is a handful of polynomial terms per rule.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Tuple
 
@@ -204,12 +205,13 @@ class FuzzyRuleSet:
                 "quantitative weights sum to %.12g, expected 1" % total
             )
         if total != 1.0:
-            # Renormalize exactly so downstream aggregates stay in [0, 1].
-            object.__setattr__(
-                self,
-                "weights",
-                {name: w / total for name, w in self.weights.items()},
-            )
+            # Renormalize so downstream aggregates stay in [0, 1]. The last
+            # weight takes the rounding, since p + (1.0 - p) is exactly one:
+            # the result is a fixed point, so a rule file reads back equal.
+            names = sorted(self.weights)
+            weights = {name: self.weights[name] / total for name in names}
+            weights[names[-1]] = 1.0 - sum(weights[name] for name in names[:-1])
+            object.__setattr__(self, "weights", weights)
         for name, (pos, neg) in self.qualitative.items():
             if pos.input_class is not ValueClass.POSITIVE:
                 raise UnknownRuleError(
@@ -240,7 +242,8 @@ def aggregate(
     """Weighted sum of normalized quantitative attributes, in [0, 1].
 
     raw holds the link's values, normalizers the per-attribute maxima they
-    are divided by. Every weighted attribute must be present in both.
+    are divided by. Every weighted attribute must be present in both, with
+    a finite positive normalizer and a value in [0, normalizer].
     """
     e = 0.0
     for name in sorted(weights):
@@ -249,12 +252,16 @@ def aggregate(
         if name not in normalizers:
             raise MissingAttributeError("no normalizer for attribute %r" % name)
         top = normalizers[name]
+        if not top < math.inf:  # NaN fails this too
+            raise DomainError(
+                "normalizer for %r is %r; must be finite" % (name, top)
+            )
         if top <= 0.0:
             raise ZeroNormalizerError(
                 "normalizer for %r is %r; cannot scale" % (name, top)
             )
         value = raw[name]
-        if value < 0.0 or value > top:
+        if not 0.0 <= value <= top:  # so NaN and infinity fail too
             raise DomainError(
                 "attribute %r = %r outside [0, %r]" % (name, value, top)
             )
@@ -286,8 +293,8 @@ def link_trust(
     try:
         e = aggregate(link.profile.quantitative, normalizers, rules.weights)
         return trust_value(e, link.profile.qualitative, rules)
-    except MissingAttributeError as exc:
-        raise MissingAttributeError(
+    except (MissingAttributeError, DomainError) as exc:
+        raise type(exc)(
             "link %d->%d network %d: %s"
             % (link.source, link.target, link.network, exc)
         ) from None

@@ -64,34 +64,6 @@ class FriendLink:
     trust_value: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class FriendshipCircle:
-    """Entities reachable from a source over short acyclic paths.
-
-    members_by_hop[r - 1] holds the entities with an acyclic r-link path
-    from the source; the same entity may appear at several hop counts.
-    """
-
-    source: int
-    members_by_hop: Tuple[frozenset, ...]
-
-    @property
-    def members(self) -> frozenset:
-        out: frozenset = frozenset()
-        for hop in self.members_by_hop:
-            out = out | hop
-        return out
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def hop(self, r: int) -> frozenset:
-        if not 1 <= r <= len(self.members_by_hop):
-            raise DomainError("hop must be 1..%d" % len(self.members_by_hop))
-        return self.members_by_hop[r - 1]
-
-
 class SocialGraph:
     """Mutable-until-frozen container for entities and links."""
 
@@ -238,36 +210,6 @@ class SocialGraph:
         mask = np.zeros((len(ids), len(ids)), dtype=bool)
         mask[src, tgt] = True
         return mask
-
-    def friendship_circle(self, source: int, max_hops: int = 2) -> FriendshipCircle:
-        """Circle of the source: every entity on some acyclic path of <= max_hops links.
-
-        Enumerates simple paths, so cost grows quickly with max_hops. The
-        pipeline takes circles from trust propagation instead; this stays
-        as the per-hop reference.
-        """
-        self._require_entity(source)
-        if max_hops < 1:
-            raise DomainError("max_hops must be >= 1")
-        by_hop = [set() for _ in range(max_hops)]
-        adj = self._adj
-        on_path = {source}
-
-        def walk(node, depth):
-            for nbr in adj.get(node, {}):
-                if nbr in on_path:
-                    continue
-                by_hop[depth].add(nbr)
-                if depth + 1 < max_hops:
-                    on_path.add(nbr)
-                    walk(nbr, depth + 1)
-                    on_path.discard(nbr)
-
-        walk(source, 0)
-        return FriendshipCircle(
-            source=source,
-            members_by_hop=tuple(frozenset(s) for s in by_hop),
-        )
 
     # -- derived copies ----------------------------------------------------
 

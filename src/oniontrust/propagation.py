@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CyclicPathError, DisconnectedPathError, DomainError
-from .graph import FriendLink, SocialGraph, reach_frontiers
+from .errors import CyclicPathError, DisconnectedPathError, DomainError, UnknownEntityError
+from .graph import FriendLink, SocialGraph, _sample_rows, reach_frontiers
 
 #: Hop budget used throughout unless a caller says otherwise.
 DEFAULT_MAX_HOPS = 2
@@ -60,6 +60,13 @@ class TrustScoreTable:
 
     def targets(self) -> list:
         return sorted(self.scores)
+
+    def row(self, ids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """(scores, scored) over ids, the inverse of TrustArrays.table."""
+        unknown = set(self.scores).difference(ids)
+        if unknown:
+            raise UnknownEntityError("unknown entity %d" % min(unknown))
+        return np.array([self.value(eid) for eid in ids]), np.isin(ids, list(self.scores))
 
 
 def trust_distance(links: Sequence[FriendLink]) -> float:
@@ -188,6 +195,13 @@ class TrustArrays:
                 )
             },
         )
+
+    def mean_circle_size(self) -> float:
+        """graph.mean_circle_size read off reached, with no reachability pass."""
+        if not self.ids:
+            raise DomainError("graph has no entities")
+        rows = _sample_rows(len(self.ids))
+        return int(self.reached[rows].sum()) / len(rows)
 
 
 def propagate_arrays(graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS) -> TrustArrays:

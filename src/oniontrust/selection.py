@@ -1,11 +1,16 @@
 """Router selection: trust-filtered candidates, trust/bandwidth mixing.
 
-A source builds its candidate set from its trust score table (everyone at or
-above a trust threshold), then picks routers with probability proportional to
-(1 - omega) * trust + omega * normalized bandwidth. omega = 0 is pure trust,
-omega = 1 is pure bandwidth. The plain-bandwidth mode reproduces ordinary
-onion-router selection (probability proportional to raw bandwidth over all
-other routers) and serves as the baseline in the simulations.
+A source builds its candidate set from its trust row (every scored entity at
+or above a trust threshold), then picks routers with probability
+proportional to (1 - omega) * trust + omega * normalized bandwidth. omega = 0
+is pure trust, omega = 1 is pure bandwidth. The plain-bandwidth mode
+reproduces ordinary onion-router selection (probability proportional to raw
+bandwidth over all other routers) and serves as the baseline in the
+simulations.
+
+Every candidate set comes from one core, `row_candidates`, over the
+source's row of trust scores and reach flags: the simulation passes a
+`TrustArrays` row, `build_candidates` a `TrustScoreTable` turned into one.
 
 All weighted draws go through one sampler, `weighted_picks`: sequential
 inverse-CDF picks without replacement on the cumulative weights. A single
@@ -18,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,42 +71,59 @@ class SelectionPolicy:
             raise DomainError("circuit_length must be >= 1")
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One selectable router as seen by the source."""
-
-    entity_id: int
-    trust_score: float
-    bandwidth: float
-    bandwidth_norm: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Selectable routers of one source, sorted by entity id."""
+    """Selectable routers of one source as columns, sorted by entity id."""
 
     source: int
     mode: SelectionMode
-    members: Tuple[Candidate, ...]
+    entity_ids: np.ndarray
+    trust: np.ndarray
+    bandwidth: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.entity_ids)
 
     def ids(self) -> list:
-        return [c.entity_id for c in self.members]
+        return self.entity_ids.tolist()
 
     def weights(self, policy: SelectionPolicy) -> np.ndarray:
         """Unnormalized selection weights, in member order."""
         if self.mode is SelectionMode.BANDWIDTH_ONLY:
-            return np.array([c.bandwidth for c in self.members])
+            return self.bandwidth.copy()
         w = policy.omega
-        return np.array(
-            [
-                (1.0 - w) * c.trust_score + w * c.bandwidth_norm
-                for c in self.members
-            ]
+        return (1.0 - w) * self.trust + w * (self.bandwidth / self.bandwidth.max())
+
+
+def row_candidates(
+    ids: Sequence[int],
+    trust: np.ndarray,
+    reached: np.ndarray,
+    bandwidth: np.ndarray,
+    source_row: int,
+    policy: SelectionPolicy,
+) -> Tuple[np.ndarray, CandidateSet]:
+    """The candidate rows of source ids[source_row] and their CandidateSet.
+
+    trust and reached are the source's row over ids, bandwidth the
+    entities' bandwidths. Trust-aware mode keeps the reached rows at or
+    above the threshold, bandwidth-only mode every row; the source row is
+    never a candidate.
+    """
+    if policy.mode is SelectionMode.BANDWIDTH_ONLY:
+        keep = np.ones(len(bandwidth), dtype=bool)
+    else:
+        keep = reached & (trust >= policy.ts_threshold)
+    keep[source_row] = False
+    rows = np.flatnonzero(keep)
+    source = int(ids[source_row])
+    if not len(rows):
+        raise EmptyCandidateSetError(
+            "no candidates for entity %d at threshold %g" % (source, policy.ts_threshold)
         )
+    members = np.asarray(ids)[rows]
+    return rows, CandidateSet(source, policy.mode, members, trust[rows], bandwidth[rows])
 
 
 def build_candidates(
@@ -110,38 +132,16 @@ def build_candidates(
     source: int,
     policy: SelectionPolicy,
 ) -> CandidateSet:
-    """Candidate set of a source under a policy.
-
-    Trust-aware mode keeps the scored entities at or above the threshold,
-    with bandwidth normalized by the largest bandwidth inside the kept set.
-    Bandwidth-only mode takes every other router. The source itself is never
-    a candidate.
-    """
+    """Candidate set of a source: row_candidates over the table's trust row."""
     graph._require_entity(source)
     if policy.mode is SelectionMode.BANDWIDTH_ONLY:
-        kept = [
-            (eid, 0.0, graph.bandwidth(eid))
-            for eid in graph.entity_ids()
-            if eid != source
-        ]
-    else:
-        if scores is None or scores.source != source:
-            raise DomainError("trust-aware selection needs the source's score table")
-        kept = [
-            (eid, scores.scores[eid].value, graph.bandwidth(eid))
-            for eid in scores.targets()
-            if scores.scores[eid].value >= policy.ts_threshold
-        ]
-    if not kept:
-        raise EmptyCandidateSetError(
-            "no candidates for entity %d at threshold %g"
-            % (source, policy.ts_threshold)
-        )
-    top = max(b for _, _, b in kept)
-    members = tuple(
-        Candidate(eid, ts, b, b / top) for eid, ts, b in kept
-    )
-    return CandidateSet(source=source, mode=policy.mode, members=members)
+        scores = TrustScoreTable(source, {})
+    elif scores is None or scores.source != source:
+        raise DomainError("trust-aware selection needs the source's score table")
+    ids = graph.entity_ids()
+    trust, reached = scores.row(ids)
+    bandwidth = np.array([graph.bandwidth(eid) for eid in ids])
+    return row_candidates(ids, trust, reached, bandwidth, ids.index(source), policy)[1]
 
 
 def selection_probability(
@@ -152,10 +152,10 @@ def selection_probability(
     total = w.sum()
     if total <= 0.0:
         raise ZeroDenominatorError("all selection weights are zero")
-    for k, cand in enumerate(candidates.members):
-        if cand.entity_id == entity_id:
-            return float(w[k] / total)
-    raise UnknownEntityError("entity %d is not a candidate" % entity_id)
+    hit = np.flatnonzero(candidates.entity_ids == entity_id)
+    if not len(hit):
+        raise UnknownEntityError("entity %d is not a candidate" % entity_id)
+    return float(w[hit[0]] / total)
 
 
 def weighted_picks(
@@ -227,7 +227,7 @@ def select_router(
     """One weighted draw from the candidate set."""
     w = candidates.weights(policy)
     k = weighted_picks(np.cumsum(w), w, rng, 1, 1)[0, 0]
-    return candidates.members[k].entity_id
+    return int(candidates.entity_ids[k])
 
 
 @dataclass(frozen=True)
@@ -255,4 +255,4 @@ def build_circuit(
     """
     w = candidates.weights(policy)
     row = weighted_picks(np.cumsum(w), w, rng, 1, policy.circuit_length)[0]
-    return Circuit(members=tuple(candidates.members[k].entity_id for k in row))
+    return Circuit(members=tuple(candidates.entity_ids[row].tolist()))

@@ -10,9 +10,10 @@ kinds of round draw through `selection.weighted_picks`: a select round is
 `draws` single picks, a circuit round `draws` rows of `circuit_length`
 sequential picks without replacement.
 
-Trust enters through one `propagate_arrays` result per graph: the source's
-score table is its source row, PRACTICAL_STOR weighs flags by its column
-means and THEORETICAL_STOR flags entities outside the source's reached row.
+Trust enters through one `propagate_arrays` result per graph. The source's
+row gives the circle size, the candidates and the BEST/WORST bandwidth
+permutation; PRACTICAL_STOR weighs flags by the column means and
+THEORETICAL_STOR flags entities outside the source's reached row.
 
 All randomness is derived from the scenario seed through fixed stream keys,
 so a scenario replays byte for byte and sweeps share draws across values.
@@ -39,14 +40,13 @@ from .graph import (
     GeneratorParams,
     SocialGraph,
     generate_graph,
-    mean_circle_size,
 )
 from .propagation import TrustArrays, TrustScoreTable, propagate_arrays
 from .selection import (
     DEFAULT_CIRCUIT_LENGTH,
     SelectionMode,
     SelectionPolicy,
-    build_candidates,
+    row_candidates,
     weighted_picks,
 )
 
@@ -246,25 +246,29 @@ def _mean_trust(arrays: TrustArrays) -> Dict[int, float]:
     return {eid: total / denom for eid, total in zip(arrays.ids, totals)}
 
 
+def _bandwidths(graph: SocialGraph, ids: Sequence[int]) -> np.ndarray:
+    return np.array([graph.bandwidth(eid) for eid in ids])
+
+
 class _FlagPlan:
     """Per-scenario flag machinery; draw() yields one round's flag indices.
 
-    PRACTICAL_STOR reads mean trust off arrays unless mean_trust is given;
-    THEORETICAL_STOR flags entities outside the source's reached row.
+    bandwidth is over the arrays' ids. PRACTICAL_STOR reads mean trust off
+    arrays unless mean_trust is given; THEORETICAL_STOR flags entities
+    outside the source's reached row.
     """
 
-    def __init__(self, graph: SocialGraph, scenario: SimScenario,
-                 arrays: TrustArrays,
+    def __init__(self, ids: List[int], bandwidth: np.ndarray,
+                 scenario: SimScenario, arrays: TrustArrays,
                  mean_trust: Optional[Dict[int, float]] = None):
-        self.ids = graph.entity_ids()
+        self.ids = ids
         self.n = len(self.ids)
         self.m = _flag_count(scenario.fraction, self.n)
         self.fixed: Optional[np.ndarray] = None
         self.weights: Optional[np.ndarray] = None
         self.pool: Optional[np.ndarray] = None
         if scenario.strategy is Strategy.ORIGINAL_TOR:
-            bw = np.array([graph.bandwidth(eid) for eid in self.ids])
-            order = np.lexsort((np.array(self.ids), -bw))
+            order = np.lexsort((np.array(self.ids), -bandwidth))
             self.fixed = order[: self.m]
         elif scenario.strategy is Strategy.PRACTICAL_STOR:
             if mean_trust is None:
@@ -273,7 +277,8 @@ class _FlagPlan:
                 [max(0.0, 1.0 - mean_trust[eid]) for eid in self.ids]
             )
         elif scenario.strategy is Strategy.THEORETICAL_STOR:
-            graph._require_entity(scenario.source)
+            if scenario.source not in self.ids:
+                raise UnknownEntityError("unknown entity %d" % scenario.source)
             row = self.ids.index(scenario.source)
             outside = ~arrays.reached[row]
             outside[row] = False
@@ -324,13 +329,35 @@ def assign_malicious(
 
     The trust-based strategies read one propagate_arrays result.
     """
+    arrays = propagate_arrays(graph, scenario.max_hops)
     plan = _FlagPlan(
-        graph, scenario, propagate_arrays(graph, scenario.max_hops), mean_trust
+        arrays.ids, _bandwidths(graph, arrays.ids), scenario, arrays, mean_trust
     )
     chosen = set(plan.draw(rng).tolist())
     return graph.with_flags(
         {eid: (k in chosen) for k, eid in enumerate(plan.ids)}
     )
+
+
+def _correlated(bandwidth, trust, reached, case, rng) -> np.ndarray:
+    """The bandwidth vector permuted into the case's shape by one trust row.
+
+    Insiders are the reached rows, most trusted first (lower row on ties);
+    the outsiders' block is shuffled by one rng.permutation over them.
+    """
+    insiders = np.flatnonzero(reached)
+    insiders = insiders[np.lexsort((insiders, -trust[insiders]))]
+    outsiders = np.flatnonzero(~reached)
+    values = np.sort(bandwidth)[::-1]
+    if case is CorrelationCase.BEST:
+        inside_block, outside_block = values[: len(insiders)], values[len(insiders):]
+    else:  # ascending inside: best trust gets least bandwidth
+        outside_block = values[: len(outsiders)]
+        inside_block = values[len(outsiders):][::-1]
+    out = np.empty_like(bandwidth)
+    out[insiders] = inside_block
+    out[outsiders] = outside_block[rng.permutation(len(outsiders))]
+    return out
 
 
 def assign_bandwidth_correlation(
@@ -350,33 +377,16 @@ def assign_bandwidth_correlation(
     if case is CorrelationCase.NONE:
         return graph
     ids = graph.entity_ids()
-    insiders = sorted(
-        scores.targets(), key=lambda eid: (-scores.scores[eid].value, eid)
-    )
-    inside = set(insiders)
-    outsiders = [eid for eid in ids if eid not in inside]
-    values = sorted((graph.bandwidth(eid) for eid in ids), reverse=True)
-    k = len(insiders)
-
-    mapping: Dict[int, float] = {}
-    if case is CorrelationCase.BEST:
-        inside_block, outside_block = values[:k], values[k:]
-    else:
-        outside_block, low = values[: len(values) - k], values[len(values) - k:]
-        inside_block = low[::-1]  # ascending: best trust gets least bandwidth
-    for eid, b in zip(insiders, inside_block):
-        mapping[eid] = b
-    order = rng.permutation(len(outsiders))
-    for pos, eid in enumerate(outsiders):
-        mapping[eid] = outside_block[int(order[pos])]
-    return graph.with_bandwidths(mapping)
+    trust, reached = scores.row(ids)
+    out = _correlated(_bandwidths(graph, ids), trust, reached, case, rng)
+    return graph.with_bandwidths(dict(zip(ids, out.tolist())))
 
 
 class _Prepared:
     """Scenario state that is identical across rounds.
 
     arrays are propagate_arrays(graph, scenario.max_hops); they are computed
-    when not given, and the source's score table is their source row.
+    when not given, and everything here reads the source's row of them.
     """
 
     def __init__(self, graph: SocialGraph, scenario: SimScenario,
@@ -390,30 +400,27 @@ class _Prepared:
             arrays = propagate_arrays(graph, scenario.max_hops)
         elif arrays.ids != graph.entity_ids():
             raise DomainError("trust arrays are not over this graph's entities")
-        scores = arrays.table(arrays.ids.index(scenario.source))
-        # Every entity within max_hops links gets a score, so the scored
-        # targets are the circle.
-        self.circle_size = len(scores.scores)
+        self.ids = arrays.ids
+        row = self.ids.index(scenario.source)
+        trust, reached = arrays.best[row], arrays.reached[row]
+        self.circle_size = int(reached.sum())
 
+        self.bw = _bandwidths(graph, self.ids)
         if scenario.case is not CorrelationCase.NONE:
-            graph = assign_bandwidth_correlation(
-                graph, scenario.source, scenario.case, scores,
-                _setup_rng(scenario.seed),
+            self.bw = _correlated(
+                self.bw, trust, reached, scenario.case, _setup_rng(scenario.seed)
             )
-        self.ids = graph.entity_ids()
-        index = {eid: k for k, eid in enumerate(self.ids)}
-        self.bw = np.array([graph.bandwidth(eid) for eid in self.ids])
-
         policy = scenario.policy
-        candidates = build_candidates(graph, scores, scenario.source, policy)
+        self.cand_idx, candidates = row_candidates(
+            self.ids, trust, reached, self.bw, row, policy
+        )
         self.trustworthy_size = (
             candidates.size
             if policy.mode is SelectionMode.TRUST_AWARE
             else None
         )
-        self.cand_idx = np.array([index[eid] for eid in candidates.ids()])
         self.weights = candidates.weights(policy)
-        self.plan = _FlagPlan(graph, scenario, arrays, mean_trust)
+        self.plan = _FlagPlan(self.ids, self.bw, scenario, arrays, mean_trust)
 
 
 def _run_rounds(
@@ -532,7 +539,8 @@ def sweep(
     one graph, so sweep points differ only in the swept knob (common random
     numbers by construction). Each graph is propagated once, and every value
     reads its arrays: the rounds through run_simulation's arrays argument,
-    the trustworthy sizes directly. A bad value fails before any value runs.
+    the circle and trustworthy sizes directly. A bad value fails before any
+    value runs.
     """
     if axis not in SWEEP_AXES:
         raise DomainError(
@@ -549,16 +557,12 @@ def sweep(
         scenarios.append(dataclasses.replace(scenario, **{field: value}))
     rows: List[SweepRow] = []
     results: List[SimulationResult] = []
-    cache: Dict[int, Tuple[SocialGraph, TrustArrays, float]] = {}
+    cache: Dict[int, Tuple[SocialGraph, TrustArrays]] = {}
     for value, sc in zip(values, scenarios):
         if sc.n not in cache:
             graph = build_scenario_graph(sc, rules)
-            cache[sc.n] = (
-                graph,
-                propagate_arrays(graph, sc.max_hops),
-                mean_circle_size(graph, sc.max_hops),
-            )
-        graph, arrays, mean_circle = cache[sc.n]
+            cache[sc.n] = (graph, propagate_arrays(graph, sc.max_hops))
+        graph, arrays = cache[sc.n]
         result = run_simulation(graph, sc, arrays=arrays)
         trustworthy = (arrays.best >= sc.ts_threshold) & arrays.reached
         mean_tf = float(np.mean(trustworthy.sum(axis=1)))
@@ -569,7 +573,7 @@ def sweep(
                 mean_r_mr=result.mean_r_mr,
                 mean_r_mc=result.mean_r_mc,
                 mean_bandwidth=result.mean_bandwidth,
-                mean_circle_size=mean_circle,
+                mean_circle_size=arrays.mean_circle_size(),
                 mean_trustworthy_size=mean_tf,
             )
         )

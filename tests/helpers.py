@@ -2,11 +2,14 @@
 
 The oracles deliberately re-derive results from first principles (numeric
 quadrature, exhaustive path and draw-order enumeration) instead of reusing
-package code. The CSV reference writer is the exception: it is the slow path
-the array writer replaced, kept to pin its bytes.
+package code. The CSV reference writer and the dict-based candidate and
+correlation references are the exception: they are the slow paths the array
+code replaced, kept to pin its bits.
 """
 
 import itertools
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -14,13 +17,16 @@ from scipy.integrate import quad
 
 from oniontrust import (
     AttributeProfile,
+    CorrelationCase,
     FriendLink,
     FuzzyRuleSet,
     Rule,
+    SelectionMode,
     SocialGraph,
     ValueClass,
     propagate,
 )
+from oniontrust.errors import DomainError, EmptyCandidateSetError
 
 # -- rule sets ----------------------------------------------------------------
 
@@ -195,6 +201,56 @@ def enumerate_best_paths(graph: SocialGraph, source: int, max_hops: int):
     }
 
 
+@dataclass(frozen=True)
+class FriendshipCircle:
+    """Entities reachable from a source over short acyclic paths.
+
+    members_by_hop[r - 1] holds the entities with an acyclic r-link path
+    from the source; the same entity may appear at several hop counts.
+    """
+
+    source: int
+    members_by_hop: Tuple[frozenset, ...]
+
+    @property
+    def members(self) -> frozenset:
+        return frozenset().union(*self.members_by_hop)
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    def hop(self, r: int) -> frozenset:
+        if not 1 <= r <= len(self.members_by_hop):
+            raise DomainError("hop must be 1..%d" % len(self.members_by_hop))
+        return self.members_by_hop[r - 1]
+
+
+def friendship_circle(graph: SocialGraph, source: int, max_hops: int = 2) -> FriendshipCircle:
+    """Per-hop circle reference: every entity on an acyclic path of <= max_hops links.
+
+    Enumerates simple paths, so cost grows quickly with max_hops.
+    """
+    nbrs = {eid: set() for eid in graph.entity_ids()}
+    for link in graph.links():
+        nbrs[link.source].add(link.target)
+    by_hop = [set() for _ in range(max_hops)]
+    on_path = {source}
+
+    def walk(node, depth):
+        for nbr in nbrs[node]:
+            if nbr in on_path:
+                continue
+            by_hop[depth].add(nbr)
+            if depth + 1 < max_hops:
+                on_path.add(nbr)
+                walk(nbr, depth + 1)
+                on_path.discard(nbr)
+
+    walk(source, 0)
+    return FriendshipCircle(source, tuple(frozenset(s) for s in by_hop))
+
+
 TRUST = st.one_of(
     st.sampled_from([0.0, 1.0, 0.5]),
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -202,8 +258,11 @@ TRUST = st.one_of(
 
 
 @st.composite
-def scored_graphs(draw):
-    """A scored graph over gapped ids; some entities may stay isolated."""
+def scored_graphs(draw, trust=TRUST):
+    """A scored graph over gapped ids; some entities may stay isolated.
+
+    Link trust values come from trust; a None leaves a link unscored.
+    """
     ids = sorted(draw(st.sets(st.integers(1, 60), min_size=1, max_size=9)))
     graph = SocialGraph()
     for eid in ids:
@@ -211,7 +270,7 @@ def scored_graphs(draw):
     links = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(ids), st.sampled_from(ids), st.integers(1, 3), TRUST
+                st.sampled_from(ids), st.sampled_from(ids), st.integers(1, 3), trust
             ),
             max_size=30,
         )
@@ -248,3 +307,54 @@ def reference_trust_scores_csv(graph: SocialGraph, max_hops: int) -> bytes:
                 )
             )
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# -- dict-based selection references ----------------------------------------------
+
+
+def reference_candidates(graph: SocialGraph, scores, source: int, policy):
+    """(ids, weights) as the per-candidate build_candidates formed them."""
+    if policy.mode is SelectionMode.BANDWIDTH_ONLY:
+        kept = [
+            (eid, 0.0, graph.bandwidth(eid))
+            for eid in graph.entity_ids()
+            if eid != source
+        ]
+    else:
+        kept = [
+            (eid, scores.scores[eid].value, graph.bandwidth(eid))
+            for eid in scores.targets()
+            if scores.scores[eid].value >= policy.ts_threshold
+        ]
+    if not kept:
+        raise EmptyCandidateSetError("no candidates for entity %d" % source)
+    if policy.mode is SelectionMode.BANDWIDTH_ONLY:
+        return [eid for eid, _, _ in kept], np.array([b for _, _, b in kept])
+    top = max(b for _, _, b in kept)
+    w = policy.omega
+    weights = np.array([(1.0 - w) * ts + w * (b / top) for _, ts, b in kept])
+    return [eid for eid, _, _ in kept], weights
+
+
+def reference_correlation(graph: SocialGraph, case, scores, rng) -> dict:
+    """{entity: bandwidth} as the dict-based assign_bandwidth_correlation set them."""
+    ids = graph.entity_ids()
+    if case is CorrelationCase.NONE:
+        return {eid: graph.bandwidth(eid) for eid in ids}
+    insiders = sorted(
+        scores.targets(), key=lambda eid: (-scores.scores[eid].value, eid)
+    )
+    inside = set(insiders)
+    outsiders = [eid for eid in ids if eid not in inside]
+    values = sorted((graph.bandwidth(eid) for eid in ids), reverse=True)
+    k = len(insiders)
+    if case is CorrelationCase.BEST:
+        inside_block, outside_block = values[:k], values[k:]
+    else:
+        outside_block, low = values[: len(values) - k], values[len(values) - k:]
+        inside_block = low[::-1]
+    mapping = dict(zip(insiders, inside_block))
+    order = rng.permutation(len(outsiders))
+    for pos, eid in enumerate(outsiders):
+        mapping[eid] = outside_block[int(order[pos])]
+    return mapping

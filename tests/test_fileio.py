@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oniontrust import (
     AttributeProfile,
     DrawMode,
+    FuzzyRuleSet,
     FriendLink,
     CorrelationCase,
     RoundReport,
@@ -36,7 +37,13 @@ from oniontrust.errors import ParseError, WeightSumError
 from oniontrust.fileio import _SCORE_BLOCK_ROWS
 from oniontrust.propagation import TrustArrays, propagate_arrays
 
-from helpers import default_rules, reference_trust_scores_csv, scored_graphs, scored_link
+from helpers import (
+    TRUST,
+    default_rules,
+    reference_trust_scores_csv,
+    scored_graphs,
+    scored_link,
+)
 
 
 def sample_graph():
@@ -335,7 +342,7 @@ def test_write_trust_scores(tmp_path):
     )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(scored_graphs(), st.integers(1, 3))
 def test_write_trust_scores_matches_the_row_writer(tmp_path_factory, graph, max_hops):
     path = tmp_path_factory.mktemp("scores") / "ts.csv"
@@ -396,3 +403,39 @@ def test_write_sweep_rows(tmp_path):
         "mean_trustworthy_size\n"
         "omega,0.5,0.125,,42.0,10.5,9.25\n"
     )
+
+
+@settings(max_examples=150)
+@given(scored_graphs(trust=st.one_of(st.none(), TRUST)), st.booleans())
+def test_serialized_graphs_parse_back_equal(graph, flag_odd_ids):
+    # parallel links on networks 1-3, unscored links and gapped ids
+    if flag_odd_ids:
+        graph = graph.with_flags({eid: eid % 2 == 1 for eid in graph.entity_ids()})
+    assert parse_graph(serialize_graph(graph)) == graph
+
+
+NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyzABCXYZ_0123456789", min_size=1, max_size=8)
+
+
+@st.composite
+def rule_sets(draw):
+    """A valid rule set: any rule pair per attribute, weights summing to one."""
+    qualitative = draw(
+        st.dictionaries(
+            NAMES,
+            st.tuples(
+                st.sampled_from([Rule.LARGEST, Rule.LARGE]),
+                st.sampled_from([Rule.SMALL, Rule.SMALLEST]),
+            ),
+            max_size=4,
+        )
+    )
+    parts = draw(st.dictionaries(NAMES, st.integers(1, 1000), min_size=1, max_size=6))
+    total = sum(parts.values())
+    return FuzzyRuleSet(qualitative, {name: k / total for name, k in parts.items()})
+
+
+@settings(max_examples=150)
+@given(rule_sets())
+def test_serialized_rules_parse_back_equal(rules):
+    assert parse_rules(serialize_rules(rules)) == rules

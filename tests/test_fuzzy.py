@@ -1,9 +1,21 @@
 """Fuzzy engine tests: memberships, closed forms, defuzzification."""
 
+import re
+
 import numpy as np
 import pytest
 
-from oniontrust import FuzzyRuleSet, Rule, ValueClass, aggregate, trust_value
+from oniontrust import (
+    AttributeProfile,
+    FriendLink,
+    FuzzyRuleSet,
+    Rule,
+    SocialGraph,
+    ValueClass,
+    aggregate,
+    compute_trust_values,
+    trust_value,
+)
 from oniontrust.errors import (
     DomainError,
     EmptyAssignmentError,
@@ -174,6 +186,32 @@ def test_aggregate_errors():
         aggregate({"freq": 1.0}, {"freq": 0.0}, weights)
     with pytest.raises(DomainError):
         aggregate({"freq": 5.0}, {"freq": 4.0}, weights)
+    nan, inf = float("nan"), float("inf")
+    # Non-finite numbers are rejected by name, never folded into e = 0.0.
+    for raw, top, message in (
+        (nan, 4.0, "attribute 'freq' = nan outside [0, 4.0]"),
+        (inf, 4.0, "attribute 'freq' = inf outside [0, 4.0]"),
+        (1.0, nan, "normalizer for 'freq' is nan; must be finite"),
+        (1.0, inf, "normalizer for 'freq' is inf; must be finite"),
+        (inf, inf, "normalizer for 'freq' is inf; must be finite"),
+    ):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            aggregate({"freq": raw}, {"freq": top}, weights)
+    # Through the graph the message also names the link.
+    for bad, message in (
+        (nan, "link 1->3 network 2: attribute 'freq' = nan outside [0, 1.0]"),
+        # an infinite value poisons its source's normalizer, so link 1->2 fails first
+        (inf, "link 1->2 network 2: normalizer for 'freq' is inf; must be finite"),
+    ):
+        graph = SocialGraph()
+        for eid in (1, 2, 3):
+            graph.add_entity(eid, 10.0)
+        for target, value in ((2, 1.0), (3, bad)):
+            profile = AttributeProfile({"freq": value, "time": 1.0},
+                                       {"Major": ValueClass.POSITIVE})
+            graph.add_link(FriendLink(1, target, 2, profile))
+        with pytest.raises(DomainError, match=re.escape(message)):
+            compute_trust_values(graph, default_rules())
 
 
 def test_ruleset_validation():

@@ -23,7 +23,12 @@ from oniontrust.errors import (
     UnknownEntityError,
 )
 
-from helpers import graph_from_trust_links, random_trust_graph, scored_link
+from helpers import (
+    friendship_circle,
+    graph_from_trust_links,
+    random_trust_graph,
+    scored_link,
+)
 
 
 def test_entities_and_links_basics():
@@ -99,16 +104,16 @@ def test_friendship_circle_star():
     for k in (2, 3, 4, 5):
         triples += [(k, next(second), 0.5), (k, next(second), 0.5)]
     g = graph_from_trust_links(triples)
-    circle = g.friendship_circle(1, max_hops=2)
+    circle = friendship_circle(g, 1, max_hops=2)
     assert circle.hop(1) == frozenset({2, 3, 4, 5})
     assert len(circle.hop(2)) == 8
     assert circle.size == 12
-    assert g.friendship_circle(1, max_hops=1).size == 4
+    assert friendship_circle(g, 1, max_hops=1).size == 4
 
 
 def test_circle_excludes_source_and_tracks_multiple_hops():
     g = graph_from_trust_links([(1, 2, 0.5), (2, 1, 0.5), (1, 3, 0.5), (3, 2, 0.5)])
-    circle = g.friendship_circle(1, max_hops=2)
+    circle = friendship_circle(g, 1, max_hops=2)
     # 2 is reachable directly and through 3; 1 never joins its own circle
     assert circle.hop(1) == frozenset({2, 3})
     assert circle.hop(2) == frozenset({2})
@@ -123,7 +128,7 @@ def test_mean_circle_size_matches_circles():
         g = random_trust_graph(rng)
         for hops in (1, 2, 3):
             exact = np.mean(
-                [g.friendship_circle(i, hops).size for i in g.entity_ids()]
+                [friendship_circle(g, i, hops).size for i in g.entity_ids()]
             )
             assert mean_circle_size(g, hops) == pytest.approx(exact)
 
@@ -158,8 +163,8 @@ def test_generated_graph_is_deterministic():
 
 def test_generated_graph_full_and_empty():
     full = generate_graph(GeneratorParams(n=2, edge_prob=1.0), seed=1)
-    assert full.friendship_circle(1).size == 1
-    assert full.friendship_circle(2).size == 1
+    assert friendship_circle(full, 1).size == 1
+    assert friendship_circle(full, 2).size == 1
     assert len(full.links()) == 2
     empty = generate_graph(GeneratorParams(n=5, edge_prob=0.0), seed=1)
     assert len(empty.links()) == 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oniontrust import (
     GeneratorParams,
+    compute_trust_values,
     generate_graph,
     mean_circle_size,
     mean_trust_scores,
@@ -19,9 +20,10 @@ from oniontrust import (
 from oniontrust.graph import circle_sizes
 from oniontrust.propagation import propagate_arrays
 
+from helpers import default_rules
 from helpers import scored_graphs as graphs
 
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=200)
 
 def set_bfs_circle(nbrs, source, max_hops):
     """Reference circle size: BFS over Python sets, source excluded."""
@@ -64,6 +66,7 @@ def test_circle_sizes_equal_set_bfs(graph, max_hops):
     got = circle_sizes(graph.link_mask(), np.arange(len(ids)), max_hops)
     assert got.tolist() == want
     assert mean_circle_size(graph, max_hops) == sum(want) / len(want)
+    assert propagate_arrays(graph, max_hops).mean_circle_size() == sum(want) / len(want)
 
 
 def test_mean_circle_size_samples_evenly_spaced_sources_in_large_graphs():
@@ -71,11 +74,16 @@ def test_mean_circle_size_samples_evenly_spaced_sources_in_large_graphs():
     # evenly spaced sources, the first and the last included.
     for n in (301, 450):
         graph = generate_graph(GeneratorParams(n=n, edge_prob=3.0 / n), seed=n)
+        compute_trust_values(graph, default_rules())
         ids = graph.entity_ids()
         nbrs = {eid: {l.target for l in graph.links_from(eid)} for eid in ids}
         rows = [k * (n - 1) // 299 for k in range(300)]
-        want = [set_bfs_circle(nbrs, ids[r], 2) for r in rows]
-        assert mean_circle_size(graph, 2) == sum(want) / 300
+        for max_hops in (2, 3):
+            want = [set_bfs_circle(nbrs, ids[r], max_hops) for r in rows]
+            assert mean_circle_size(graph, max_hops) == sum(want) / 300
+            # the sweep and trust summaries read the same sample off the arrays
+            arrays = propagate_arrays(graph, max_hops)
+            assert arrays.mean_circle_size() == sum(want) / 300
 
 
 @PROPERTY

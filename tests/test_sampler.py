@@ -33,7 +33,7 @@ from oniontrust.simulation import _Prepared, _round_streams
 
 from helpers import exact_order_probability, graph_from_trust_links
 
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=300)
 
 
 def picks(weights, rng, draws, length):
@@ -192,7 +192,7 @@ def test_select_router_matches_the_cumsum_formula_bit_for_bit():
         want = np.random.default_rng(17)
         for _ in range(2000):
             k = reference_pick(cum, total, w, want.random())
-            assert select_router(cands, policy, got) == cands.members[k].entity_id
+            assert select_router(cands, policy, got) == cands.ids()[k]
 
 
 @pytest.mark.parametrize(

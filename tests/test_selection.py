@@ -89,6 +89,17 @@ def test_source_is_never_a_candidate():
     assert 1 not in baseline.ids()
 
 
+def test_a_table_that_lists_the_source_does_not_make_it_a_candidate():
+    g, _ = fixture({2: 0.5, 3: 0.2}, {1: 999.0, 2: 10.0, 3: 20.0})
+    table = TrustScoreTable(1, {1: TrustScore(0.9, 2), 2: TrustScore(0.5, 1),
+                                3: TrustScore(0.2, 1)})
+    policy = SelectionPolicy(omega=0.5)
+    cands = build_candidates(g, table, 1, policy)
+    assert cands.ids() == [2, 3]
+    # the source's own bandwidth does not set the normalizing top either
+    assert cands.weights(policy).tolist() == [0.5 * 0.5 + 0.5 * 0.5, 0.5 * 0.2 + 0.5 * 1.0]
+
+
 def test_bandwidth_only_uses_raw_bandwidth_of_everyone():
     # entity 4 has no links at all but stays selectable in baseline mode
     g = graph_from_trust_links(

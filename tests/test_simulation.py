@@ -7,11 +7,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from oniontrust import (
     CorrelationCase,
     DrawMode,
+    SelectionMode,
     SimScenario,
     Strategy,
     assign_bandwidth_correlation,
@@ -26,16 +29,25 @@ from oniontrust import (
 )
 from oniontrust.errors import (
     DomainError,
+    EmptyCandidateSetError,
     GeneratorParamsError,
     InfeasibleAssignmentError,
     InsufficientCandidatesError,
     UnknownEntityError,
     ZeroDenominatorError,
 )
-from oniontrust.propagation import propagate_arrays
-from oniontrust.simulation import _flag_count
+from oniontrust.propagation import TrustArrays, propagate_arrays
+from oniontrust.simulation import _flag_count, _Prepared, _setup_rng
 
-from helpers import default_rules, exact_subset_probability, graph_from_trust_links
+from helpers import (
+    TRUST,
+    default_rules,
+    exact_subset_probability,
+    graph_from_trust_links,
+    reference_candidates,
+    reference_correlation,
+    scored_graphs,
+)
 
 
 def star(n, bandwidths=None, tv=0.5):
@@ -240,14 +252,14 @@ def test_circuit_rounds_match_sequential_sampling_law():
 
 
 def test_sequential_circuits_match_their_own_law():
-    from oniontrust import SelectionMode, SelectionPolicy, build_candidates, build_circuit
+    from oniontrust import SelectionPolicy, build_candidates, build_circuit
 
     bw = {1: 5.0}
     bw.update({eid: 10.0 * (eid - 1) for eid in range(2, 8)})
     g = star(7, bandwidths=bw)
     policy = SelectionPolicy(mode=SelectionMode.BANDWIDTH_ONLY, circuit_length=3)
     cands = build_candidates(g, None, 1, policy)
-    weights = [c.bandwidth for c in cands.members]
+    weights = cands.bandwidth.tolist()
     subsets = list(itertools.combinations(range(6), 3))
     probs = np.array([exact_subset_probability(weights, s) for s in subsets])
     assert probs.sum() == pytest.approx(1.0)
@@ -567,3 +579,71 @@ def test_sweep_validates_every_value_before_running_any(monkeypatch, axis, value
     )
     with pytest.raises(DomainError, match=re.escape(message)):
         sweep(scenario, axis, values, default_rules())
+
+
+@settings(max_examples=100)
+@given(scored_graphs(), st.integers(1, 3), st.integers(0, 2**32), st.data())
+def test_prepared_rows_match_the_dict_based_references(graph, max_hops, seed, data):
+    graph.freeze()
+    ids = graph.entity_ids()
+    source = data.draw(st.sampled_from(ids))
+    arrays = propagate_arrays(graph, max_hops)
+    table = propagate(graph, source, max_hops, keep_paths=False)
+    scored = sorted(score.value for score in table.scores.values())
+    omegas = (0.0, 1.0, data.draw(st.floats(0.0, 1.0)))
+    # a threshold at a score keeps that score's entities
+    thresholds = (0.0, data.draw(st.sampled_from(scored) if scored else TRUST), 0.5)
+    for strategy, case, omega, ts_h in itertools.product(
+        Strategy, CorrelationCase, omegas, thresholds
+    ):
+        # ORIGINAL_TOR's fixed flags read the correlated bandwidths too
+        fraction = 0.5 if strategy is Strategy.ORIGINAL_TOR else 0.0
+        scenario = SimScenario(
+            strategy=strategy, fraction=fraction, case=case, omega=omega,
+            ts_threshold=ts_h, source=source, max_hops=max_hops, seed=seed,
+        )
+        bandwidth = reference_correlation(graph, case, table, _setup_rng(seed))
+        try:
+            want_ids, want_weights = reference_candidates(
+                graph.with_bandwidths(bandwidth), table, source, scenario.policy
+            )
+        except EmptyCandidateSetError:
+            with pytest.raises(EmptyCandidateSetError):
+                _Prepared(graph, scenario, arrays=arrays)
+            continue
+        prep = _Prepared(graph, scenario, arrays=arrays)
+        assert [ids[k] for k in prep.cand_idx] == want_ids
+        assert prep.weights.tobytes() == want_weights.tobytes()
+        assert prep.bw.tobytes() == np.array([bandwidth[eid] for eid in ids]).tobytes()
+        assert prep.circle_size == len(table.scores)
+        if strategy is Strategy.ORIGINAL_TOR:
+            top = sorted(ids, key=lambda eid: (-bandwidth[eid], eid))
+            m = _flag_count(fraction, len(ids))
+            assert [ids[k] for k in prep.plan.fixed] == top[:m]
+        trust_aware = strategy.selection_mode is SelectionMode.TRUST_AWARE
+        assert prep.trustworthy_size == (len(want_ids) if trust_aware else None)
+
+
+def test_rounds_build_no_score_objects_and_no_graph_copy(monkeypatch):
+    import oniontrust.graph
+    import oniontrust.propagation
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a per-pair table or a graph copy")
+
+    scenario = SimScenario(
+        strategy=Strategy.PRACTICAL_STOR, fraction=0.1, case=CorrelationCase.BEST,
+        n=40, generator_kind="er", generator_value=0.08, rounds=5, draws=40, source=5,
+    )
+    graph = build_scenario_graph(scenario, default_rules())
+    monkeypatch.setattr(TrustArrays, "table", forbidden)
+    monkeypatch.setattr(oniontrust.propagation, "TrustScore", forbidden)
+    monkeypatch.setattr(oniontrust.propagation, "TrustScoreTable", forbidden)
+    monkeypatch.setattr(oniontrust.graph.SocialGraph, "_derive", forbidden)
+    for case in CorrelationCase:
+        for draw_mode in DrawMode:
+            sc = dataclasses.replace(scenario, case=case, draw_mode=draw_mode)
+            run_simulation(graph, sc)
+    sweep(scenario, "ts_h", [0.0, 0.03], default_rules())
+    sweep(dataclasses.replace(scenario, strategy=Strategy.THEORETICAL_STOR,
+                              case=CorrelationCase.WORST), "n", [40, 30], default_rules())
