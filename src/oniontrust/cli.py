@@ -21,7 +21,13 @@ from .fileio import (
     write_trust_scores,
 )
 from .fuzzy import compute_trust_values
-from .graph import DEFAULT_BANDWIDTH_MAX, GeneratorParams, generate_graph, mean_circle_size
+from .graph import (
+    DEFAULT_BANDWIDTH_MAX,
+    DEFAULT_MAX_HOPS,
+    GeneratorParams,
+    generate_graph,
+    mean_circle_size,
+)
 from .propagation import propagate_arrays
 from .simulation import (
     SWEEP_AXES,
@@ -165,13 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="calibrated:<circle fraction> or er:<edge probability>",
     )
     p.add_argument("--bandwidth-max", type=float, default=DEFAULT_BANDWIDTH_MAX)
-    p.add_argument("--max-hops", type=int, default=2)
+    p.add_argument("--max-hops", type=int, default=DEFAULT_MAX_HOPS)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("trust", help="score a graph's links and propagate trust")
     p.add_argument("graph", help="graph file")
     p.add_argument("--rules", help="rule-set file (default: bundled rules)")
-    p.add_argument("--max-hops", type=int, default=2)
+    p.add_argument("--max-hops", type=int, default=DEFAULT_MAX_HOPS)
     p.set_defaults(func=cmd_trust)
 
     p = sub.add_parser("simulate", help="run one adversary scenario")

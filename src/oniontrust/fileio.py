@@ -23,12 +23,7 @@ import numpy as np
 
 from .errors import OnionTrustError, ParseError
 from .fuzzy import FuzzyRuleSet, Rule, ValueClass
-from .graph import (
-    DEFAULT_BANDWIDTH_MAX,
-    AttributeProfile,
-    FriendLink,
-    SocialGraph,
-)
+from .graph import AttributeProfile, FriendLink, SocialGraph
 from .propagation import TrustArrays
 from .simulation import (
     CorrelationCase,
@@ -283,25 +278,6 @@ def read_rules(path=None) -> FuzzyRuleSet:
 
 # -- scenario files ------------------------------------------------------------
 
-_SCENARIO_KEYS = (
-    "strategy",
-    "fraction",
-    "case",
-    "omega",
-    "ts_h",
-    "rounds",
-    "draws",
-    "seed",
-    "n",
-    "generator",
-    "bandwidth_max",
-    "source",
-    "max_hops",
-    "draw_mode",
-    "circuit_length",
-)
-
-
 def _parse_generator(value: str, number: int) -> Tuple[str, float]:
     if ":" not in value:
         raise ParseError(
@@ -312,6 +288,29 @@ def _parse_generator(value: str, number: int) -> Tuple[str, float]:
     if kind not in ("calibrated", "er"):
         raise ParseError("unknown generator kind %r" % kind, line=number)
     return kind, _parse_float(raw, "generator parameter", number)
+
+
+#: Scenario file key -> (SimScenario field, how its value is read), in the
+#: order the values are read, so the first bad value is the one reported.
+#: The generator key fills two fields. A key the file leaves out keeps
+#: SimScenario's default.
+_SCENARIO_KEYS = {
+    "strategy": ("strategy", Strategy),
+    "case": ("case", CorrelationCase),
+    "draw_mode": ("draw_mode", DrawMode),
+    "generator": (("generator_kind", "generator_value"), _parse_generator),
+    "fraction": ("fraction", float),
+    "omega": ("omega", float),
+    "ts_h": ("ts_threshold", float),
+    "rounds": ("rounds", int),
+    "draws": ("draws", int),
+    "seed": ("seed", int),
+    "n": ("n", int),
+    "bandwidth_max": ("bandwidth_max", float),
+    "source": ("source", int),
+    "max_hops": ("max_hops", int),
+    "circuit_length": ("circuit_length", int),
+}
 
 
 def parse_scenario(text: str) -> SimScenario:
@@ -333,41 +332,23 @@ def parse_scenario(text: str) -> SimScenario:
     if "fraction" not in values:
         raise ParseError("scenario is missing the fraction key")
 
-    def _get(key, kind, fallback):
+    fields = {}
+    for key, (name, kind) in _SCENARIO_KEYS.items():
         if key not in values:
-            return fallback
-        number = numbers[key]
+            continue
+        value, number = values[key], numbers[key]
         if kind is float:
-            return _parse_float(values[key], key, number)
-        return _parse_int(values[key], key, number)
-
-    try:
-        strategy = Strategy.from_code(values["strategy"])
-        case = CorrelationCase.from_code(values.get("case", "none"))
-        draw_mode = DrawMode.from_code(values.get("draw_mode", "select"))
-    except OnionTrustError as exc:
-        raise ParseError(str(exc)) from None
-    kind, gen_value = ("calibrated", 0.8)
-    if "generator" in values:
-        kind, gen_value = _parse_generator(values["generator"], numbers["generator"])
-    return SimScenario(
-        strategy=strategy,
-        fraction=_get("fraction", float, None),
-        case=case,
-        omega=_get("omega", float, 0.0),
-        ts_threshold=_get("ts_h", float, 0.0),
-        rounds=_get("rounds", int, 1000),
-        draws=_get("draws", int, 1000),
-        seed=_get("seed", int, 0),
-        n=_get("n", int, 500),
-        generator_kind=kind,
-        generator_value=gen_value,
-        bandwidth_max=_get("bandwidth_max", float, DEFAULT_BANDWIDTH_MAX),
-        source=_get("source", int, 1),
-        max_hops=_get("max_hops", int, 2),
-        draw_mode=draw_mode,
-        circuit_length=_get("circuit_length", int, 3),
-    )
+            fields[name] = _parse_float(value, key, number)
+        elif kind is int:
+            fields[name] = _parse_int(value, key, number)
+        elif kind is _parse_generator:
+            fields.update(zip(name, _parse_generator(value, number)))
+        else:
+            try:
+                fields[name] = kind.from_code(value)
+            except OnionTrustError as exc:
+                raise ParseError(str(exc)) from None
+    return SimScenario(**fields)
 
 
 def read_scenario(path) -> SimScenario:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Tuple
 
 from .errors import (
@@ -190,7 +192,7 @@ class FuzzyRuleSet:
 
     qualitative maps an attribute name to its (positive, negative) rule pair;
     a NEUTRAL judgement always fires MEDIUM. weights are the quantitative
-    attribute weights of the aggregate and must sum to one.
+    attribute weights of the aggregate: each in [0, 1], summing to one.
     """
 
     qualitative: Mapping[str, Tuple[Rule, Rule]]
@@ -199,6 +201,12 @@ class FuzzyRuleSet:
     def __post_init__(self):
         if not self.weights:
             raise WeightSumError("rule set defines no quantitative attributes")
+        for name in sorted(self.weights):
+            weight = self.weights[name]
+            if not 0.0 <= weight <= 1.0:  # so NaN and infinity fail too
+                raise DomainError(
+                    "weight of %r is %r; must be in [0, 1]" % (name, weight)
+                )
         total = sum(self.weights[name] for name in sorted(self.weights))
         if abs(total - 1.0) > 1e-9:
             raise WeightSumError(
@@ -258,7 +266,8 @@ def aggregate(
             )
         if top <= 0.0:
             raise ZeroNormalizerError(
-                "normalizer for %r is %r; cannot scale" % (name, top)
+                "normalizer for %r is %r: the attribute's maximum over the "
+                "source's links on that network is not positive" % (name, top)
             )
         value = raw[name]
         if not 0.0 <= value <= top:  # so NaN and infinity fail too
@@ -293,7 +302,7 @@ def link_trust(
     try:
         e = aggregate(link.profile.quantitative, normalizers, rules.weights)
         return trust_value(e, link.profile.qualitative, rules)
-    except (MissingAttributeError, DomainError) as exc:
+    except (MissingAttributeError, ZeroNormalizerError, DomainError) as exc:
         raise type(exc)(
             "link %d->%d network %d: %s"
             % (link.source, link.target, link.network, exc)
@@ -304,16 +313,23 @@ def compute_trust_values(graph: "SocialGraph", rules: FuzzyRuleSet) -> None:
     """Fill in trust_value on every link of the graph, in place.
 
     Normalizers are the per-attribute maxima over the source's out-links on
-    the same network, so an entity's links are scored relative to its own
-    strongest interaction there.
+    the same network, zero included, so an entity's links are scored
+    relative to its own strongest interaction there. One pass over
+    graph.links() splits each source's links by network, targets ascending;
+    each group, networks ascending, fills its maxima and then scores its
+    links, so an error names the first bad link in (source, network,
+    target) order.
     """
-    for source in graph.entity_ids():
-        for network in graph.networks_from(source):
-            links = graph.links_from(source, network)
+    for _, outgoing in groupby(graph.links(), key=attrgetter("source")):
+        by_network: dict[int, list] = {}
+        for link in outgoing:
+            by_network.setdefault(link.network, []).append(link)
+        for network in sorted(by_network):
+            group = by_network[network]
             normalizers: dict[str, float] = {}
-            for link in links:
+            for link in group:
                 for name, value in link.profile.quantitative.items():
-                    if value > normalizers.get(name, 0.0):
+                    if value > normalizers.setdefault(name, 0.0):
                         normalizers[name] = value
-            for link in links:
+            for link in group:
                 link.trust_value = link_trust(link, normalizers, rules)

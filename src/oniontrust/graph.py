@@ -4,6 +4,8 @@ Entities are onion routers run by people with social ties. A directed link
 records that its source counts the target as a friend on one particular
 social network, together with the attribute profile of that tie. The same
 pair may be linked on several networks; trust merging takes the best one.
+So the graph stores each link once, grouped by (source, target) pair, and
+every view (sorted links, merged trust, pair arrays) reads that one map.
 
 Also home to the synthetic graph generator used by the simulations: directed
 Erdos-Renyi edges, either with a fixed edge probability or calibrated so the
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -65,14 +68,16 @@ class FriendLink:
 
 
 class SocialGraph:
-    """Mutable-until-frozen container for entities and links."""
+    """Mutable-until-frozen container for entities and links.
+
+    Links live in one map, (source, target) -> network -> link, so parallel
+    links of a pair sit together for trust merging. Copies made by
+    with_flags and with_bandwidths copy that map but share the link objects.
+    """
 
     def __init__(self):
         self._entities: Dict[int, Entity] = {}
-        # (source, target, network) -> link, plus a nested index
-        # source -> target -> network -> link for traversal.
-        self._links: Dict[Tuple[int, int, int], FriendLink] = {}
-        self._adj: Dict[int, Dict[int, Dict[int, FriendLink]]] = {}
+        self._pairs: Dict[Tuple[int, int], Dict[int, FriendLink]] = {}
         self._frozen = False
 
     # -- construction ------------------------------------------------------
@@ -86,7 +91,6 @@ class SocialGraph:
                 % (entity_id, bandwidth)
             )
         self._entities[entity_id] = Entity(entity_id, float(bandwidth), bool(malicious))
-        self._adj.setdefault(entity_id, {})
 
     def add_link(self, link: FriendLink):
         """Insert a link; a link on the same (source, target, network) is replaced."""
@@ -97,8 +101,7 @@ class SocialGraph:
         for end in (link.source, link.target):
             if end not in self._entities:
                 raise UnknownEntityError("unknown entity %d" % end)
-        self._links[(link.source, link.target, link.network)] = link
-        self._adj[link.source].setdefault(link.target, {})[link.network] = link
+        self._pairs.setdefault((link.source, link.target), {})[link.network] = link
 
     def freeze(self):
         """Forbid further entity/link insertion. Trust values may still be set."""
@@ -116,7 +119,7 @@ class SocialGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SocialGraph):
             return NotImplemented
-        return self._entities == other._entities and self._links == other._links
+        return self._entities == other._entities and self._pairs == other._pairs
 
     def entity_ids(self) -> List[int]:
         return sorted(self._entities)
@@ -138,35 +141,21 @@ class SocialGraph:
 
     def links(self) -> List[FriendLink]:
         """All links, sorted by (source, target, network)."""
-        return [self._links[key] for key in sorted(self._links)]
+        return sorted(
+            (link for by_net in self._pairs.values() for link in by_net.values()),
+            key=attrgetter("source", "target", "network"),
+        )
 
     def link(self, source: int, target: int, network: int) -> FriendLink:
         try:
-            return self._links[(source, target, network)]
+            return self._pairs[(source, target)][network]
         except KeyError:
             raise NoLinkError(
                 "no link %d->%d on network %d" % (source, target, network)
             ) from None
 
-    def links_from(self, source: int, network: Optional[int] = None) -> List[FriendLink]:
-        self._require_entity(source)
-        out = []
-        for by_net in self._adj[source].values():
-            for net, link in by_net.items():
-                if network is None or net == network:
-                    out.append(link)
-        out.sort(key=lambda l: (l.target, l.network))
-        return out
-
     def networks(self) -> frozenset:
-        return frozenset(key[2] for key in self._links)
-
-    def networks_from(self, source: int) -> List[int]:
-        self._require_entity(source)
-        nets = set()
-        for by_net in self._adj[source].values():
-            nets.update(by_net)
-        return sorted(nets)
+        return frozenset(net for by_net in self._pairs.values() for net in by_net)
 
     # -- trust views -------------------------------------------------------
 
@@ -174,7 +163,7 @@ class SocialGraph:
         """Best per-network trust value of the (source, target) tie."""
         self._require_entity(source)
         self._require_entity(target)
-        by_net = self._adj[source].get(target)
+        by_net = self._pairs.get((source, target))
         if not by_net:
             raise NoLinkError("no link %d->%d on any network" % (source, target))
         return _best_network(by_net, source, target)
@@ -189,19 +178,17 @@ class SocialGraph:
         """
         ids = self.entity_ids()
         row = {eid: k for k, eid in enumerate(ids)}
-        src, tgt, tv = [], [], []
-        for source, targets in self._adj.items():
-            si = row[source]
-            for target, by_net in targets.items():
-                src.append(si)
-                tgt.append(row[target])
-                if trust:
-                    tv.append(_best_network(by_net, source, target))
+        tv = None
+        if trust:
+            tv = np.array(
+                [_best_network(by_net, *pair) for pair, by_net in self._pairs.items()],
+                dtype=float,
+            )
         return (
             ids,
-            np.array(src, dtype=np.intp),
-            np.array(tgt, dtype=np.intp),
-            np.array(tv, dtype=float) if trust else None,
+            np.array([row[source] for source, _ in self._pairs], dtype=np.intp),
+            np.array([row[target] for _, target in self._pairs], dtype=np.intp),
+            tv,
         )
 
     def link_mask(self) -> np.ndarray:
@@ -229,11 +216,7 @@ class SocialGraph:
                 float(bandwidth[eid]) if bandwidth is not None else ent.bandwidth,
                 bool(flags[eid]) if flags is not None else ent.malicious,
             )
-        out._links = dict(self._links)
-        out._adj = {
-            src: {tgt: dict(by_net) for tgt, by_net in targets.items()}
-            for src, targets in self._adj.items()
-        }
+        out._pairs = {pair: dict(by_net) for pair, by_net in self._pairs.items()}
         out._frozen = self._frozen
         return out
 
@@ -284,6 +267,10 @@ def circle_sizes(mask: np.ndarray, rows: np.ndarray, max_hops: int) -> np.ndarra
     return reached.sum(axis=1)
 
 
+#: Hop budget of friendship circles and trust propagation unless a caller
+#: says otherwise.
+DEFAULT_MAX_HOPS = 2
+
 #: A mean circle size is taken over this many evenly spaced sources, or
 #: over all of them in a smaller graph.
 CIRCLE_SAMPLE = 300
@@ -294,7 +281,7 @@ def _sample_rows(n: int) -> np.ndarray:
     return np.linspace(0, n - 1, min(n, CIRCLE_SAMPLE)).astype(int)
 
 
-def mean_circle_size(graph: SocialGraph, max_hops: int = 2) -> float:
+def mean_circle_size(graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS) -> float:
     """Mean ||F_i|| over the sources _sample_rows picks."""
     if not len(graph):
         raise DomainError("graph has no entities")
@@ -306,6 +293,12 @@ def mean_circle_size(graph: SocialGraph, max_hops: int = 2) -> float:
 
 #: Default cap for generated router bandwidths, in bytes per second.
 DEFAULT_BANDWIDTH_MAX = 10_000_000.0
+
+#: Attributes every generated link carries, and the cap of the raw
+#: quantitative draws before the target's reputation scales them down.
+QUANTITATIVE_NAMES = ("freq", "time")
+QUALITATIVE_NAMES = ("Major", "Relationship")
+RAW_HIGH = 10.0
 
 
 @dataclass(frozen=True)
@@ -321,10 +314,7 @@ class GeneratorParams:
     edge_prob: Optional[float] = None
     target_circle_fraction: Optional[float] = None
     bandwidth_max: float = DEFAULT_BANDWIDTH_MAX
-    max_hops: int = 2
-    quantitative_names: Tuple[str, ...] = ("freq", "time")
-    qualitative_names: Tuple[str, ...] = ("Major", "Relationship")
-    raw_high: float = 10.0
+    max_hops: int = DEFAULT_MAX_HOPS
     calibration_tol: float = 2.5
 
     def __post_init__(self):
@@ -351,8 +341,6 @@ class GeneratorParams:
             )
         if self.max_hops < 1:
             raise GeneratorParamsError("max_hops must be >= 1")
-        if not self.quantitative_names or not self.qualitative_names:
-            raise GeneratorParamsError("attribute name lists may not be empty")
 
 
 def _mean_circle_size(mask: np.ndarray, max_hops: int) -> float:
@@ -426,23 +414,23 @@ def generate_graph(params: GeneratorParams, seed: int) -> SocialGraph:
     # uniform behaviour on generated graphs.
     reputation = attr_rng.random(n)
     target_rep = reputation[cols]
-    raws = attr_rng.uniform(0.1, params.raw_high, size=(n_links, len(params.quantitative_names)))
+    raws = attr_rng.uniform(0.1, RAW_HIGH, size=(n_links, len(QUANTITATIVE_NAMES)))
     raws *= (0.2 + 0.8 * target_rep)[:, None]
     # Class mix per inbound link: POSITIVE with probability 0.05 + 0.7 r,
     # NEUTRAL with 0.2, NEGATIVE with the rest, r the target's reputation.
     class_order = (ValueClass.POSITIVE, ValueClass.NEUTRAL, ValueClass.NEGATIVE)
     p_pos = (0.05 + 0.7 * target_rep)[:, None]
-    v = attr_rng.random((n_links, len(params.qualitative_names)))
+    v = attr_rng.random((n_links, len(QUALITATIVE_NAMES)))
     picks = np.where(v < p_pos, 0, np.where(v < p_pos + 0.2, 1, 2))
     for k in range(n_links):
         profile = AttributeProfile(
             quantitative={
                 name: float(raws[k, a])
-                for a, name in enumerate(params.quantitative_names)
+                for a, name in enumerate(QUANTITATIVE_NAMES)
             },
             qualitative={
                 name: class_order[int(picks[k, a])]
-                for a, name in enumerate(params.qualitative_names)
+                for a, name in enumerate(QUALITATIVE_NAMES)
             },
         )
         graph.add_link(

@@ -24,18 +24,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CyclicPathError, DisconnectedPathError, DomainError, UnknownEntityError
-from .graph import FriendLink, SocialGraph, _sample_rows, reach_frontiers
-
-#: Hop budget used throughout unless a caller says otherwise.
-DEFAULT_MAX_HOPS = 2
+from .graph import DEFAULT_MAX_HOPS, FriendLink, SocialGraph, _sample_rows, reach_frontiers
 
 
 @dataclass(frozen=True)
 class TrustScore:
     """Best path trust to one target: the score, its hop count, a witness.
 
-    hops is the smallest path length among maximal-product paths. The
-    witness path (entity ids, source first) is kept only on request.
+    hops is the smallest path length among maximal-product paths. propagate
+    keeps a witness path (entity ids, source first); tables read off
+    TrustArrays leave it None.
     """
 
     value: float
@@ -102,7 +100,6 @@ def _search(
     adjacency: Dict[int, Dict[int, float]],
     source: int,
     max_hops: int,
-    keep_paths: bool,
 ) -> Dict[int, TrustScore]:
     """Max-product Dijkstra over (node, hops) states.
 
@@ -132,9 +129,7 @@ def _search(
             continue
         settled.add((node, hops))
         if node != source and node not in scores:
-            scores[node] = TrustScore(
-                product, hops, seq if keep_paths else None
-            )
+            scores[node] = TrustScore(product, hops, seq)
         if hops == max_hops:
             continue
         for nbr, tv in adjacency[node].items():
@@ -148,7 +143,6 @@ def propagate(
     graph: SocialGraph,
     source: int,
     max_hops: int = DEFAULT_MAX_HOPS,
-    keep_paths: bool = True,
 ) -> TrustScoreTable:
     """Trust scores from one source over merged links, within max_hops.
 
@@ -162,7 +156,7 @@ def propagate(
     adjacency: Dict[int, Dict[int, float]] = {eid: {} for eid in ids}
     for s, t, value in zip(src.tolist(), tgt.tolist(), tv.tolist()):
         adjacency[ids[s]][ids[t]] = value
-    return TrustScoreTable(source, _search(adjacency, source, max_hops, keep_paths))
+    return TrustScoreTable(source, _search(adjacency, source, max_hops))
 
 
 @dataclass(frozen=True)

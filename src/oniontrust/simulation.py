@@ -37,6 +37,7 @@ from .errors import (
 from .fuzzy import FuzzyRuleSet, compute_trust_values
 from .graph import (
     DEFAULT_BANDWIDTH_MAX,
+    DEFAULT_MAX_HOPS,
     GeneratorParams,
     SocialGraph,
     generate_graph,
@@ -122,7 +123,7 @@ class SimScenario:
     generator_value: float = 0.8
     bandwidth_max: float = DEFAULT_BANDWIDTH_MAX
     source: int = 1
-    max_hops: int = 2
+    max_hops: int = DEFAULT_MAX_HOPS
     draw_mode: DrawMode = DrawMode.SELECT
     circuit_length: int = DEFAULT_CIRCUIT_LENGTH
 
@@ -219,7 +220,7 @@ def _flag_count(fraction: float, n: int) -> int:
 
 def mean_trust_scores(
     graph: SocialGraph,
-    max_hops: int = 2,
+    max_hops: int = DEFAULT_MAX_HOPS,
     tables: Optional[Dict[int, TrustScoreTable]] = None,
 ) -> Dict[int, float]:
     """Mean trust score of each entity over all other sources.

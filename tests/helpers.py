@@ -2,11 +2,12 @@
 
 The oracles deliberately re-derive results from first principles (numeric
 quadrature, exhaustive path and draw-order enumeration) instead of reusing
-package code. The CSV reference writer and the dict-based candidate and
-correlation references are the exception: they are the slow paths the array
-code replaced, kept to pin its bits.
+package code. The CSV reference writer, the per-group scoring loop and the
+dict-based candidate and correlation references are the exception: they are
+the slow paths the current code replaced, kept to pin its bits.
 """
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Tuple
@@ -24,6 +25,7 @@ from oniontrust import (
     SelectionMode,
     SocialGraph,
     ValueClass,
+    link_trust,
     propagate,
 )
 from oniontrust.errors import DomainError, EmptyCandidateSetError
@@ -281,6 +283,94 @@ def scored_graphs(draw, trust=TRUST):
     return graph
 
 
+QUANTITY = st.one_of(st.sampled_from([1.0, 2.5]), st.floats(0.1, 10.0))
+ZEROED = st.sampled_from([(), ("freq",), ("time",), ("freq", "time")])
+
+
+@st.composite
+def profiled_graphs(draw):
+    """(graph, added): a graph whose links carry drawn freq/time values,
+    classes and trust values, and the links in the order they were added.
+
+    Few gapped ids and three networks make parallel links and replaced
+    links common; a later link on the same (source, target, network)
+    replaces the earlier one. A link may zero some attributes once its
+    source already has a link on that network, so groups of one source's
+    links on one network often mix zeros with positive values. A group
+    holds zeros only when a replacement removed its positive link.
+    """
+    ids = sorted(draw(st.sets(st.integers(1, 40), min_size=2, max_size=5)))
+    graph = SocialGraph()
+    for eid in ids:
+        graph.add_entity(eid, draw(st.floats(1.0, 100.0)))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(list(itertools.permutations(ids, 2))),
+                st.integers(1, 3),
+                st.fixed_dictionaries({"freq": QUANTITY, "time": QUANTITY}),
+                ZEROED,
+                st.sampled_from(list(ValueClass)),
+                st.sampled_from(list(ValueClass)),
+                TRUST,
+            ),
+            min_size=3,
+            max_size=30,
+        )
+    )
+    added = []
+    groups = set()
+    for (a, b), network, values, zeroed, major, relationship, tv in rows:
+        if (a, network) in groups:
+            values.update(dict.fromkeys(zeroed, 0.0))
+        groups.add((a, network))
+        profile = AttributeProfile(
+            values, {"Major": major, "Relationship": relationship}
+        )
+        link = FriendLink(a, b, network, profile, tv)
+        graph.add_link(link)
+        added.append(link)
+    return graph, added
+
+
+def copy_graph(graph: SocialGraph) -> SocialGraph:
+    """A copy with its own link objects (the profiles stay shared)."""
+    out = SocialGraph()
+    for eid in graph.entity_ids():
+        out.add_entity(eid, graph.bandwidth(eid), graph.is_malicious(eid))
+    for link in graph.links():
+        out.add_link(dataclasses.replace(link))
+    return out
+
+
+# -- scoring reference ------------------------------------------------------------
+
+
+def reference_trust_values(graph: SocialGraph, rules: FuzzyRuleSet) -> None:
+    """The per-(source, network) scoring loop the grouped pass replaced.
+
+    It queried the graph once per source for its networks and once per
+    (source, network) for the links, in target order; here both queries
+    filter graph.links(). Normalizers take only values above zero, so an
+    all-zero attribute has none.
+    """
+    links = graph.links()
+    for source in graph.entity_ids():
+        networks = sorted({link.network for link in links if link.source == source})
+        for network in networks:
+            group = [
+                link for link in links
+                if link.source == source and link.network == network
+            ]
+            normalizers = {}
+            for link in group:
+                for name, value in link.profile.quantitative.items():
+                    if value > normalizers.get(name, 0.0):
+                        normalizers[name] = value
+            for link in group:
+                link.trust_value = link_trust(link, normalizers, rules)
+
+
 # -- CSV reference --------------------------------------------------------------
 
 
@@ -297,7 +387,7 @@ def reference_trust_scores_csv(graph: SocialGraph, max_hops: int) -> bytes:
     """trust_scores.csv row by row over per-source propagate tables."""
     lines = ["source,target,ts,hops"]
     for source in graph.entity_ids():
-        table = propagate(graph, source, max_hops, keep_paths=False)
+        table = propagate(graph, source, max_hops)
         for target in table.targets():
             score = table.scores[target]
             lines.append(

@@ -169,6 +169,25 @@ def test_errors_exit_with_code_one(tmp_path, capsys):
     assert "sweep values" in capsys.readouterr().err
 
 
+def test_an_all_zero_attribute_gives_one_error_line(tmp_path, capsys):
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text(
+        "entities 2\n"
+        "entity 1 bandwidth=1.0 malicious=0\n"
+        "entity 2 bandwidth=1.0 malicious=0\n"
+        "link 1 2 network=1 q:freq=0.0 q:time=1.0 c:Major=POSITIVE c:Relationship=POSITIVE\n"
+    )
+    out = tmp_path / "out"
+    assert main(["trust", str(graph_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: link 1->2 network 1: normalizer for 'freq' is 0.0: the attribute's "
+        "maximum over the source's links on that network is not positive\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "40.7"])
 def test_sweep_n_axis_names_a_bad_value(tmp_path, capsys, token):
     scenario_path = tmp_path / "scenario.txt"

@@ -15,6 +15,7 @@ from oniontrust import (
     CorrelationCase,
     RoundReport,
     Rule,
+    SimScenario,
     SocialGraph,
     Strategy,
     SweepRow,
@@ -257,6 +258,19 @@ def test_parse_scenario_defaults():
     assert (sc.rounds, sc.draws, sc.n, sc.seed) == (1000, 1000, 500, 0)
     assert (sc.generator_kind, sc.generator_value) == ("calibrated", 0.8)
     assert sc.draw_mode is DrawMode.SELECT
+    # a key the file leaves out keeps the SimScenario default
+    assert sc == SimScenario(strategy=Strategy.ORIGINAL_TOR, fraction=0.1)
+
+
+def test_parse_scenario_reports_the_first_bad_value_in_read_order():
+    # Codes are read first, then the generator, then the numbers in field order.
+    text = "strategy = original_tor\nfraction = 0.1\nrounds = x\nomega = y\ngenerator = er:z\n"
+    with pytest.raises(ParseError, match="^line 5: bad generator parameter 'z'$"):
+        parse_scenario(text)
+    with pytest.raises(ParseError, match="^line 4: bad omega 'y'$"):
+        parse_scenario(text.replace("er:z", "er:0.5"))
+    with pytest.raises(ParseError, match="^unknown correlation case 'sideways'$"):
+        parse_scenario(text + "case = sideways\n")
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from oniontrust import (
     AttributeProfile,
@@ -14,12 +15,15 @@ from oniontrust import (
     ValueClass,
     aggregate,
     compute_trust_values,
+    link_trust,
+    parse_rules,
     trust_value,
 )
 from oniontrust.errors import (
     DomainError,
     EmptyAssignmentError,
     MissingAttributeError,
+    OnionTrustError,
     UnknownRuleError,
     WeightSumError,
     ZeroNormalizerError,
@@ -33,7 +37,14 @@ from oniontrust.fuzzy import (
     truncated_moment_and_mass,
 )
 
-from helpers import default_rules, quad_truncated, quad_trust_value
+from helpers import (
+    copy_graph,
+    default_rules,
+    profiled_graphs,
+    quad_truncated,
+    quad_trust_value,
+    reference_trust_values,
+)
 
 
 def test_output_membership_shapes():
@@ -214,6 +225,85 @@ def test_aggregate_errors():
             compute_trust_values(graph, default_rules())
 
 
+def _profile_graph(links):
+    """Entities 1..5 and links (source, target, network, freq, time)."""
+    graph = SocialGraph()
+    for eid in range(1, 6):
+        graph.add_entity(eid, 10.0)
+    for source, target, network, freq, time in links:
+        profile = AttributeProfile(
+            {"freq": freq, "time": time}, {"Major": ValueClass.POSITIVE}
+        )
+        graph.add_link(FriendLink(source, target, network, profile))
+    return graph
+
+
+def test_an_all_zero_attribute_is_a_zero_maximum():
+    # Zeros next to a positive value keep that value as the normalizer.
+    graph = _profile_graph([(1, 2, 1, 0.0, 2.0), (1, 3, 1, 4.0, 1.0)])
+    compute_trust_values(graph, default_rules())
+    want = trust_value(0.25, {"Major": ValueClass.POSITIVE}, default_rules())
+    assert graph.link(1, 2, 1).trust_value == want
+    # A group whose freq is zero throughout has a zero maximum, not a
+    # missing normalizer; network 2 of the same source is its own group.
+    graph = _profile_graph([(1, 2, 1, 3.0, 1.0), (1, 2, 2, 0.0, 1.0), (1, 4, 2, 0.0, 2.0)])
+    message = (
+        "link 1->2 network 2: normalizer for 'freq' is 0.0: the attribute's "
+        "maximum over the source's links on that network is not positive"
+    )
+    with pytest.raises(ZeroNormalizerError, match="^%s$" % re.escape(message)):
+        compute_trust_values(graph, default_rules())
+    with pytest.raises(ZeroNormalizerError, match="^link 1->2 network 2: normalizer"):
+        link_trust(graph.link(1, 2, 2), {"freq": 0.0, "time": 1.0}, default_rules())
+
+
+def test_the_first_bad_link_in_group_order_is_named():
+    # Bad links: 1->2 on network 2 misses time, 1->5 on network 1 has a NaN
+    # freq and 3->1 on network 1 an all-zero freq. Source 1's lowest target
+    # is on network 2, but scoring runs in (source, network, target) order,
+    # so 1->5 is named, not 1->2.
+    graph = _profile_graph(
+        [(3, 1, 1, 0.0, 1.0), (1, 5, 1, float("nan"), 1.0), (1, 4, 1, 1.0, 1.0),
+         (1, 3, 2, 1.0, 1.0)]
+    )
+    graph.add_link(FriendLink(1, 2, 2, AttributeProfile({"freq": 1.0},
+                                                          {"Major": ValueClass.POSITIVE})))
+    reference = copy_graph(graph)
+    with pytest.raises(DomainError, match="^link 1->5 network 1: attribute 'freq' = nan"):
+        reference_trust_values(reference, default_rules())
+    with pytest.raises(DomainError, match="^link 1->5 network 1: attribute 'freq' = nan"):
+        compute_trust_values(graph, default_rules())
+    # the link before it in that order is scored, as the reference scored it
+    assert graph.link(1, 4, 1).trust_value == reference.link(1, 4, 1).trust_value
+    assert graph.link(1, 4, 1).trust_value is not None
+    assert graph.link(1, 2, 2).trust_value is None
+
+
+def _named_link(exc):
+    return str(exc).split(":", 1)[0]
+
+
+@settings(max_examples=200)
+@given(profiled_graphs())
+def test_grouped_scoring_equals_the_per_group_loop(drawn):
+    graph, _ = drawn
+    reference = copy_graph(graph)
+    try:
+        reference_trust_values(reference, default_rules())
+    except OnionTrustError as exc:
+        # Only an all-zero attribute fails here; it now reads as a zero
+        # maximum of the same link instead of a missing normalizer.
+        assert "no normalizer" in str(exc)
+        with pytest.raises(ZeroNormalizerError) as info:
+            compute_trust_values(graph, default_rules())
+        assert _named_link(info.value) == _named_link(exc)
+        return
+    compute_trust_values(graph, default_rules())
+    assert [link.trust_value.hex() for link in graph.links()] == [
+        link.trust_value.hex() for link in reference.links()
+    ]
+
+
 def test_ruleset_validation():
     with pytest.raises(WeightSumError):
         FuzzyRuleSet(qualitative={}, weights={"freq": 0.4, "time": 0.4})
@@ -232,6 +322,20 @@ def test_ruleset_validation():
     # near-one weights are renormalized to exactly one
     rules = FuzzyRuleSet(qualitative={}, weights={"a": 0.3, "b": 0.3, "c": 0.4})
     assert abs(sum(rules.weights.values()) - 1.0) < 1e-12
+    # every weight lies in [0, 1], even when the sum is one
+    nan, inf = float("nan"), float("inf")
+    for weights, message in (
+        ({"a": 1.5, "b": -0.5}, "weight of 'a' is 1.5; must be in [0, 1]"),
+        ({"a": 0.5, "b": -0.5, "c": 1.0}, "weight of 'b' is -0.5; must be in [0, 1]"),
+        ({"a": nan}, "weight of 'a' is nan; must be in [0, 1]"),
+        ({"a": inf, "b": -inf}, "weight of 'a' is inf; must be in [0, 1]"),
+    ):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            FuzzyRuleSet(qualitative={}, weights=weights)
+    for freq, time in (("1.5", "-0.5"), ("-0.5", "1.5")):
+        text = "quantitative freq weight=%s\nquantitative time weight=%s\n" % (freq, time)
+        with pytest.raises(DomainError, match=re.escape("weight of 'freq' is %s;" % freq)):
+            parse_rules(text)
 
 
 def test_rule_lookup_and_errors():

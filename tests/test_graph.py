@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oniontrust import (
     AttributeProfile,
@@ -26,6 +28,7 @@ from oniontrust.errors import (
 from helpers import (
     friendship_circle,
     graph_from_trust_links,
+    profiled_graphs,
     random_trust_graph,
     scored_link,
 )
@@ -71,7 +74,6 @@ def test_link_replacement_and_networks():
     assert len(g.links()) == 2
     assert g.link(1, 2, 1).trust_value == 0.4
     assert g.networks() == frozenset({1, 2})
-    assert g.networks_from(1) == [1, 2]
     assert g.merge_trust(1, 2) == 0.9
 
 
@@ -145,6 +147,53 @@ def test_derived_copies():
     assert flagged.link(1, 2, 1) is g.link(1, 2, 1)
     assert flagged == g.with_flags({1: False, 2: True})
     assert flagged != g
+
+
+@settings(max_examples=150)
+@given(profiled_graphs(), st.integers(1, 3))
+def test_pair_store_equals_a_plain_list_of_links(drawn, network):
+    graph, added = drawn
+    latest = {}
+    for link in added:  # a later link on the same key replaces the earlier one
+        latest[(link.source, link.target, link.network)] = link
+    keys = sorted(latest)
+    links = graph.links()
+    assert [(l.source, l.target, l.network) for l in links] == keys
+    assert all(link is latest[key] for link, key in zip(links, keys))
+    ids = graph.entity_ids()
+    for key in ((s, t, n) for s in ids for t in ids for n in (1, 2, 3)):
+        if key in latest:
+            assert graph.link(*key) is latest[key]
+        else:
+            with pytest.raises(NoLinkError):
+                graph.link(*key)
+    assert graph.networks() == frozenset(key[2] for key in keys)
+
+    merged = {}
+    for (s, t, _), link in latest.items():
+        merged[(s, t)] = max(merged.get((s, t), -1.0), link.trust_value)
+    for s in ids:
+        for t in ids:
+            if (s, t) in merged:
+                assert graph.merge_trust(s, t) == merged[(s, t)]
+            else:
+                with pytest.raises(NoLinkError):
+                    graph.merge_trust(s, t)
+    rows, src, tgt, tv = graph.pair_arrays(trust=True)
+    assert rows == ids
+    got = sorted(zip((ids[i] for i in src), (ids[i] for i in tgt), tv.tolist()))
+    assert got == sorted((s, t, value) for (s, t), value in merged.items())
+
+    # A flagged copy of the unfrozen graph takes a link on its own.
+    copy = graph.with_flags({eid: True for eid in ids})
+    extra = scored_link(ids[0], ids[-1], 0.5, network=network)
+    copy.add_link(extra)
+    assert copy.link(ids[0], ids[-1], network) is extra
+    assert len(copy.links()) == len(links) + ((ids[0], ids[-1], network) not in latest)
+    after = graph.links()
+    assert len(after) == len(links)
+    assert all(a is b for a, b in zip(after, links))
+    assert graph.networks() == frozenset(key[2] for key in keys)
 
 
 def test_generated_graph_is_deterministic():

@@ -179,7 +179,7 @@ def test_select_router_matches_the_cumsum_formula_bit_for_bit():
         [(1, k, tv) for k, tv in scores.items()],
         bandwidths={k: 100.0 * k for k in range(1, 8)},
     )
-    table = propagate(g, 1, 2, keep_paths=False)
+    table = propagate(g, 1, 2)
     for policy in (
         SelectionPolicy(omega=0.0),
         SelectionPolicy(omega=0.4),

@@ -588,7 +588,7 @@ def test_prepared_rows_match_the_dict_based_references(graph, max_hops, seed, da
     ids = graph.entity_ids()
     source = data.draw(st.sampled_from(ids))
     arrays = propagate_arrays(graph, max_hops)
-    table = propagate(graph, source, max_hops, keep_paths=False)
+    table = propagate(graph, source, max_hops)
     scored = sorted(score.value for score in table.scores.values())
     omegas = (0.0, 1.0, data.draw(st.floats(0.0, 1.0)))
     # a threshold at a score keeps that score's entities
