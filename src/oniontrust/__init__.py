@@ -63,8 +63,6 @@ from .simulation import (
     Strategy,
     SweepResult,
     SweepRow,
-    assign_bandwidth_correlation,
-    assign_malicious,
     build_scenario_graph,
     mean_trust_scores,
     run_circuit_rounds,

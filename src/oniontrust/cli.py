@@ -24,8 +24,8 @@ from .fuzzy import compute_trust_values
 from .graph import (
     DEFAULT_BANDWIDTH_MAX,
     DEFAULT_MAX_HOPS,
-    GeneratorParams,
     generate_graph,
+    generator_params,
     mean_circle_size,
 )
 from .propagation import propagate_arrays
@@ -50,20 +50,14 @@ def _say(args, message):
 
 def cmd_generate(args) -> int:
     kind, value = _parse_generator(args.generator, 0)
-    params = GeneratorParams(
-        n=args.n,
-        edge_prob=value if kind == "er" else None,
-        target_circle_fraction=value if kind == "calibrated" else None,
-        bandwidth_max=args.bandwidth_max,
-        max_hops=args.max_hops,
-    )
+    params = generator_params(kind, value, args.n, args.bandwidth_max, args.max_hops)
     graph = generate_graph(params, args.seed)
     path = _out_path(args, "graph.txt")
     write_graph(path, graph)
     _say(
         args,
         "wrote %s: %d entities, %d links, mean circle size %.1f"
-        % (path, len(graph), len(graph.links()), mean_circle_size(graph, args.max_hops)),
+        % (path, len(graph), graph.link_count(), mean_circle_size(graph, args.max_hops)),
     )
     return 0
 
@@ -81,7 +75,7 @@ def cmd_trust(args) -> int:
         args,
         "scored %d links across %d entities; mean circle size %.1f; wrote %s, %s"
         % (
-            len(graph.links()),
+            graph.link_count(),
             len(graph),
             arrays.mean_circle_size(),
             link_path,

@@ -26,6 +26,7 @@ from .errors import (
     DomainError,
     EmptyAssignmentError,
     MissingAttributeError,
+    OnionTrustError,
     UnknownRuleError,
     WeightSumError,
     ZeroNormalizerError,
@@ -298,11 +299,14 @@ def link_trust(
     normalizers: Mapping[str, float],
     rules: FuzzyRuleSet,
 ) -> float:
-    """Trust value of a single link, given its source's normalizers."""
+    """Trust value of a single link, given its source's normalizers.
+
+    Any package error raised while scoring comes back with the link named.
+    """
     try:
         e = aggregate(link.profile.quantitative, normalizers, rules.weights)
         return trust_value(e, link.profile.qualitative, rules)
-    except (MissingAttributeError, ZeroNormalizerError, DomainError) as exc:
+    except OnionTrustError as exc:
         raise type(exc)(
             "link %d->%d network %d: %s"
             % (link.source, link.target, link.network, exc)

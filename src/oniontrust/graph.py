@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,8 +71,9 @@ class SocialGraph:
     """Mutable-until-frozen container for entities and links.
 
     Links live in one map, (source, target) -> network -> link, so parallel
-    links of a pair sit together for trust merging. Copies made by
-    with_flags and with_bandwidths copy that map but share the link objects.
+    links of a pair sit together for trust merging. A graph is input only:
+    where a scenario's adversary sits and how its bandwidths are shaped live
+    in the simulation's arrays, never in a modified copy of the graph.
     """
 
     def __init__(self):
@@ -146,6 +147,10 @@ class SocialGraph:
             key=attrgetter("source", "target", "network"),
         )
 
+    def link_count(self) -> int:
+        """Number of links, counted without building or sorting them."""
+        return sum(len(by_net) for by_net in self._pairs.values())
+
     def link(self, source: int, target: int, network: int) -> FriendLink:
         try:
             return self._pairs[(source, target)][network]
@@ -197,28 +202,6 @@ class SocialGraph:
         mask = np.zeros((len(ids), len(ids)), dtype=bool)
         mask[src, tgt] = True
         return mask
-
-    # -- derived copies ----------------------------------------------------
-
-    def with_flags(self, malicious: Mapping[int, bool]) -> "SocialGraph":
-        """Copy with malicious flags replaced; links are shared, not copied."""
-        return self._derive(flags=malicious)
-
-    def with_bandwidths(self, bandwidth: Mapping[int, float]) -> "SocialGraph":
-        """Copy with bandwidths replaced; links are shared, not copied."""
-        return self._derive(bandwidth=bandwidth)
-
-    def _derive(self, flags=None, bandwidth=None) -> "SocialGraph":
-        out = SocialGraph()
-        for eid, ent in self._entities.items():
-            out._entities[eid] = Entity(
-                eid,
-                float(bandwidth[eid]) if bandwidth is not None else ent.bandwidth,
-                bool(flags[eid]) if flags is not None else ent.malicious,
-            )
-        out._pairs = {pair: dict(by_net) for pair, by_net in self._pairs.items()}
-        out._frozen = self._frozen
-        return out
 
 
 def _best_network(by_net: Dict[int, FriendLink], source: int, target: int) -> float:
@@ -341,6 +324,21 @@ class GeneratorParams:
             )
         if self.max_hops < 1:
             raise GeneratorParamsError("max_hops must be >= 1")
+
+
+def generator_params(kind: str, value: float, n: int, bandwidth_max: float,
+                     max_hops: int) -> GeneratorParams:
+    """GeneratorParams of a generator spec: er:<edge probability> or
+    calibrated:<target circle fraction>."""
+    if kind not in ("er", "calibrated"):
+        raise GeneratorParamsError("unknown generator kind %r" % (kind,))
+    return GeneratorParams(
+        n=n,
+        edge_prob=value if kind == "er" else None,
+        target_circle_fraction=value if kind == "calibrated" else None,
+        bandwidth_max=bandwidth_max,
+        max_hops=max_hops,
+    )
 
 
 def _mean_circle_size(mask: np.ndarray, max_hops: int) -> float:

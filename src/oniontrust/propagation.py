@@ -166,13 +166,15 @@ class TrustArrays:
     Entry [s, t] is about target ids[t] as seen from source ids[s]. reached
     marks the scored pairs and is never set on the diagonal; best holds the
     score there and 0.0 everywhere else; hops holds the fewest links among
-    best-product paths there and 0 everywhere else.
+    best-product paths there and 0 everywhere else. max_hops is the hop
+    budget they were propagated within.
     """
 
     ids: List[int]
     best: np.ndarray
     hops: np.ndarray
     reached: np.ndarray
+    max_hops: int
 
     def table(self, row: int) -> TrustScoreTable:
         """The score table of source ids[row], without witness paths."""
@@ -243,6 +245,7 @@ def propagate_arrays(graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS) -> Tr
         best=np.where(reached, best.T, 0.0),
         hops=np.where(reached, hops.T, 0),
         reached=reached,
+        max_hops=max_hops,
     )
 
 

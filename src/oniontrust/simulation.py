@@ -10,10 +10,16 @@ kinds of round draw through `selection.weighted_picks`: a select round is
 `draws` single picks, a circuit round `draws` rows of `circuit_length`
 sequential picks without replacement.
 
-Trust enters through one `propagate_arrays` result per graph. The source's
-row gives the circle size, the candidates and the BEST/WORST bandwidth
-permutation; PRACTICAL_STOR weighs flags by the column means and
-THEORETICAL_STOR flags entities outside the source's reached row.
+Trust enters through one `propagate_arrays` result per graph, propagated
+within the scenario's hop budget. The source's row gives the circle size,
+the candidates and the BEST/WORST bandwidth permutation; PRACTICAL_STOR
+weighs flags by the column means and THEORETICAL_STOR flags entities
+outside the source's reached row.
+
+Flags and the bandwidth shape are per-scenario state and live only here:
+`_Prepared` permutes one bandwidth vector (`_correlated`) and each round
+draws one flag mask (`_FlagPlan.draw`). The graph itself is never copied
+or changed.
 
 All randomness is derived from the scenario seed through fixed stream keys,
 so a scenario replays byte for byte and sweeps share draws across values.
@@ -41,6 +47,7 @@ from .graph import (
     GeneratorParams,
     SocialGraph,
     generate_graph,
+    generator_params,
 )
 from .propagation import TrustArrays, TrustScoreTable, propagate_arrays
 from .selection import (
@@ -153,18 +160,9 @@ class SimScenario:
         object.__setattr__(self, "policy", policy)
 
     def generator_params(self) -> GeneratorParams:
-        if self.generator_kind == "er":
-            return GeneratorParams(
-                n=self.n,
-                edge_prob=self.generator_value,
-                bandwidth_max=self.bandwidth_max,
-                max_hops=self.max_hops,
-            )
-        return GeneratorParams(
-            n=self.n,
-            target_circle_fraction=self.generator_value,
-            bandwidth_max=self.bandwidth_max,
-            max_hops=self.max_hops,
+        return generator_params(
+            self.generator_kind, self.generator_value, self.n,
+            self.bandwidth_max, self.max_hops,
         )
 
 
@@ -247,10 +245,6 @@ def _mean_trust(arrays: TrustArrays) -> Dict[int, float]:
     return {eid: total / denom for eid, total in zip(arrays.ids, totals)}
 
 
-def _bandwidths(graph: SocialGraph, ids: Sequence[int]) -> np.ndarray:
-    return np.array([graph.bandwidth(eid) for eid in ids])
-
-
 class _FlagPlan:
     """Per-scenario flag machinery; draw() yields one round's flag indices.
 
@@ -320,32 +314,18 @@ class _FlagPlan:
         return np.concatenate([np.nonzero(positive)[0], fill])
 
 
-def assign_malicious(
-    graph: SocialGraph,
-    scenario: SimScenario,
-    rng: np.random.Generator,
-    mean_trust: Optional[Dict[int, float]] = None,
-) -> SocialGraph:
-    """Copy of the graph with malicious flags placed by the strategy.
-
-    The trust-based strategies read one propagate_arrays result.
-    """
-    arrays = propagate_arrays(graph, scenario.max_hops)
-    plan = _FlagPlan(
-        arrays.ids, _bandwidths(graph, arrays.ids), scenario, arrays, mean_trust
-    )
-    chosen = set(plan.draw(rng).tolist())
-    return graph.with_flags(
-        {eid: (k in chosen) for k, eid in enumerate(plan.ids)}
-    )
-
-
 def _correlated(bandwidth, trust, reached, case, rng) -> np.ndarray:
     """The bandwidth vector permuted into the case's shape by one trust row.
 
+    BEST hands the circle's most trusted members the largest bandwidths;
+    WORST parks the largest bandwidths outside the circle and pairs high
+    trust with low bandwidth inside it; NONE returns bandwidth as it is.
     Insiders are the reached rows, most trusted first (lower row on ties);
-    the outsiders' block is shuffled by one rng.permutation over them.
+    the outsiders' block (the source included) is shuffled by one
+    rng.permutation over them.
     """
+    if case is CorrelationCase.NONE:
+        return bandwidth
     insiders = np.flatnonzero(reached)
     insiders = insiders[np.lexsort((insiders, -trust[insiders]))]
     outsiders = np.flatnonzero(~reached)
@@ -361,33 +341,12 @@ def _correlated(bandwidth, trust, reached, case, rng) -> np.ndarray:
     return out
 
 
-def assign_bandwidth_correlation(
-    graph: SocialGraph,
-    source: int,
-    case: CorrelationCase,
-    scores: TrustScoreTable,
-    rng: np.random.Generator,
-) -> SocialGraph:
-    """Copy of the graph with bandwidths permuted into BEST or WORST shape.
-
-    BEST hands the circle's most trusted members the largest bandwidths in
-    the graph; WORST parks the largest bandwidths outside the circle and
-    pairs high trust with low bandwidth inside it. Outsiders (the source
-    included) get their block shuffled.
-    """
-    if case is CorrelationCase.NONE:
-        return graph
-    ids = graph.entity_ids()
-    trust, reached = scores.row(ids)
-    out = _correlated(_bandwidths(graph, ids), trust, reached, case, rng)
-    return graph.with_bandwidths(dict(zip(ids, out.tolist())))
-
-
 class _Prepared:
     """Scenario state that is identical across rounds.
 
     arrays are propagate_arrays(graph, scenario.max_hops); they are computed
-    when not given, and everything here reads the source's row of them.
+    when not given, rejected when over other ids or another hop budget, and
+    everything here reads the source's row of them.
     """
 
     def __init__(self, graph: SocialGraph, scenario: SimScenario,
@@ -401,16 +360,20 @@ class _Prepared:
             arrays = propagate_arrays(graph, scenario.max_hops)
         elif arrays.ids != graph.entity_ids():
             raise DomainError("trust arrays are not over this graph's entities")
+        elif arrays.max_hops != scenario.max_hops:
+            raise DomainError(
+                "trust arrays were propagated within %d hops, the scenario "
+                "asks for max_hops %d" % (arrays.max_hops, scenario.max_hops)
+            )
         self.ids = arrays.ids
         row = self.ids.index(scenario.source)
         trust, reached = arrays.best[row], arrays.reached[row]
         self.circle_size = int(reached.sum())
 
-        self.bw = _bandwidths(graph, self.ids)
-        if scenario.case is not CorrelationCase.NONE:
-            self.bw = _correlated(
-                self.bw, trust, reached, scenario.case, _setup_rng(scenario.seed)
-            )
+        self.bw = _correlated(
+            np.array([graph.bandwidth(eid) for eid in self.ids]),
+            trust, reached, scenario.case, _setup_rng(scenario.seed),
+        )
         policy = scenario.policy
         self.cand_idx, candidates = row_candidates(
             self.ids, trust, reached, self.bw, row, policy

@@ -333,11 +333,15 @@ def profiled_graphs(draw):
     return graph, added
 
 
-def copy_graph(graph: SocialGraph) -> SocialGraph:
-    """A copy with its own link objects (the profiles stay shared)."""
+def copy_graph(graph: SocialGraph, flags=None) -> SocialGraph:
+    """A copy with its own link objects (the profiles stay shared).
+
+    flags, {entity: malicious}, replaces the malicious flags when given.
+    """
     out = SocialGraph()
     for eid in graph.entity_ids():
-        out.add_entity(eid, graph.bandwidth(eid), graph.is_malicious(eid))
+        malicious = graph.is_malicious(eid) if flags is None else flags[eid]
+        out.add_entity(eid, graph.bandwidth(eid), malicious)
     for link in graph.links():
         out.add_link(dataclasses.replace(link))
     return out
@@ -402,17 +406,20 @@ def reference_trust_scores_csv(graph: SocialGraph, max_hops: int) -> bytes:
 # -- dict-based selection references ----------------------------------------------
 
 
-def reference_candidates(graph: SocialGraph, scores, source: int, policy):
-    """(ids, weights) as the per-candidate build_candidates formed them."""
+def reference_candidates(bandwidth: dict, scores, source: int, policy):
+    """(ids, weights) as the per-candidate build_candidates formed them.
+
+    bandwidth is {entity: bandwidth} over every entity of the graph.
+    """
     if policy.mode is SelectionMode.BANDWIDTH_ONLY:
         kept = [
-            (eid, 0.0, graph.bandwidth(eid))
-            for eid in graph.entity_ids()
+            (eid, 0.0, bandwidth[eid])
+            for eid in sorted(bandwidth)
             if eid != source
         ]
     else:
         kept = [
-            (eid, scores.scores[eid].value, graph.bandwidth(eid))
+            (eid, scores.scores[eid].value, bandwidth[eid])
             for eid in scores.targets()
             if scores.scores[eid].value >= policy.ts_threshold
         ]
@@ -427,7 +434,7 @@ def reference_candidates(graph: SocialGraph, scores, source: int, policy):
 
 
 def reference_correlation(graph: SocialGraph, case, scores, rng) -> dict:
-    """{entity: bandwidth} as the dict-based assign_bandwidth_correlation set them."""
+    """{entity: bandwidth} as the dict-based correlation step set them."""
     ids = graph.entity_ids()
     if case is CorrelationCase.NONE:
         return {eid: graph.bandwidth(eid) for eid in ids}

@@ -188,6 +188,26 @@ def test_an_all_zero_attribute_gives_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_link_without_qualitative_attributes_is_named(tmp_path, capsys):
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text(
+        "entities 3\n"
+        "entity 1 bandwidth=1.0 malicious=0\n"
+        "entity 2 bandwidth=1.0 malicious=0\n"
+        "entity 3 bandwidth=1.0 malicious=0\n"
+        "link 1 2 network=1 q:freq=1.0 q:time=1.0 c:Major=POSITIVE\n"
+        "link 1 3 network=1 q:freq=1.0 q:time=1.0\n"
+    )
+    out = tmp_path / "out"
+    assert main(["trust", str(graph_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: link 1->3 network 1: link has no qualitative assignments\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "40.7"])
 def test_sweep_n_axis_names_a_bad_value(tmp_path, capsys, token):
     scenario_path = tmp_path / "scenario.txt"

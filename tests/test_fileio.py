@@ -40,6 +40,7 @@ from oniontrust.propagation import TrustArrays, propagate_arrays
 
 from helpers import (
     TRUST,
+    copy_graph,
     default_rules,
     reference_trust_scores_csv,
     scored_graphs,
@@ -345,6 +346,7 @@ def test_write_trust_scores(tmp_path):
         reached=np.array(
             [[False, True, True], [False, False, True], [False, False, False]]
         ),
+        max_hops=2,
     )
     path = tmp_path / "ts.csv"
     write_trust_scores(path, arrays)
@@ -424,7 +426,7 @@ def test_write_sweep_rows(tmp_path):
 def test_serialized_graphs_parse_back_equal(graph, flag_odd_ids):
     # parallel links on networks 1-3, unscored links and gapped ids
     if flag_odd_ids:
-        graph = graph.with_flags({eid: eid % 2 == 1 for eid in graph.entity_ids()})
+        graph = copy_graph(graph, {eid: eid % 2 == 1 for eid in graph.entity_ids()})
     assert parse_graph(serialize_graph(graph)) == graph
 
 

@@ -5,7 +5,6 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oniontrust import (
     AttributeProfile,
@@ -24,6 +23,7 @@ from oniontrust.errors import (
     SelfLinkError,
     UnknownEntityError,
 )
+from oniontrust.graph import generator_params
 
 from helpers import (
     friendship_circle,
@@ -135,23 +135,9 @@ def test_mean_circle_size_matches_circles():
             assert mean_circle_size(g, hops) == pytest.approx(exact)
 
 
-def test_derived_copies():
-    g = graph_from_trust_links([(1, 2, 0.5)])
-    g.freeze()
-    flagged = g.with_flags({1: False, 2: True})
-    assert flagged.is_malicious(2) and not g.is_malicious(2)
-    assert flagged.frozen
-    rebw = g.with_bandwidths({1: 5.0, 2: 6.0})
-    assert rebw.bandwidth(1) == 5.0 and g.bandwidth(1) == 1000.0
-    # links are shared, entities are not
-    assert flagged.link(1, 2, 1) is g.link(1, 2, 1)
-    assert flagged == g.with_flags({1: False, 2: True})
-    assert flagged != g
-
-
 @settings(max_examples=150)
-@given(profiled_graphs(), st.integers(1, 3))
-def test_pair_store_equals_a_plain_list_of_links(drawn, network):
+@given(profiled_graphs())
+def test_pair_store_equals_a_plain_list_of_links(drawn):
     graph, added = drawn
     latest = {}
     for link in added:  # a later link on the same key replaces the earlier one
@@ -160,6 +146,7 @@ def test_pair_store_equals_a_plain_list_of_links(drawn, network):
     links = graph.links()
     assert [(l.source, l.target, l.network) for l in links] == keys
     assert all(link is latest[key] for link, key in zip(links, keys))
+    assert graph.link_count() == len(links)
     ids = graph.entity_ids()
     for key in ((s, t, n) for s in ids for t in ids for n in (1, 2, 3)):
         if key in latest:
@@ -183,17 +170,6 @@ def test_pair_store_equals_a_plain_list_of_links(drawn, network):
     assert rows == ids
     got = sorted(zip((ids[i] for i in src), (ids[i] for i in tgt), tv.tolist()))
     assert got == sorted((s, t, value) for (s, t), value in merged.items())
-
-    # A flagged copy of the unfrozen graph takes a link on its own.
-    copy = graph.with_flags({eid: True for eid in ids})
-    extra = scored_link(ids[0], ids[-1], 0.5, network=network)
-    copy.add_link(extra)
-    assert copy.link(ids[0], ids[-1], network) is extra
-    assert len(copy.links()) == len(links) + ((ids[0], ids[-1], network) not in latest)
-    after = graph.links()
-    assert len(after) == len(links)
-    assert all(a is b for a, b in zip(after, links))
-    assert graph.networks() == frozenset(key[2] for key in keys)
 
 
 def test_generated_graph_is_deterministic():
@@ -259,6 +235,17 @@ def test_generator_params_validation():
             match=r"bandwidth_max must be positive and finite, got %s" % re.escape(repr(bad)),
         ):
             GeneratorParams(n=5, edge_prob=0.5, bandwidth_max=bad)
+
+
+def test_generator_specs_map_to_one_kind_of_params():
+    assert generator_params("er", 0.3, 40, 5.0, 3) == GeneratorParams(
+        n=40, edge_prob=0.3, bandwidth_max=5.0, max_hops=3
+    )
+    assert generator_params("calibrated", 0.8, 40, 5.0, 2) == GeneratorParams(
+        n=40, target_circle_fraction=0.8, bandwidth_max=5.0, max_hops=2
+    )
+    with pytest.raises(GeneratorParamsError, match="unknown generator kind 'ba'"):
+        generator_params("ba", 0.3, 40, 5.0, 2)
 
 
 def test_generate_graph_rejects_negative_seeds():

@@ -22,7 +22,7 @@ from oniontrust.errors import (
     ZeroDenominatorError,
 )
 
-from helpers import graph_from_trust_links
+from helpers import copy_graph, graph_from_trust_links
 
 
 def fixture(scores, bandwidths):
@@ -183,7 +183,7 @@ def test_circuit_flags_compromise_and_min_bandwidth():
         [(1, 2, 0.5), (1, 3, 0.5), (1, 4, 0.5)],
         bandwidths={1: 10.0, 2: 70.0, 3: 20.0, 4: 50.0},
     )
-    g = g.with_flags({1: False, 2: False, 3: True, 4: False})
+    g = copy_graph(g, {1: False, 2: False, 3: True, 4: False})
     table = TrustScoreTable(1, {i: TrustScore(0.5, 1) for i in (2, 3, 4)})
     policy = SelectionPolicy(circuit_length=3)
     circuit = build_circuit(

@@ -17,8 +17,6 @@ from oniontrust import (
     SelectionMode,
     SimScenario,
     Strategy,
-    assign_bandwidth_correlation,
-    assign_malicious,
     build_scenario_graph,
     mean_trust_scores,
     propagate,
@@ -37,7 +35,13 @@ from oniontrust.errors import (
     ZeroDenominatorError,
 )
 from oniontrust.propagation import TrustArrays, propagate_arrays
-from oniontrust.simulation import _flag_count, _Prepared, _setup_rng
+from oniontrust.simulation import (
+    _correlated,
+    _flag_count,
+    _FlagPlan,
+    _Prepared,
+    _setup_rng,
+)
 
 from helpers import (
     TRUST,
@@ -59,8 +63,16 @@ def star(n, bandwidths=None, tv=0.5):
     return g
 
 
-def flagged_ids(graph):
-    return {eid for eid in graph.entity_ids() if graph.is_malicious(eid)}
+def flag_plan(graph, scenario):
+    """The scenario's _FlagPlan over propagate_arrays(graph) and the graph's bandwidths."""
+    arrays = propagate_arrays(graph)
+    bandwidth = np.array([graph.bandwidth(eid) for eid in arrays.ids])
+    return _FlagPlan(arrays.ids, bandwidth, scenario, arrays)
+
+
+def flagged_ids(plan, rng):
+    """Entity ids of one round's flags."""
+    return {plan.ids[k] for k in plan.draw(rng).tolist()}
 
 
 def test_flag_count_rounding():
@@ -75,11 +87,11 @@ def test_flag_count_rounding():
 
 def test_opportunistic_flags_are_uniform():
     g = star(10)
-    scenario = SimScenario(strategy=Strategy.OPPORTUNISTIC_TOR, fraction=0.3)
+    plan = flag_plan(g, SimScenario(strategy=Strategy.OPPORTUNISTIC_TOR, fraction=0.3))
     counts = {eid: 0 for eid in g.entity_ids()}
     trials = 2000
     for i in range(trials):
-        flagged = flagged_ids(assign_malicious(g, scenario, np.random.default_rng(i)))
+        flagged = flagged_ids(plan, np.random.default_rng(i))
         assert len(flagged) == 3
         for eid in flagged:
             counts[eid] += 1
@@ -90,11 +102,14 @@ def test_opportunistic_flags_are_uniform():
 def test_original_tor_flags_top_bandwidth():
     bw = {1: 50.0, 2: 90.0, 3: 90.0, 4: 20.0, 5: 90.0, 6: 10.0}
     g = star(6, bandwidths=bw)
-    scenario = SimScenario(strategy=Strategy.ORIGINAL_TOR, fraction=0.5)
+    plan = flag_plan(g, SimScenario(strategy=Strategy.ORIGINAL_TOR, fraction=0.5))
     for i in range(5):
-        flagged = flagged_ids(assign_malicious(g, scenario, np.random.default_rng(i)))
+        flagged = flagged_ids(plan, np.random.default_rng(i))
         # bandwidth ties fall back to the lower entity id
         assert flagged == {2, 3, 5}
+    # two of the three routers tied at the top: the lower ids win
+    plan = flag_plan(g, SimScenario(strategy=Strategy.ORIGINAL_TOR, fraction=1 / 3))
+    assert flagged_ids(plan, np.random.default_rng(0)) == {2, 3}
 
 
 def test_practical_flags_prefer_poorly_trusted():
@@ -103,11 +118,11 @@ def test_practical_flags_prefer_poorly_trusted():
     g.freeze()
     weights = {eid: 1.0 - ts for eid, ts in mean_trust_scores(g).items()}
     assert weights == {1: 1.0, 2: pytest.approx(0.4), 3: 1.0, 4: 1.0}
-    scenario = SimScenario(strategy=Strategy.PRACTICAL_STOR, fraction=0.25)
+    plan = flag_plan(g, SimScenario(strategy=Strategy.PRACTICAL_STOR, fraction=0.25))
     counts = {eid: 0 for eid in g.entity_ids()}
     trials = 3000
     for i in range(trials):
-        flagged = flagged_ids(assign_malicious(g, scenario, np.random.default_rng(i)))
+        flagged = flagged_ids(plan, np.random.default_rng(i))
         assert len(flagged) == 1
         counts[flagged.pop()] += 1
     assert 0.09 < counts[2] / trials < 0.15  # 0.4 / 3.4
@@ -122,10 +137,10 @@ def test_practical_flags_fill_uniformly_when_weights_run_out():
     g = graph_from_trust_links(triples)
     g.freeze()
     assert mean_trust_scores(g) == {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: 0.0}
-    scenario = SimScenario(strategy=Strategy.PRACTICAL_STOR, fraction=0.6)
+    plan = flag_plan(g, SimScenario(strategy=Strategy.PRACTICAL_STOR, fraction=0.6))
     seen = set()
     for i in range(200):
-        flagged = flagged_ids(assign_malicious(g, scenario, np.random.default_rng(i)))
+        flagged = flagged_ids(plan, np.random.default_rng(i))
         assert len(flagged) == 3
         assert 5 in flagged
         seen |= flagged
@@ -137,68 +152,72 @@ def test_theoretical_flags_stay_outside_the_circle():
     for eid in (4, 5, 6):
         g.add_entity(eid, 1000.0)
     g.freeze()
-    scenario = SimScenario(strategy=Strategy.THEORETICAL_STOR, fraction=1 / 3)
+    plan = flag_plan(g, SimScenario(strategy=Strategy.THEORETICAL_STOR, fraction=1 / 3))
     for i in range(50):
-        flagged = flagged_ids(assign_malicious(g, scenario, np.random.default_rng(i)))
+        flagged = flagged_ids(plan, np.random.default_rng(i))
         assert len(flagged) == 2
         assert flagged <= {4, 5, 6}
     too_many = SimScenario(strategy=Strategy.THEORETICAL_STOR, fraction=0.9)
     with pytest.raises(InfeasibleAssignmentError):
-        assign_malicious(g, too_many, np.random.default_rng(0))
+        flag_plan(g, too_many)
 
 
 def correlation_fixture():
+    """Source 1's trust row over a six-entity graph, and its bandwidth vector."""
     g = graph_from_trust_links(
         [(1, 2, 0.9), (1, 3, 0.7), (1, 4, 0.5)],
         bandwidths={1: 10.0, 2: 20.0, 3: 30.0, 4: 40.0},
     )
     g.add_entity(5, 50.0)
     g.add_entity(6, 60.0)
-    scores = propagate(g, 1, max_hops=2)
-    return g, scores
+    arrays = propagate_arrays(g)
+    row = arrays.ids.index(1)
+    bandwidth = np.array([g.bandwidth(eid) for eid in arrays.ids])
+    return arrays.ids, bandwidth, arrays.best[row], arrays.reached[row]
+
+
+def correlated(case, seed):
+    """{entity: bandwidth} after _correlated on source 1's row."""
+    ids, bandwidth, trust, reached = correlation_fixture()
+    out = _correlated(bandwidth, trust, reached, case, np.random.default_rng(seed))
+    return dict(zip(ids, out.tolist()))
 
 
 def test_best_correlation_hands_trust_the_big_pipes():
-    g, scores = correlation_fixture()
-    out = assign_bandwidth_correlation(
-        g, 1, CorrelationCase.BEST, scores, np.random.default_rng(0)
-    )
-    assert out.bandwidth(2) == 60.0
-    assert out.bandwidth(3) == 50.0
-    assert out.bandwidth(4) == 40.0
-    assert {out.bandwidth(e) for e in (1, 5, 6)} == {10.0, 20.0, 30.0}
-    ts = [scores.value(e) for e in (2, 3, 4)]
-    bw = [out.bandwidth(e) for e in (2, 3, 4)]
-    assert stats.spearmanr(ts, bw).statistic == 1.0
+    _, _, trust, _ = correlation_fixture()
+    out = correlated(CorrelationCase.BEST, 0)
+    assert out[2] == 60.0
+    assert out[3] == 50.0
+    assert out[4] == 40.0
+    assert {out[e] for e in (1, 5, 6)} == {10.0, 20.0, 30.0}
+    bw = [out[e] for e in (2, 3, 4)]
+    assert stats.spearmanr(trust[1:4], bw).statistic == 1.0
 
 
 def test_worst_correlation_starves_the_circle():
-    g, scores = correlation_fixture()
-    out = assign_bandwidth_correlation(
-        g, 1, CorrelationCase.WORST, scores, np.random.default_rng(0)
-    )
-    assert out.bandwidth(2) == 10.0
-    assert out.bandwidth(3) == 20.0
-    assert out.bandwidth(4) == 30.0
-    assert {out.bandwidth(e) for e in (1, 5, 6)} == {40.0, 50.0, 60.0}
-    ts = [scores.value(e) for e in (2, 3, 4)]
-    bw = [out.bandwidth(e) for e in (2, 3, 4)]
-    assert stats.spearmanr(ts, bw).statistic == -1.0
+    _, _, trust, _ = correlation_fixture()
+    out = correlated(CorrelationCase.WORST, 0)
+    assert out[2] == 10.0
+    assert out[3] == 20.0
+    assert out[4] == 30.0
+    assert {out[e] for e in (1, 5, 6)} == {40.0, 50.0, 60.0}
+    bw = [out[e] for e in (2, 3, 4)]
+    assert stats.spearmanr(trust[1:4], bw).statistic == -1.0
 
 
 def test_no_correlation_keeps_the_graph():
-    g, scores = correlation_fixture()
-    assert assign_bandwidth_correlation(
-        g, 1, CorrelationCase.NONE, scores, np.random.default_rng(0)
-    ) is g
+    _, bandwidth, trust, reached = correlation_fixture()
+    out = _correlated(
+        bandwidth, trust, reached, CorrelationCase.NONE, np.random.default_rng(0)
+    )
+    assert out is bandwidth
 
 
 def test_correlation_preserves_the_bandwidth_multiset():
-    g, scores = correlation_fixture()
-    want = sorted(g.bandwidth(e) for e in g.entity_ids())
+    _, bandwidth, _, _ = correlation_fixture()
+    want = sorted(bandwidth.tolist())
     for case in (CorrelationCase.BEST, CorrelationCase.WORST):
-        out = assign_bandwidth_correlation(g, 1, case, scores, np.random.default_rng(3))
-        assert sorted(out.bandwidth(e) for e in out.entity_ids()) == want
+        assert sorted(correlated(case, 3).values()) == want
 
 
 def test_opportunistic_rates_match_uniform_flagging_math():
@@ -359,6 +378,21 @@ def test_rounds_take_a_given_source_table():
     other = build_scenario_graph(dataclasses.replace(scenario, n=20), default_rules())
     with pytest.raises(DomainError, match="trust arrays are not over this graph's entities"):
         run_simulation(g, scenario, arrays=propagate_arrays(other, 2))
+
+
+def test_arrays_from_another_hop_budget_are_rejected():
+    scenario = SimScenario(
+        strategy=Strategy.PRACTICAL_STOR, fraction=0.2, n=60, generator_kind="er",
+        generator_value=0.04, seed=3, rounds=3, draws=20,
+    )
+    g = build_scenario_graph(scenario, default_rules())
+    arrays = propagate_arrays(g, 3)
+    assert arrays.max_hops == 3
+    message = "trust arrays were propagated within 3 hops, the scenario asks for max_hops 2"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        run_simulation(g, scenario, arrays=arrays)
+    three = dataclasses.replace(scenario, max_hops=3)
+    assert run_simulation(g, three, arrays=arrays).reports == run_simulation(g, three).reports
 
 
 def count_propagations(patch):
@@ -605,7 +639,7 @@ def test_prepared_rows_match_the_dict_based_references(graph, max_hops, seed, da
         bandwidth = reference_correlation(graph, case, table, _setup_rng(seed))
         try:
             want_ids, want_weights = reference_candidates(
-                graph.with_bandwidths(bandwidth), table, source, scenario.policy
+                bandwidth, table, source, scenario.policy
             )
         except EmptyCandidateSetError:
             with pytest.raises(EmptyCandidateSetError):
@@ -625,11 +659,10 @@ def test_prepared_rows_match_the_dict_based_references(graph, max_hops, seed, da
 
 
 def test_rounds_build_no_score_objects_and_no_graph_copy(monkeypatch):
-    import oniontrust.graph
     import oniontrust.propagation
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("built a per-pair table or a graph copy")
+        raise AssertionError("built a per-pair table")
 
     scenario = SimScenario(
         strategy=Strategy.PRACTICAL_STOR, fraction=0.1, case=CorrelationCase.BEST,
@@ -639,7 +672,6 @@ def test_rounds_build_no_score_objects_and_no_graph_copy(monkeypatch):
     monkeypatch.setattr(TrustArrays, "table", forbidden)
     monkeypatch.setattr(oniontrust.propagation, "TrustScore", forbidden)
     monkeypatch.setattr(oniontrust.propagation, "TrustScoreTable", forbidden)
-    monkeypatch.setattr(oniontrust.graph.SocialGraph, "_derive", forbidden)
     for case in CorrelationCase:
         for draw_mode in DrawMode:
             sc = dataclasses.replace(scenario, case=case, draw_mode=draw_mode)
