@@ -24,8 +24,8 @@ from .fuzzy import compute_trust_values
 from .graph import (
     DEFAULT_BANDWIDTH_MAX,
     DEFAULT_MAX_HOPS,
+    GeneratorParams,
     generate_graph,
-    generator_params,
     mean_circle_size,
 )
 from .propagation import propagate_arrays
@@ -49,8 +49,11 @@ def _say(args, message):
 
 
 def cmd_generate(args) -> int:
-    kind, value = _parse_generator(args.generator, 0)
-    params = generator_params(kind, value, args.n, args.bandwidth_max, args.max_hops)
+    try:
+        kind, value = _parse_generator(args.generator, None)
+    except ParseError as exc:
+        raise ParseError("--generator: %s" % exc) from None
+    params = GeneratorParams(args.n, kind, value, args.bandwidth_max, args.max_hops)
     graph = generate_graph(params, args.seed)
     path = _out_path(args, "graph.txt")
     write_graph(path, graph)
@@ -67,6 +70,8 @@ def cmd_trust(args) -> int:
     rules = read_rules(args.rules)
     compute_trust_values(graph, rules)
     arrays = propagate_arrays(graph, args.max_hops)
+    # Read before any write: a graph with no entities fails here, unwritten.
+    circle = arrays.mean_circle_size()
     link_path = _out_path(args, "link_trust.csv")
     score_path = _out_path(args, "trust_scores.csv")
     write_link_trust(link_path, graph)
@@ -74,13 +79,7 @@ def cmd_trust(args) -> int:
     _say(
         args,
         "scored %d links across %d entities; mean circle size %.1f; wrote %s, %s"
-        % (
-            graph.link_count(),
-            len(graph),
-            arrays.mean_circle_size(),
-            link_path,
-            score_path,
-        ),
+        % (graph.link_count(), len(graph), circle, link_path, score_path),
     )
     return 0
 
@@ -166,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--bandwidth-max", type=float, default=DEFAULT_BANDWIDTH_MAX)
     p.add_argument("--max-hops", type=int, default=DEFAULT_MAX_HOPS)
+    p.add_argument("--seed", type=int, default=0, help="generation seed")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("trust", help="score a graph's links and propagate trust")
@@ -177,6 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one adversary scenario")
     p.add_argument("scenario", help="scenario file")
     p.add_argument("--rules", help="rule-set file (default: bundled rules)")
+    p.add_argument("--seed", type=int, help="override the scenario seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="run a scenario across axis values")
@@ -184,15 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", required=True, choices=sorted(SWEEP_AXES))
     p.add_argument("--values", required=True, help="comma separated axis values")
     p.add_argument("--rules", help="rule-set file (default: bundled rules)")
+    p.add_argument("--seed", type=int, help="override the scenario seed")
     p.set_defaults(func=cmd_sweep)
 
-    for name, sp in sub.choices.items():
-        sp.add_argument(
-            "--seed",
-            type=int,
-            default=0 if name == "generate" else None,
-            help="generation seed" if name == "generate" else "override the scenario seed",
-        )
+    for sp in sub.choices.values():
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--quiet", action="store_true", help="suppress summaries")
     return parser

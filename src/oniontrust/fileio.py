@@ -51,7 +51,7 @@ def _split_kv(token: str, number: int) -> Tuple[str, str]:
     return key, value
 
 
-def _parse_float(value: str, what: str, number: int) -> float:
+def _parse_float(value: str, what: str, number: Optional[int]) -> float:
     try:
         parsed = float(value)
     except ValueError:
@@ -278,7 +278,7 @@ def read_rules(path=None) -> FuzzyRuleSet:
 
 # -- scenario files ------------------------------------------------------------
 
-def _parse_generator(value: str, number: int) -> Tuple[str, float]:
+def _parse_generator(value: str, number: Optional[int]) -> Tuple[str, float]:
     if ":" not in value:
         raise ParseError(
             "generator must look like calibrated:<fraction> or er:<prob>",
@@ -347,7 +347,7 @@ def parse_scenario(text: str) -> SimScenario:
             try:
                 fields[name] = kind.from_code(value)
             except OnionTrustError as exc:
-                raise ParseError(str(exc)) from None
+                raise ParseError(str(exc), line=number) from None
     return SimScenario(**fields)
 
 

@@ -283,62 +283,44 @@ QUANTITATIVE_NAMES = ("freq", "time")
 QUALITATIVE_NAMES = ("Major", "Relationship")
 RAW_HIGH = 10.0
 
+#: How far the calibrated mean circle size may land from its target.
+CALIBRATION_TOL = 2.5
+
 
 @dataclass(frozen=True)
 class GeneratorParams:
-    """How to synthesize a graph.
-
-    Exactly one of edge_prob (fixed directed edge probability) and
-    target_circle_fraction (calibrate edge_prob so the mean circle size is
-    fraction * n) must be set.
-    """
+    """How to synthesize a graph: kind "er" draws each directed edge with
+    probability value; kind "calibrated" picks the edge probability whose
+    mean circle size is value * n."""
 
     n: int
-    edge_prob: Optional[float] = None
-    target_circle_fraction: Optional[float] = None
+    kind: str
+    value: float
     bandwidth_max: float = DEFAULT_BANDWIDTH_MAX
     max_hops: int = DEFAULT_MAX_HOPS
-    calibration_tol: float = 2.5
 
     def __post_init__(self):
         if self.n < 1:
             raise GeneratorParamsError("n must be >= 1, got %d" % self.n)
-        fixed = self.edge_prob is not None
-        calibrated = self.target_circle_fraction is not None
-        if fixed == calibrated:
-            raise GeneratorParamsError(
-                "set exactly one of edge_prob and target_circle_fraction"
-            )
-        if fixed and not 0.0 <= self.edge_prob <= 1.0:
-            raise GeneratorParamsError(
-                "edge_prob must be in [0, 1], got %r" % self.edge_prob
-            )
-        if calibrated and not 0.0 < self.target_circle_fraction < 1.0:
-            raise GeneratorParamsError(
-                "target_circle_fraction must be in (0, 1), got %r"
-                % self.target_circle_fraction
-            )
+        if self.kind == "er":
+            if not 0.0 <= self.value <= 1.0:
+                raise GeneratorParamsError(
+                    "er edge probability must be in [0, 1], got %r" % (self.value,)
+                )
+        elif self.kind == "calibrated":
+            if not 0.0 < self.value < 1.0:
+                raise GeneratorParamsError(
+                    "calibrated circle fraction must be in (0, 1), got %r"
+                    % (self.value,)
+                )
+        else:
+            raise GeneratorParamsError("unknown generator kind %r" % (self.kind,))
         if not (math.isfinite(self.bandwidth_max) and self.bandwidth_max > 0.0):
             raise GeneratorParamsError(
                 "bandwidth_max must be positive and finite, got %r" % (self.bandwidth_max,)
             )
         if self.max_hops < 1:
             raise GeneratorParamsError("max_hops must be >= 1")
-
-
-def generator_params(kind: str, value: float, n: int, bandwidth_max: float,
-                     max_hops: int) -> GeneratorParams:
-    """GeneratorParams of a generator spec: er:<edge probability> or
-    calibrated:<target circle fraction>."""
-    if kind not in ("er", "calibrated"):
-        raise GeneratorParamsError("unknown generator kind %r" % (kind,))
-    return GeneratorParams(
-        n=n,
-        edge_prob=value if kind == "er" else None,
-        target_circle_fraction=value if kind == "calibrated" else None,
-        bandwidth_max=bandwidth_max,
-        max_hops=max_hops,
-    )
 
 
 def _mean_circle_size(mask: np.ndarray, max_hops: int) -> float:
@@ -352,16 +334,16 @@ def _calibrate_edge_prob(u: np.ndarray, params: GeneratorParams) -> float:
 
     The SAME uniform matrix u is thresholded at every candidate p, so the
     edge set (and with it the mean circle size) grows monotonically in p and
-    the search is well behaved. Missing calibration_tol within 60 steps
+    the search is well behaved. Missing CALIBRATION_TOL within 60 steps
     raises GeneratorParamsError naming the closest size reached.
     """
-    target = params.target_circle_fraction * params.n
+    target = params.value * params.n
     lo, hi = 0.0, 1.0
     best_p, best_size = 1.0, float("inf")
     for _ in range(60):
         mid = (lo + hi) / 2.0
         size = _mean_circle_size(u < mid, params.max_hops)
-        if abs(size - target) <= params.calibration_tol:
+        if abs(size - target) <= CALIBRATION_TOL:
             return mid
         if abs(size - target) < abs(best_size - target):
             best_p, best_size = mid, size
@@ -371,7 +353,7 @@ def _calibrate_edge_prob(u: np.ndarray, params: GeneratorParams) -> float:
             hi = mid
     raise GeneratorParamsError(
         "calibration missed mean circle size %g within %g: closest was %g at p = %r"
-        % (target, params.calibration_tol, best_size, best_p)
+        % (target, CALIBRATION_TOL, best_size, best_p)
     )
 
 
@@ -388,13 +370,11 @@ def generate_graph(params: GeneratorParams, seed: int) -> SocialGraph:
 
     u = np.random.default_rng(edge_ss).random((n, n))
     np.fill_diagonal(u, 1.0)  # diagonal never passes u < p, so no self links
-    if params.edge_prob is not None:
-        p = params.edge_prob
+    if params.kind == "er":
+        p = params.value
     else:
         p = _calibrate_edge_prob(u, params)
     mask = u < p
-    if params.edge_prob == 1.0:
-        mask = ~np.eye(n, dtype=bool)
 
     graph = SocialGraph()
     bw_rng = np.random.default_rng(bw_ss)

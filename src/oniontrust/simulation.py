@@ -18,8 +18,8 @@ outside the source's reached row.
 
 Flags and the bandwidth shape are per-scenario state and live only here:
 `_Prepared` permutes one bandwidth vector (`_correlated`) and each round
-draws one flag mask (`_FlagPlan.draw`). The graph itself is never copied
-or changed.
+draws one flag mask through the strategy's `_flag_drawer`. The graph
+itself is never copied or changed.
 
 All randomness is derived from the scenario seed through fixed stream keys,
 so a scenario replays byte for byte and sweeps share draws across values.
@@ -47,7 +47,6 @@ from .graph import (
     GeneratorParams,
     SocialGraph,
     generate_graph,
-    generator_params,
 )
 from .propagation import TrustArrays, TrustScoreTable, propagate_arrays
 from .selection import (
@@ -134,6 +133,9 @@ class SimScenario:
     draw_mode: DrawMode = DrawMode.SELECT
     circuit_length: int = DEFAULT_CIRCUIT_LENGTH
 
+    generator_params: GeneratorParams = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
     policy: SelectionPolicy = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -141,8 +143,6 @@ class SimScenario:
             raise DomainError("fraction must be in [0, 1], got %r" % (self.fraction,))
         if self.rounds < 1 or self.draws < 1:
             raise DomainError("rounds and draws must be >= 1")
-        if self.generator_kind not in ("calibrated", "er"):
-            raise DomainError("unknown generator kind %r" % (self.generator_kind,))
         for name in ("n", "max_hops"):
             if getattr(self, name) < 1:
                 raise DomainError("%s must be >= 1, got %r" % (name, getattr(self, name)))
@@ -150,7 +150,11 @@ class SimScenario:
             raise DomainError("seed must be >= 0, got %r" % (self.seed,))
         # The generator and the policy check their own fields, so every bad
         # value fails here, before a graph is built.
-        self.generator_params()
+        generator_params = GeneratorParams(
+            self.n, self.generator_kind, self.generator_value,
+            self.bandwidth_max, self.max_hops,
+        )
+        object.__setattr__(self, "generator_params", generator_params)
         policy = SelectionPolicy(
             omega=self.omega,
             ts_threshold=self.ts_threshold,
@@ -158,12 +162,6 @@ class SimScenario:
             circuit_length=self.circuit_length,
         )
         object.__setattr__(self, "policy", policy)
-
-    def generator_params(self) -> GeneratorParams:
-        return generator_params(
-            self.generator_kind, self.generator_value, self.n,
-            self.bandwidth_max, self.max_hops,
-        )
 
 
 @dataclass(frozen=True)
@@ -245,73 +243,59 @@ def _mean_trust(arrays: TrustArrays) -> Dict[int, float]:
     return {eid: total / denom for eid, total in zip(arrays.ids, totals)}
 
 
-class _FlagPlan:
-    """Per-scenario flag machinery; draw() yields one round's flag indices.
+def _flag_drawer(ids: List[int], bandwidth: np.ndarray, scenario: SimScenario,
+                 arrays: TrustArrays, row: int,
+                 mean_trust: Optional[Dict[int, float]]):
+    """The strategy's per-round flag draw: a function rng -> flagged rows.
 
-    bandwidth is over the arrays' ids. PRACTICAL_STOR reads mean trust off
-    arrays unless mean_trust is given; THEORETICAL_STOR flags entities
-    outside the source's reached row.
+    bandwidth is over the arrays' ids and row is the source's. ORIGINAL_TOR
+    flags the top-bandwidth rows and never draws; PRACTICAL_STOR weighs each
+    row by 1 - its mean trust, read off arrays unless mean_trust is given;
+    THEORETICAL_STOR draws outside the source's reached row; OPPORTUNISTIC_TOR
+    draws uniformly. With no routers to flag nothing is drawn.
     """
-
-    def __init__(self, ids: List[int], bandwidth: np.ndarray,
-                 scenario: SimScenario, arrays: TrustArrays,
-                 mean_trust: Optional[Dict[int, float]] = None):
-        self.ids = ids
-        self.n = len(self.ids)
-        self.m = _flag_count(scenario.fraction, self.n)
-        self.fixed: Optional[np.ndarray] = None
-        self.weights: Optional[np.ndarray] = None
-        self.pool: Optional[np.ndarray] = None
-        if scenario.strategy is Strategy.ORIGINAL_TOR:
-            order = np.lexsort((np.array(self.ids), -bandwidth))
-            self.fixed = order[: self.m]
-        elif scenario.strategy is Strategy.PRACTICAL_STOR:
-            if mean_trust is None:
-                mean_trust = _mean_trust(arrays)
-            self.weights = np.array(
-                [max(0.0, 1.0 - mean_trust[eid]) for eid in self.ids]
+    m = _flag_count(scenario.fraction, len(ids))
+    if scenario.strategy is Strategy.ORIGINAL_TOR:
+        top = np.lexsort((np.array(ids), -bandwidth))[:m]
+        return lambda rng: top
+    if m == 0:
+        return lambda rng: np.empty(0, dtype=int)
+    if scenario.strategy is Strategy.PRACTICAL_STOR:
+        if mean_trust is None:
+            mean_trust = _mean_trust(arrays)
+        weights = np.array([max(0.0, 1.0 - mean_trust[eid]) for eid in ids])
+        return lambda rng: _weighted_draw(weights, m, rng)
+    if scenario.strategy is Strategy.THEORETICAL_STOR:
+        outside = ~arrays.reached[row]
+        outside[row] = False
+        pool = np.flatnonzero(outside)
+        if len(pool) < m:
+            raise InfeasibleAssignmentError(
+                "strategy needs %d routers outside the circle, only %d exist"
+                % (m, len(pool))
             )
-        elif scenario.strategy is Strategy.THEORETICAL_STOR:
-            if scenario.source not in self.ids:
-                raise UnknownEntityError("unknown entity %d" % scenario.source)
-            row = self.ids.index(scenario.source)
-            outside = ~arrays.reached[row]
-            outside[row] = False
-            self.pool = np.flatnonzero(outside)
-            if len(self.pool) < self.m:
-                raise InfeasibleAssignmentError(
-                    "strategy needs %d routers outside the circle, only %d exist"
-                    % (self.m, len(self.pool))
-                )
+        return lambda rng: rng.choice(pool, size=m, replace=False)
+    return lambda rng: rng.choice(len(ids), size=m, replace=False)
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        if self.m == 0:
-            return np.empty(0, dtype=int)
-        if self.fixed is not None:
-            return self.fixed
-        if self.pool is not None:
-            return rng.choice(self.pool, size=self.m, replace=False)
-        if self.weights is not None:
-            return self._weighted_draw(rng)
-        return rng.choice(self.n, size=self.m, replace=False)
 
-    def _weighted_draw(self, rng: np.random.Generator) -> np.ndarray:
-        w = self.weights
-        positive = w > 0.0
-        n_pos = int(positive.sum())
-        if n_pos == 0:
-            return rng.choice(self.n, size=self.m, replace=False)
-        # Exponential-key trick: top-m of u^(1/w) is a weighted sample
-        # without replacement.
-        keys = np.zeros(self.n)
-        u = 1.0 - rng.random(n_pos)  # in (0, 1], so keys stay positive
-        keys[positive] = u ** (1.0 / w[positive])
-        if n_pos >= self.m:
-            return np.argpartition(-keys, self.m - 1)[: self.m]
-        # Weights cover fewer routers than needed; fill up uniformly.
-        rest = np.nonzero(~positive)[0]
-        fill = rng.choice(rest, size=self.m - n_pos, replace=False)
-        return np.concatenate([np.nonzero(positive)[0], fill])
+def _weighted_draw(weights: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m distinct rows, drawn with probability proportional to weights."""
+    n = len(weights)
+    positive = weights > 0.0
+    n_pos = int(positive.sum())
+    if n_pos == 0:
+        return rng.choice(n, size=m, replace=False)
+    # Exponential-key trick: top-m of u^(1/w) is a weighted sample
+    # without replacement.
+    keys = np.zeros(n)
+    u = 1.0 - rng.random(n_pos)  # in (0, 1], so keys stay positive
+    keys[positive] = u ** (1.0 / weights[positive])
+    if n_pos >= m:
+        return np.argpartition(-keys, m - 1)[:m]
+    # Weights cover fewer routers than needed; fill up uniformly.
+    rest = np.nonzero(~positive)[0]
+    fill = rng.choice(rest, size=m - n_pos, replace=False)
+    return np.concatenate([np.nonzero(positive)[0], fill])
 
 
 def _correlated(bandwidth, trust, reached, case, rng) -> np.ndarray:
@@ -384,7 +368,9 @@ class _Prepared:
             else None
         )
         self.weights = candidates.weights(policy)
-        self.plan = _FlagPlan(self.ids, self.bw, scenario, arrays, mean_trust)
+        self.draw_flags = _flag_drawer(
+            self.ids, self.bw, scenario, arrays, row, mean_trust
+        )
 
 
 def _run_rounds(
@@ -401,7 +387,7 @@ def _run_rounds(
     for r in range(scenario.rounds):
         flag_rng, draw_rng = _round_streams(scenario.seed, r)
         flag_mask = np.zeros(len(prep.ids), dtype=bool)
-        flag_mask[prep.plan.draw(flag_rng)] = True
+        flag_mask[prep.draw_flags(flag_rng)] = True
         members = weighted_picks(cum, prep.weights, draw_rng, scenario.draws, length)
         picked = prep.cand_idx[members]  # (draws, length) of global indices
         hit = flag_mask[picked]
@@ -454,9 +440,16 @@ def run_simulation(
     return run_selection_rounds(graph, scenario, mean_trust, arrays)
 
 
+def _require_generated_source(scenario: SimScenario):
+    """A generated graph has ids 1..n; reject a source outside them unbuilt."""
+    if not 1 <= scenario.source <= scenario.n:
+        raise UnknownEntityError("unknown source entity %d" % scenario.source)
+
+
 def build_scenario_graph(scenario: SimScenario, rules: FuzzyRuleSet) -> SocialGraph:
     """Generate, trust-score and freeze the graph a scenario calls for."""
-    graph = generate_graph(scenario.generator_params(), scenario.seed)
+    _require_generated_source(scenario)
+    graph = generate_graph(scenario.generator_params, scenario.seed)
     compute_trust_values(graph, rules)
     graph.freeze()
     return graph
@@ -511,7 +504,8 @@ def sweep(
             "unknown sweep axis %r (have: %s)" % (axis, ", ".join(sorted(SWEEP_AXES)))
         )
     field = SWEEP_AXES[axis]
-    # Every value's scenario is built (and so validated) before any runs.
+    # Every value's scenario is built (and so validated) and its source
+    # checked before any graph is built.
     scenarios = []
     for value in values:
         if field == "n":
@@ -519,6 +513,7 @@ def sweep(
                 raise DomainError("n must be a whole number, got %r" % (value,))
             value = int(value)
         scenarios.append(dataclasses.replace(scenario, **{field: value}))
+        _require_generated_source(scenarios[-1])
     rows: List[SweepRow] = []
     results: List[SimulationResult] = []
     cache: Dict[int, Tuple[SocialGraph, TrustArrays]] = {}

@@ -1,9 +1,11 @@
 """End-to-end command line runs, in process."""
 
+import argparse
+
 import pytest
 
 from oniontrust import compute_trust_values, read_graph, read_rules
-from oniontrust.cli import main
+from oniontrust.cli import build_parser, main
 
 from helpers import reference_trust_scores_csv
 
@@ -236,6 +238,23 @@ def test_sweep_n_axis_names_a_bad_value(tmp_path, capsys, token):
          "bandwidth_max must be positive and finite, got inf"),
         (["sweep", "{scenario}", "--axis", "omega", "--values", "0,0.5,2"], SCENARIO,
          "omega must be in [0, 1], got 2.0"),
+        # a bad code names its line; a bad --generator names the option
+        (["simulate", "{scenario}"], SCENARIO.replace("practical_stor", "nope"),
+         "line 1: unknown strategy 'nope'"),
+        (["simulate", "{scenario}"], SCENARIO + "case = sideways\n",
+         "line 7: unknown correlation case 'sideways'"),
+        (["generate", "--n", "20", "--generator", "ba:0.3"], None,
+         "--generator: unknown generator kind 'ba'"),
+        (["generate", "--n", "20", "--generator", "er:x"], None,
+         "--generator: bad generator parameter 'x'"),
+        (["generate", "--n", "20", "--generator", "er:1.5"], None,
+         "er edge probability must be in [0, 1], got 1.5"),
+        (["generate", "--n", "20", "--generator", "calibrated:1"], None,
+         "calibrated circle fraction must be in (0, 1), got 1.0"),
+        # a source outside the generated ids 1..n
+        (["simulate", "{scenario}"], SCENARIO + "source = 31\n", "unknown source entity 31"),
+        (["sweep", "{scenario}", "--axis", "n", "--values", "30,20"],
+         SCENARIO + "source = 25\n", "unknown source entity 25"),
     ],
 )
 def test_bad_numbers_give_one_error_line(tmp_path, capsys, argv, scenario, message):
@@ -249,3 +268,36 @@ def test_bad_numbers_give_one_error_line(tmp_path, capsys, argv, scenario, messa
     assert captured.err == "error: %s\n" % message
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_trust_on_a_graph_without_entities_writes_nothing(tmp_path, capsys):
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text("entities 0\n")
+    out = tmp_path / "out"
+    assert main(["trust", str(graph_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: graph has no entities\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_each_subcommand_takes_exactly_the_options_it_reads():
+    # An option no command reads would be accepted and silently ignored.
+    shared = {"-h", "--help", "--out", "--quiet"}
+    want = {
+        "generate": {"--n", "--generator", "--bandwidth-max", "--max-hops", "--seed"},
+        "trust": {"--rules", "--max-hops"},
+        "simulate": {"--rules", "--seed"},
+        "sweep": {"--axis", "--values", "--rules", "--seed"},
+    }
+    parser = build_parser()
+    (commands,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    got = {
+        name: {opt for action in sub._actions for opt in action.option_strings}
+        for name, sub in commands.choices.items()
+    }
+    assert got == {name: options | shared for name, options in want.items()}
+

@@ -270,7 +270,7 @@ def test_parse_scenario_reports_the_first_bad_value_in_read_order():
         parse_scenario(text)
     with pytest.raises(ParseError, match="^line 4: bad omega 'y'$"):
         parse_scenario(text.replace("er:z", "er:0.5"))
-    with pytest.raises(ParseError, match="^unknown correlation case 'sideways'$"):
+    with pytest.raises(ParseError, match="^line 6: unknown correlation case 'sideways'$"):
         parse_scenario(text + "case = sideways\n")
 
 
@@ -285,6 +285,10 @@ def test_parse_scenario_reports_the_first_bad_value_in_read_order():
         ("strategy = original_tor\nfraction = 0.1\ngenerator = er", "generator must look like"),
         ("strategy = sneaky\nfraction = 0.1", "unknown strategy"),
         ("just words", "key = value"),
+        # a bad code names its line
+        ("fraction = 0.1\nstrategy = sneaky", "line 2: unknown strategy 'sneaky'"),
+        ("strategy = original_tor\nfraction = 0.1\ndraw_mode = batch",
+         "line 3: unknown draw mode 'batch'"),
     ],
 )
 def test_parse_scenario_errors(text, fragment):

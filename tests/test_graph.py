@@ -23,7 +23,7 @@ from oniontrust.errors import (
     SelfLinkError,
     UnknownEntityError,
 )
-from oniontrust.graph import generator_params
+import oniontrust.graph
 
 from helpers import (
     friendship_circle,
@@ -173,7 +173,7 @@ def test_pair_store_equals_a_plain_list_of_links(drawn):
 
 
 def test_generated_graph_is_deterministic():
-    params = GeneratorParams(n=40, edge_prob=0.1)
+    params = GeneratorParams(n=40, kind="er", value=0.1)
     a = generate_graph(params, seed=5)
     b = generate_graph(params, seed=5)
     assert a == b
@@ -187,16 +187,16 @@ def test_generated_graph_is_deterministic():
 
 
 def test_generated_graph_full_and_empty():
-    full = generate_graph(GeneratorParams(n=2, edge_prob=1.0), seed=1)
+    full = generate_graph(GeneratorParams(n=2, kind="er", value=1.0), seed=1)
     assert friendship_circle(full, 1).size == 1
     assert friendship_circle(full, 2).size == 1
     assert len(full.links()) == 2
-    empty = generate_graph(GeneratorParams(n=5, edge_prob=0.0), seed=1)
+    empty = generate_graph(GeneratorParams(n=5, kind="er", value=0.0), seed=1)
     assert len(empty.links()) == 0
 
 
 def test_calibrated_generation_hits_target():
-    params = GeneratorParams(n=100, target_circle_fraction=0.8)
+    params = GeneratorParams(n=100, kind="calibrated", value=0.8)
     g = generate_graph(params, seed=7)
     assert len(g) == 100
     size = mean_circle_size(g, params.max_hops)
@@ -205,9 +205,10 @@ def test_calibrated_generation_hits_target():
     assert g == generate_graph(params, seed=7)
 
 
-def test_calibration_miss_raises():
+def test_calibration_miss_raises(monkeypatch):
     # Three entities give mean circle sizes in thirds, never within 0.01 of 1.5.
-    params = GeneratorParams(n=3, target_circle_fraction=0.5, calibration_tol=0.01)
+    monkeypatch.setattr(oniontrust.graph, "CALIBRATION_TOL", 0.01)
+    params = GeneratorParams(n=3, kind="calibrated", value=0.5)
     with pytest.raises(GeneratorParamsError) as info:
         generate_graph(params, seed=2)
     assert str(info.value) == (
@@ -217,37 +218,33 @@ def test_calibration_miss_raises():
 
 
 def test_generator_params_validation():
+    with pytest.raises(GeneratorParamsError, match="n must be >= 1, got 0"):
+        GeneratorParams(n=0, kind="er", value=0.5)
+    # each kind checks its own value range, and the message names the kind
+    for kind, bad, message in (
+        ("er", 1.5, "er edge probability must be in [0, 1], got 1.5"),
+        ("er", -0.1, "er edge probability must be in [0, 1], got -0.1"),
+        ("er", float("nan"), "er edge probability must be in [0, 1], got nan"),
+        ("calibrated", 1.0, "calibrated circle fraction must be in (0, 1), got 1.0"),
+        ("calibrated", 0.0, "calibrated circle fraction must be in (0, 1), got 0.0"),
+        ("ba", 0.3, "unknown generator kind 'ba'"),
+    ):
+        with pytest.raises(GeneratorParamsError, match=re.escape(message)):
+            GeneratorParams(n=5, kind=kind, value=bad)
+    # values each kind accepts, the closed ends of er's range included
+    for kind, value in (("er", 0.0), ("er", 1.0), ("calibrated", 0.5)):
+        params = GeneratorParams(n=40, kind=kind, value=value, bandwidth_max=5.0, max_hops=3)
+        assert (params.kind, params.value) == (kind, value)
     with pytest.raises(GeneratorParamsError):
-        GeneratorParams(n=0, edge_prob=0.5)
-    with pytest.raises(GeneratorParamsError):
-        GeneratorParams(n=5)
-    with pytest.raises(GeneratorParamsError):
-        GeneratorParams(n=5, edge_prob=0.5, target_circle_fraction=0.5)
-    with pytest.raises(GeneratorParamsError):
-        GeneratorParams(n=5, edge_prob=1.5)
-    with pytest.raises(GeneratorParamsError):
-        GeneratorParams(n=5, target_circle_fraction=1.0)
-    with pytest.raises(GeneratorParamsError):
-        GeneratorParams(n=5, edge_prob=0.5, bandwidth_max=0.0)
+        GeneratorParams(n=5, kind="er", value=0.5, bandwidth_max=0.0)
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(
             GeneratorParamsError,
             match=r"bandwidth_max must be positive and finite, got %s" % re.escape(repr(bad)),
         ):
-            GeneratorParams(n=5, edge_prob=0.5, bandwidth_max=bad)
-
-
-def test_generator_specs_map_to_one_kind_of_params():
-    assert generator_params("er", 0.3, 40, 5.0, 3) == GeneratorParams(
-        n=40, edge_prob=0.3, bandwidth_max=5.0, max_hops=3
-    )
-    assert generator_params("calibrated", 0.8, 40, 5.0, 2) == GeneratorParams(
-        n=40, target_circle_fraction=0.8, bandwidth_max=5.0, max_hops=2
-    )
-    with pytest.raises(GeneratorParamsError, match="unknown generator kind 'ba'"):
-        generator_params("ba", 0.3, 40, 5.0, 2)
+            GeneratorParams(n=5, kind="er", value=0.5, bandwidth_max=bad)
 
 
 def test_generate_graph_rejects_negative_seeds():
     with pytest.raises(GeneratorParamsError, match="seed must be >= 0, got -2"):
-        generate_graph(GeneratorParams(n=5, edge_prob=0.5), seed=-2)
+        generate_graph(GeneratorParams(n=5, kind="er", value=0.5), seed=-2)

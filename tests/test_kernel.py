@@ -74,7 +74,7 @@ def test_mean_circle_size_samples_evenly_spaced_sources_in_large_graphs():
     # 301 and 450 entities: more than CIRCLE_SAMPLE, so the mean is over 300
     # evenly spaced sources, the first and the last included.
     for n in (301, 450):
-        graph = generate_graph(GeneratorParams(n=n, edge_prob=3.0 / n), seed=n)
+        graph = generate_graph(GeneratorParams(n=n, kind="er", value=3.0 / n), seed=n)
         compute_trust_values(graph, default_rules())
         ids = graph.entity_ids()
         links = graph.links()

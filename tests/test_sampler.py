@@ -215,7 +215,7 @@ def test_selection_rounds_match_the_cumsum_formula_bit_for_bit(strategy):
     for r, report in enumerate(result.reports):
         flag_rng, draw_rng = _round_streams(scenario.seed, r)
         flags = np.zeros(len(prep.ids), dtype=bool)
-        flags[prep.plan.draw(flag_rng)] = True
+        flags[prep.draw_flags(flag_rng)] = True
         sel = np.searchsorted(cum, draw_rng.random(scenario.draws) * total, side="right")
         np.clip(sel, 0, len(cum) - 1, out=sel)
         picked = prep.cand_idx[sel]

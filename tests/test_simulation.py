@@ -38,7 +38,7 @@ from oniontrust.propagation import TrustArrays, propagate_arrays
 from oniontrust.simulation import (
     _correlated,
     _flag_count,
-    _FlagPlan,
+    _flag_drawer,
     _Prepared,
     _setup_rng,
 )
@@ -64,15 +64,18 @@ def star(n, bandwidths=None, tv=0.5):
 
 
 def flag_plan(graph, scenario):
-    """The scenario's _FlagPlan over propagate_arrays(graph) and the graph's bandwidths."""
+    """The ids and the scenario's _flag_drawer over propagate_arrays(graph)
+    and the graph's bandwidths."""
     arrays = propagate_arrays(graph)
     bandwidth = np.array([graph.bandwidth(eid) for eid in arrays.ids])
-    return _FlagPlan(arrays.ids, bandwidth, scenario, arrays)
+    row = arrays.ids.index(scenario.source)
+    return arrays.ids, _flag_drawer(arrays.ids, bandwidth, scenario, arrays, row, None)
 
 
 def flagged_ids(plan, rng):
     """Entity ids of one round's flags."""
-    return {plan.ids[k] for k in plan.draw(rng).tolist()}
+    ids, draw = plan
+    return {ids[k] for k in draw(rng).tolist()}
 
 
 def test_flag_count_rounding():
@@ -160,6 +163,18 @@ def test_theoretical_flags_stay_outside_the_circle():
     too_many = SimScenario(strategy=Strategy.THEORETICAL_STOR, fraction=0.9)
     with pytest.raises(InfeasibleAssignmentError):
         flag_plan(g, too_many)
+
+
+def test_flag_draws_leave_the_stream_alone_when_nothing_is_random():
+    # no routers to flag, or ORIGINAL_TOR's fixed top-bandwidth flags
+    g = star(6)
+    cases = [(strategy, 0.0) for strategy in Strategy] + [(Strategy.ORIGINAL_TOR, 0.5)]
+    for strategy, fraction in cases:
+        plan = flag_plan(g, SimScenario(strategy=strategy, fraction=fraction))
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        flagged_ids(plan, rng)
+        assert rng.bit_generator.state == before, strategy
 
 
 def correlation_fixture():
@@ -468,7 +483,7 @@ def test_scenario_validation():
         SimScenario(strategy=Strategy.ORIGINAL_TOR, fraction=1.5)
     with pytest.raises(DomainError):
         SimScenario(strategy=Strategy.ORIGINAL_TOR, fraction=0.1, rounds=0)
-    with pytest.raises(DomainError):
+    with pytest.raises(GeneratorParamsError, match="unknown generator kind 'nope'"):
         SimScenario(
             strategy=Strategy.ORIGINAL_TOR, fraction=0.1, generator_kind="nope"
         )
@@ -490,8 +505,8 @@ def test_scenario_validation():
                 SimScenario(strategy=strategy, fraction=0.1, **{field: bad})
     for changes, message in (
         ({"bandwidth_max": float("nan")}, "bandwidth_max must be positive and finite, got nan"),
-        ({"generator_kind": "er", "generator_value": 1.5}, "edge_prob must be in [0, 1], got 1.5"),
-        ({"generator_value": 1.0}, "target_circle_fraction must be in (0, 1), got 1.0"),
+        ({"generator_kind": "er", "generator_value": 1.5}, "er edge probability must be in [0, 1], got 1.5"),
+        ({"generator_value": 1.0}, "calibrated circle fraction must be in (0, 1), got 1.0"),
     ):
         with pytest.raises(GeneratorParamsError, match=re.escape(message)):
             SimScenario(strategy=Strategy.ORIGINAL_TOR, fraction=0.1, **changes)
@@ -504,6 +519,25 @@ def test_scenario_validation():
     assert DrawMode.from_code("circuit") is DrawMode.CIRCUIT
     with pytest.raises(DomainError):
         DrawMode.from_code("nope")
+
+
+def test_a_source_outside_the_generated_ids_fails_before_generation(monkeypatch):
+    import oniontrust.simulation
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("generated a graph")
+
+    monkeypatch.setattr(oniontrust.simulation, "generate_graph", forbidden)
+    scenario = SimScenario(
+        strategy=Strategy.PRACTICAL_STOR, fraction=0.2, n=30,
+        generator_kind="er", generator_value=0.3, rounds=5, draws=10,
+    )
+    for source in (0, 31):
+        with pytest.raises(UnknownEntityError, match="^unknown source entity %d$" % source):
+            build_scenario_graph(dataclasses.replace(scenario, source=source), default_rules())
+    # a later n value below the source fails before the first value's graph
+    with pytest.raises(UnknownEntityError, match="^unknown source entity 25$"):
+        sweep(dataclasses.replace(scenario, source=25), "n", [30, 20], default_rules())
 
 
 def test_build_scenario_graph_is_ready_to_run():
@@ -653,7 +687,8 @@ def test_prepared_rows_match_the_dict_based_references(graph, max_hops, seed, da
         if strategy is Strategy.ORIGINAL_TOR:
             top = sorted(ids, key=lambda eid: (-bandwidth[eid], eid))
             m = _flag_count(fraction, len(ids))
-            assert [ids[k] for k in prep.plan.fixed] == top[:m]
+            flags = prep.draw_flags(np.random.default_rng(seed))
+            assert [ids[k] for k in flags] == top[:m]
         trust_aware = strategy.selection_mode is SelectionMode.TRUST_AWARE
         assert prep.trustworthy_size == (len(want_ids) if trust_aware else None)
 
