@@ -227,14 +227,9 @@ def test_generator_params_validation():
         ("er", float("nan"), "er edge probability must be in [0, 1], got nan"),
         ("calibrated", 1.0, "calibrated circle fraction must be in (0, 1), got 1.0"),
         ("calibrated", 0.0, "calibrated circle fraction must be in (0, 1), got 0.0"),
-        ("ba", 0.3, "unknown generator kind 'ba'"),
     ):
         with pytest.raises(GeneratorParamsError, match=re.escape(message)):
             GeneratorParams(n=5, kind=kind, value=bad)
-    # values each kind accepts, the closed ends of er's range included
-    for kind, value in (("er", 0.0), ("er", 1.0), ("calibrated", 0.5)):
-        params = GeneratorParams(n=40, kind=kind, value=value, bandwidth_max=5.0, max_hops=3)
-        assert (params.kind, params.value) == (kind, value)
     with pytest.raises(GeneratorParamsError):
         GeneratorParams(n=5, kind="er", value=0.5, bandwidth_max=0.0)
     for bad in (float("nan"), float("inf"), -float("inf")):
@@ -243,6 +238,17 @@ def test_generator_params_validation():
             match=r"bandwidth_max must be positive and finite, got %s" % re.escape(repr(bad)),
         ):
             GeneratorParams(n=5, kind="er", value=0.5, bandwidth_max=bad)
+
+
+def test_generator_specs_map_to_one_kind_of_params():
+    # a generator spec is a (kind, value) pair; GeneratorParams holds it as
+    # given, the closed ends of er's range included
+    for kind, value in (("er", 0.0), ("er", 1.0), ("er", 0.3), ("calibrated", 0.8)):
+        params = GeneratorParams(n=40, kind=kind, value=value, bandwidth_max=5.0, max_hops=3)
+        assert (params.n, params.kind, params.value) == (40, kind, value)
+        assert (params.bandwidth_max, params.max_hops) == (5.0, 3)
+    with pytest.raises(GeneratorParamsError, match="unknown generator kind 'ba'"):
+        GeneratorParams(n=40, kind="ba", value=0.3, bandwidth_max=5.0, max_hops=2)
 
 
 def test_generate_graph_rejects_negative_seeds():
