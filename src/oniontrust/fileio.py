@@ -2,7 +2,10 @@
 
 The text formats are line based; blank lines and lines starting with '#' are
 skipped everywhere. Serialization orders everything (entities, links, keys)
-so the same object always produces the same bytes.
+so the same object always produces the same bytes. A graph file is read
+line by line into link rows that become the graph's link columns at once;
+the graph text and the link CSV are written from those columns, which are
+already in (source, target, network) order, so no link record is built.
 
 Every CSV goes through one column-wise writer: a table arrives as blocks of
 text columns and is joined row by row per block. Cells follow one rule
@@ -22,8 +25,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import OnionTrustError, ParseError
-from .fuzzy import FuzzyRuleSet, Rule, ValueClass
-from .graph import AttributeProfile, FriendLink, SocialGraph
+from .fuzzy import VALUE_CLASSES, FuzzyRuleSet, Rule
+from .graph import GENERATOR_KINDS, LinkRows, SocialGraph
 from .propagation import TrustArrays
 from .simulation import (
     CorrelationCase,
@@ -45,9 +48,9 @@ def _content_lines(text: str) -> List[Tuple[int, str]]:
 
 
 def _split_kv(token: str, number: int) -> Tuple[str, str]:
-    if "=" not in token:
+    key, equals, value = token.partition("=")
+    if not equals:
         raise ParseError("expected key=value, got %r" % token, line=number)
-    key, value = token.split("=", 1)
     return key, value
 
 
@@ -72,8 +75,17 @@ def _parse_int(value: str, what: str, number: int) -> int:
 
 # -- graph files --------------------------------------------------------------
 
+#: Class name in a link line -> its code in VALUE_CLASSES.
+_CLASS_CODES = {value_class.name: code for code, value_class in enumerate(VALUE_CLASSES)}
+
+
 def parse_graph(text: str) -> SocialGraph:
-    """Graph from its text form; strict about counts and references."""
+    """Graph from its text form; strict about counts and references.
+
+    A key repeated on one link line and a second line on the same (source,
+    target, network) are errors. Link lines are gathered as rows and become
+    the graph's link columns at once, after the last line.
+    """
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty graph file", line=1)
@@ -84,6 +96,12 @@ def parse_graph(text: str) -> SocialGraph:
     declared = _parse_int(parts[1], "entity count", number)
 
     graph = SocialGraph()
+    # Link lines fill rows column by column; the attribute columns are
+    # keyed by their full token key ("q:freq") until the last line.
+    rows = LinkRows()
+    quant: Dict[str, Tuple[List[int], List[float]]] = {}
+    qual: Dict[str, Tuple[List[int], List[int]]] = {}
+    keys = set()
     seen_entities = 0
     for number, line in lines[1:]:
         parts = line.split()
@@ -119,12 +137,31 @@ def parse_graph(text: str) -> SocialGraph:
                 )
             src = _parse_int(parts[1], "source id", number)
             tgt = _parse_int(parts[2], "target id", number)
+            row = len(rows.source)
             network = None
             tv = None
-            profile = AttributeProfile()
+            seen = set()
             for token in parts[3:]:
                 key, value = _split_kv(token, number)
-                if key == "network":
+                if key in seen:
+                    raise ParseError("repeated key %r" % key, line=number)
+                seen.add(key)
+                prefix = key[:2]
+                if prefix == "q:":
+                    at, values = quant.get(key) or quant.setdefault(key, ([], []))
+                    at.append(row)
+                    values.append(_parse_float(value, "attribute %s" % key, number))
+                elif prefix == "c:":
+                    code = _CLASS_CODES.get(value)
+                    if code is None:
+                        raise ParseError(
+                            "bad class %r (want POSITIVE/NEUTRAL/NEGATIVE)" % value,
+                            line=number,
+                        )
+                    at, codes = qual.get(key) or qual.setdefault(key, ([], []))
+                    at.append(row)
+                    codes.append(code)
+                elif key == "network":
                     network = _parse_int(value, "network id", number)
                 elif key == "tv":
                     tv = _parse_float(value, "trust value", number)
@@ -132,36 +169,38 @@ def parse_graph(text: str) -> SocialGraph:
                         raise ParseError(
                             "trust value %r outside [0, 1]" % value, line=number
                         )
-                elif key.startswith("q:"):
-                    profile.quantitative[key[2:]] = _parse_float(
-                        value, "attribute %s" % key, number
-                    )
-                elif key.startswith("c:"):
-                    try:
-                        profile.qualitative[key[2:]] = ValueClass[value]
-                    except KeyError:
-                        raise ParseError(
-                            "bad class %r (want POSITIVE/NEUTRAL/NEGATIVE)" % value,
-                            line=number,
-                        ) from None
                 else:
                     raise ParseError("unknown link token %r" % token, line=number)
             if network is None:
                 raise ParseError("link line is missing network=", line=number)
             try:
-                graph.add_link(FriendLink(src, tgt, network, profile, tv))
+                graph.check_ends(src, tgt)
             except OnionTrustError as exc:
                 raise ParseError(str(exc), line=number) from None
+            key = (src, tgt, network)
+            if key in keys:
+                raise ParseError("duplicate link %d->%d network %d" % key, line=number)
+            keys.add(key)
+            rows.source.append(src)
+            rows.target.append(tgt)
+            rows.network.append(network)
+            rows.trust.append(math.nan if tv is None else tv)
         else:
             raise ParseError("unknown directive %r" % parts[0], line=number)
     if seen_entities != declared:
         raise ParseError(
             "header declares %d entities, file has %d" % (declared, seen_entities)
         )
+    rows.quant = {key[2:]: column for key, column in quant.items()}
+    rows.qual = {key[2:]: column for key, column in qual.items()}
+    graph.add_links(rows.columns())
     return graph
 
 
 def serialize_graph(graph: SocialGraph) -> str:
+    """The text form, links written column by column in (source, target,
+    network) order: each attribute is one column of tokens, empty where a
+    link has no value."""
     out = io.StringIO()
     ids = graph.entity_ids()
     out.write("entities %d\n" % len(ids))
@@ -170,15 +209,30 @@ def serialize_graph(graph: SocialGraph) -> str:
             "entity %d bandwidth=%s malicious=%d\n"
             % (eid, repr(graph.bandwidth(eid)), 1 if graph.is_malicious(eid) else 0)
         )
-    for link in graph.links():
-        tokens = ["link %d %d network=%d" % (link.source, link.target, link.network)]
-        for name in sorted(link.profile.quantitative):
-            tokens.append("q:%s=%s" % (name, repr(link.profile.quantitative[name])))
-        for name in sorted(link.profile.qualitative):
-            tokens.append("c:%s=%s" % (name, link.profile.qualitative[name].value))
-        if link.trust_value is not None:
-            tokens.append("tv=%s" % repr(link.trust_value))
-        out.write(" ".join(tokens) + "\n")
+    links = graph.link_columns()
+    columns = [
+        [
+            "link %d %d network=%d" % key
+            for key in zip(
+                links.source.tolist(), links.target.tolist(), links.network.tolist()
+            )
+        ]
+    ]
+    for a, name in enumerate(links.quant_names):
+        token = " q:%s=" % name
+        columns.append(
+            [
+                token + repr(value) if has else ""
+                for value, has in zip(links.quant[:, a].tolist(), links.present[:, a].tolist())
+            ]
+        )
+    for a, name in enumerate(links.qual_names):
+        # code -1 (no judgement) picks the empty token at the end
+        tokens = [" c:%s=%s" % (name, cls.value) for cls in VALUE_CLASSES] + [""]
+        columns.append([tokens[code] for code in links.qual[:, a].tolist()])
+    columns.append(_trust_cells(links.trust, " tv="))
+    columns.append(["\n"] * len(links))
+    out.write("".join(map("".join, zip(*columns))))
     return out.getvalue()
 
 
@@ -285,7 +339,7 @@ def _parse_generator(value: str, number: Optional[int]) -> Tuple[str, float]:
             line=number,
         )
     kind, raw = value.split(":", 1)
-    if kind not in ("calibrated", "er"):
+    if kind not in GENERATOR_KINDS:
         raise ParseError("unknown generator kind %r" % kind, line=number)
     return kind, _parse_float(raw, "generator parameter", number)
 
@@ -419,18 +473,24 @@ def write_cdf(path, values: Sequence[float]):
     _write_csv(path, ("value", "cumulative_fraction"), [_columns(cdf_points(values))])
 
 
+def _trust_cells(trust: np.ndarray, prefix: str = "") -> List[str]:
+    """prefix and the repr of each trust value, "" where it is NaN (unscored)."""
+    return ["" if math.isnan(tv) else prefix + float.__repr__(tv) for tv in trust.tolist()]
+
+
 def write_link_trust(path, graph: SocialGraph):
-    links = graph.links()
-    id_text = {eid: str(eid) for eid in graph.entity_ids()}
+    """One (source, target, network, trust_value) row per link, written
+    from the link columns in their (source, target, network) order."""
+    links = graph.link_columns()
     _write_csv(
         path,
         ("source", "target", "network", "trust_value"),
         [
             (
-                [id_text[link.source] for link in links],
-                [id_text[link.target] for link in links],
-                [str(link.network) for link in links],
-                [_fmt(link.trust_value) for link in links],
+                list(map(str, links.source.tolist())),
+                list(map(str, links.target.tolist())),
+                list(map(str, links.network.tolist())),
+                _trust_cells(links.trust),
             )
         ],
     )

@@ -10,17 +10,19 @@ trust value is the centroid of the stacked truncations, with the two outer
 classes carrying double density so that every class holds the same mass.
 
 All the integrals have closed forms (the memberships are piecewise linear),
-so evaluation is a handful of polynomial terms per rule.
+so evaluation is a handful of polynomial terms per rule. link_trust scores
+one link; compute_trust_values scores a graph's link columns at once with
+the same closed forms and float operations, so both give the same bits.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Tuple
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -42,6 +44,10 @@ class ValueClass(enum.Enum):
     POSITIVE = "POSITIVE"
     NEUTRAL = "NEUTRAL"
     NEGATIVE = "NEGATIVE"
+
+
+#: The classes by code: a link column stores a class as its index here.
+VALUE_CLASSES = tuple(ValueClass)
 
 
 class Rule(enum.Enum):
@@ -122,18 +128,27 @@ def truncated_moment_and_mass(rule: Rule, e: float) -> Tuple[float, float]:
     Closed forms, one polynomial pair per rule family.
     """
     _check_unit_interval(e)
+    return _closed_form(rule, e > 0.5, e, e**2, e**3)
+
+
+def _closed_form(rule: Rule, high, e, e2, e3):
+    """truncated_moment_and_mass from e, e2 = e**2 and e3 = e**3.
+
+    e may be a float or an array. high says e > 0.5, which picks MEDIUM's
+    piece; an array caller splits its MEDIUM rows by side.
+    """
     if rule is Rule.LARGEST:
-        return -(e**3 + 9.0 * e**2 - 21.0 * e) / 48.0, -(e**2 - 2.0 * e) / 4.0
+        return -(e3 + 9.0 * e2 - 21.0 * e) / 48.0, -(e2 - 2.0 * e) / 4.0
     if rule is Rule.LARGE:
-        return -3.0 * (e**2 - 2.0 * e) / 16.0, -(e**2 - 2.0 * e) / 4.0
+        return -3.0 * (e2 - 2.0 * e) / 16.0, -(e2 - 2.0 * e) / 4.0
     if rule is Rule.MEDIUM:
-        if e <= 0.5:
-            return -(e**2 - 2.0 * e) / 8.0, -(e**2 - 2.0 * e) / 4.0
-        return -(e**2 - 1.0) / 8.0, -(e**2 - 1.0) / 4.0
+        if high:
+            return -(e2 - 1.0) / 8.0, -(e2 - 1.0) / 4.0
+        return -(e2 - 2.0 * e) / 8.0, -(e2 - 2.0 * e) / 4.0
     if rule is Rule.SMALL:
-        return -(e**2 - 1.0) / 16.0, -(e**2 - 1.0) / 4.0
+        return -(e2 - 1.0) / 16.0, -(e2 - 1.0) / 4.0
     if rule is Rule.SMALLEST:
-        return -(e**3 - 1.0) / 48.0, -(e**2 - 1.0) / 4.0
+        return -(e3 - 1.0) / 48.0, -(e2 - 1.0) / 4.0
     raise UnknownRuleError("not a rule: %r" % (rule,))
 
 
@@ -314,26 +329,100 @@ def link_trust(
 
 
 def compute_trust_values(graph: "SocialGraph", rules: FuzzyRuleSet) -> None:
-    """Fill in trust_value on every link of the graph, in place.
+    """Fill in the trust column of every link of the graph, in place.
 
     Normalizers are the per-attribute maxima over the source's out-links on
     the same network, zero included, so an entity's links are scored
-    relative to its own strongest interaction there. One pass over
-    graph.links() splits each source's links by network, targets ascending;
-    each group, networks ascending, fills its maxima and then scores its
-    links, so an error names the first bad link in (source, network,
-    target) order.
+    relative to its own strongest interaction there. The links are scored
+    as whole columns in (source, network, target) order, with the same
+    float operations as link_trust, so every value is bit for bit the one
+    link_trust gives. On the first link in that order that link_trust would
+    reject, the links before it keep their new scores and link_trust raises
+    its error, naming it.
     """
-    for _, outgoing in groupby(graph.links(), key=attrgetter("source")):
-        by_network: dict[int, list] = {}
-        for link in outgoing:
-            by_network.setdefault(link.network, []).append(link)
-        for network in sorted(by_network):
-            group = by_network[network]
-            normalizers: dict[str, float] = {}
-            for link in group:
-                for name, value in link.profile.quantitative.items():
-                    if value > normalizers.setdefault(name, 0.0):
-                        normalizers[name] = value
-            for link in group:
-                link.trust_value = link_trust(link, normalizers, rules)
+    links = graph.link_columns()
+    size = len(links)
+    if not size:
+        return
+    order = np.lexsort((links.target, links.network, links.source))
+    source, network = links.source[order], links.network[order]
+    first = np.ones(size, dtype=bool)
+    first[1:] = (source[1:] != source[:-1]) | (network[1:] != network[:-1])
+    quant, present, qual = links.quant[order], links.present[order], links.qual[order]
+    # value > 0 also drops NaN, -0.0 and absent values, as link_trust's
+    # running maximum from 0.0 does.
+    positive = np.where(present & (quant > 0.0), quant, 0.0)
+    top = np.maximum.reduceat(positive, np.flatnonzero(first), axis=0)[np.cumsum(first) - 1]
+
+    # The links link_trust rejects: a weighted value missing, outside
+    # [0, normalizer] or with no finite positive normalizer, no judgement
+    # at all, or a judgement with no rule.
+    weighted = [
+        (rules.weights[name], links.quant_names.index(name))
+        for name in sorted(rules.weights)
+        if name in links.quant_names
+    ]
+    bad = np.full(size, len(weighted) < len(rules.weights)) | (qual < 0).all(axis=1)
+    for _, a in weighted:
+        value, norm = quant[:, a], top[:, a]
+        bad |= ~present[:, a] | ~(norm < math.inf) | (norm <= 0.0)
+        bad |= ~((0.0 <= value) & (value <= norm))
+    rule_of = {}
+    for c, name in enumerate(links.qual_names):
+        for code, value_class in enumerate(VALUE_CLASSES):
+            try:
+                rule_of[c, code] = rules.rule_for(name, value_class)
+            except MissingAttributeError:
+                bad |= qual[:, c] == code
+
+    good = np.flatnonzero(~bad)
+    trust = np.full(size, math.nan)
+    trust[good] = _column_scores(quant[good], top[good], qual[good], weighted, rule_of)
+    if not bad.any():
+        links.trust[order] = trust
+        return
+    stop = int(np.argmax(bad))
+    links.trust[order[:stop]] = trust[:stop]
+    row = int(order[stop])
+    link = graph.link(int(links.source[row]), int(links.target[row]), int(links.network[row]))
+    # Every weighted value the link has has a normalizer, so naming all of
+    # them gives link_trust the same checks as the source's own maxima.
+    link_trust(link, dict(zip(links.quant_names, top[stop].tolist())), rules)
+    raise AssertionError(
+        "link %d->%d network %d passes link_trust"
+        % (link.source, link.target, link.network)
+    )
+
+
+def _column_scores(quant, top, codes, weighted, rule_of) -> np.ndarray:
+    """link_trust of links that pass its checks, as columns.
+
+    quant and top are the links' values and normalizers, codes their class
+    codes; weighted lists (weight, column) in sorted-name order and rule_of
+    maps (class column, code) to the rule it fires. Every sum runs in the
+    order link_trust adds, and e**2, e**3 are Python float powers, since
+    numpy's power differs from them in some bits.
+    """
+    e = np.zeros(len(quant))
+    for weight, a in weighted:
+        e = e + weight * (quant[:, a] / top[:, a])
+    e = np.minimum(1.0, np.maximum(0.0, e))
+    e2 = np.array([x**2 for x in e.tolist()])
+    e3 = np.array([x**3 for x in e.tolist()])
+    moment = np.zeros(len(e))
+    mass = np.zeros(len(e))
+    high = e > 0.5
+    for (c, code), rule in rule_of.items():  # class columns in name order
+        rows = codes[:, c] == code
+        pieces = [(rows, False)]
+        if rule is Rule.MEDIUM:
+            pieces = [(rows & ~high, False), (rows & high, True)]
+        for at, side in pieces:
+            mp, m = _closed_form(rule, side, e[at], e2[at], e3[at])
+            moment[at] += mp
+            mass[at] += m
+    scores = np.divide(moment, mass, out=np.zeros(len(e)), where=mass != 0.0)
+    for k in np.flatnonzero(mass == 0.0).tolist():
+        matched = [rule_of[c, code] for c, code in enumerate(codes[k].tolist()) if code >= 0]
+        scores[k] = defuzzify(matched, float(e[k]))
+    return scores

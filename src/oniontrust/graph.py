@@ -4,8 +4,15 @@ Entities are onion routers run by people with social ties. A directed link
 records that its source counts the target as a friend on one particular
 social network, together with the attribute profile of that tie. The same
 pair may be linked on several networks; trust merging takes the best one.
-So the graph stores each link once, grouped by (source, target) pair, and
-every view (sorted links, merged trust, pair arrays) reads that one map.
+
+The links live as columns (LinkColumns), one row per link in (source,
+target, network) order: the ends and network, a quantitative value matrix
+with its presence mask, a qualitative class-code matrix and a trust column.
+Parsing and generation fill them in bulk, fuzzy scoring writes the trust
+column, and every view (merged trust, pair arrays, the link CSV) reads them.
+FriendLink is the record add_link takes and link()/links() return; those
+records are built from the columns, so changing one leaves the graph as it
+is.
 
 Also home to the synthetic graph generator used by the simulations: directed
 Erdos-Renyi edges, either with a fixed edge probability or calibrated so the
@@ -14,10 +21,10 @@ mean friendship-circle size hits a target fraction of the graph.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +36,7 @@ from .errors import (
     SelfLinkError,
     UnknownEntityError,
 )
-from .fuzzy import ValueClass
+from .fuzzy import VALUE_CLASSES, ValueClass
 
 
 @dataclass
@@ -67,18 +74,183 @@ class FriendLink:
     trust_value: Optional[float] = None
 
 
+@dataclass
+class LinkColumns:
+    """Links as columns, one row per link.
+
+    source, target and network are int64 ids. quant holds the quantitative
+    values over quant_names, with present marking the values a link has (a
+    NaN is a value, so absence needs its own mask); qual holds codes into
+    VALUE_CLASSES over qual_names, -1 where a link has no judgement; trust
+    is NaN until the link is scored.
+    """
+
+    source: np.ndarray
+    target: np.ndarray
+    network: np.ndarray
+    quant_names: Tuple[str, ...]
+    quant: np.ndarray
+    present: np.ndarray
+    qual_names: Tuple[str, ...]
+    qual: np.ndarray
+    trust: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def take(self, rows) -> "LinkColumns":
+        return dataclasses.replace(
+            self, **{name: getattr(self, name)[rows] for name in _LINK_ARRAYS}
+        )
+
+    def widen(self, quant_names: Tuple[str, ...], qual_names: Tuple[str, ...]) -> "LinkColumns":
+        """The same links over name lists that contain this one's names."""
+        size = len(self)
+        quant = np.zeros((size, len(quant_names)))
+        present = np.zeros((size, len(quant_names)), dtype=bool)
+        at = [quant_names.index(name) for name in self.quant_names]
+        quant[:, at] = self.quant
+        present[:, at] = self.present
+        qual = np.full((size, len(qual_names)), -1, dtype=np.int8)
+        qual[:, [qual_names.index(name) for name in self.qual_names]] = self.qual
+        return dataclasses.replace(
+            self, quant_names=quant_names, quant=quant, present=present,
+            qual_names=qual_names, qual=qual,
+        )
+
+    def records(self) -> List[FriendLink]:
+        """A fresh FriendLink per row, in row order."""
+        quant_names, qual_names = self.quant_names, self.qual_names
+        return [
+            FriendLink(
+                source,
+                target,
+                network,
+                AttributeProfile(
+                    {name: value for name, value, has in zip(quant_names, values, has_row) if has},
+                    {name: VALUE_CLASSES[code] for name, code in zip(qual_names, codes) if code >= 0},
+                ),
+                None if math.isnan(trust) else trust,
+            )
+            for source, target, network, values, has_row, codes, trust in zip(
+                self.source.tolist(),
+                self.target.tolist(),
+                self.network.tolist(),
+                self.quant.tolist(),
+                self.present.tolist(),
+                self.qual.tolist(),
+                self.trust.tolist(),
+            )
+        ]
+
+
+#: The LinkColumns fields that hold one entry per link.
+_LINK_ARRAYS = ("source", "target", "network", "quant", "present", "qual", "trust")
+
+_CLASS_CODE = {value_class: code for code, value_class in enumerate(VALUE_CLASSES)}
+
+
+class LinkRows:
+    """Links gathered one at a time, turned into LinkColumns at once."""
+
+    def __init__(self):
+        self.source: List[int] = []
+        self.target: List[int] = []
+        self.network: List[int] = []
+        self.trust: List[float] = []
+        # name -> (rows that have it, their values or class codes)
+        self.quant: Dict[str, Tuple[List[int], List[float]]] = {}
+        self.qual: Dict[str, Tuple[List[int], List[int]]] = {}
+
+    def append(
+        self,
+        source: int,
+        target: int,
+        network: int,
+        quantitative: Mapping[str, float],
+        qualitative: Mapping[str, ValueClass],
+        trust: Optional[float] = None,
+    ):
+        row = len(self.source)
+        self.source.append(source)
+        self.target.append(target)
+        self.network.append(network)
+        self.trust.append(math.nan if trust is None else float(trust))
+        for name, value in quantitative.items():
+            rows, values = self.quant.setdefault(name, ([], []))
+            rows.append(row)
+            values.append(float(value))
+        for name, value_class in qualitative.items():
+            rows, codes = self.qual.setdefault(name, ([], []))
+            rows.append(row)
+            codes.append(_CLASS_CODE[value_class])
+
+    def columns(self) -> LinkColumns:
+        size = len(self.source)
+        quant_names = tuple(sorted(self.quant))
+        qual_names = tuple(sorted(self.qual))
+        quant = np.zeros((size, len(quant_names)))
+        present = np.zeros((size, len(quant_names)), dtype=bool)
+        for a, name in enumerate(quant_names):
+            rows, values = self.quant[name]
+            quant[rows, a] = values
+            present[rows, a] = True
+        qual = np.full((size, len(qual_names)), -1, dtype=np.int8)
+        for a, name in enumerate(qual_names):
+            rows, codes = self.qual[name]
+            qual[rows, a] = codes
+        return LinkColumns(
+            source=np.array(self.source, dtype=np.int64),
+            target=np.array(self.target, dtype=np.int64),
+            network=np.array(self.network, dtype=np.int64),
+            quant_names=quant_names,
+            quant=quant,
+            present=present,
+            qual_names=qual_names,
+            qual=qual,
+            trust=np.array(self.trust, dtype=float),
+        )
+
+
+def _merged(old: LinkColumns, new: LinkColumns) -> LinkColumns:
+    """old then new, sorted by (source, target, network); a later link on
+    the same key replaces the earlier one."""
+    quant_names = tuple(sorted(set(old.quant_names) | set(new.quant_names)))
+    qual_names = tuple(sorted(set(old.qual_names) | set(new.qual_names)))
+    old, new = old.widen(quant_names, qual_names), new.widen(quant_names, qual_names)
+    both = dataclasses.replace(
+        old,
+        **{
+            name: np.concatenate([getattr(old, name), getattr(new, name)])
+            for name in _LINK_ARRAYS
+        },
+    )
+    # lexsort is stable, so the last row of each run of equal keys is the
+    # latest one added.
+    order = np.lexsort((both.network, both.target, both.source))
+    source, target, network = both.source[order], both.target[order], both.network[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = (
+        (source[1:] != source[:-1]) | (target[1:] != target[:-1]) | (network[1:] != network[:-1])
+    )
+    return both.take(order[last])
+
+
 class SocialGraph:
     """Mutable-until-frozen container for entities and links.
 
-    Links live in one map, (source, target) -> network -> link, so parallel
-    links of a pair sit together for trust merging. A graph is input only:
-    where a scenario's adversary sits and how its bandwidths are shaped live
-    in the simulation's arrays, never in a modified copy of the graph.
+    Links live as LinkColumns sorted by (source, target, network), so the
+    parallel links of a pair sit together for trust merging. Links added
+    one at a time wait in a LinkRows until the columns are next read. A
+    graph is input only: where a scenario's adversary sits and how its
+    bandwidths are shaped live in the simulation's arrays, never in a
+    modified copy of the graph.
     """
 
     def __init__(self):
         self._entities: Dict[int, Entity] = {}
-        self._pairs: Dict[Tuple[int, int], Dict[int, FriendLink]] = {}
+        self._links = LinkRows().columns()
+        self._pending = LinkRows()
         self._frozen = False
 
     # -- construction ------------------------------------------------------
@@ -93,16 +265,46 @@ class SocialGraph:
             )
         self._entities[entity_id] = Entity(entity_id, float(bandwidth), bool(malicious))
 
-    def add_link(self, link: FriendLink):
-        """Insert a link; a link on the same (source, target, network) is replaced."""
-        if self._frozen:
-            raise FrozenGraphError("graph is frozen")
-        if link.source == link.target:
-            raise SelfLinkError("entity %d cannot link to itself" % link.source)
-        for end in (link.source, link.target):
+    def check_ends(self, source: int, target: int):
+        """Raise the error add_link gives a link between these two ids, if any."""
+        if source == target:
+            raise SelfLinkError("entity %d cannot link to itself" % source)
+        for end in (source, target):
             if end not in self._entities:
                 raise UnknownEntityError("unknown entity %d" % end)
-        self._pairs.setdefault((link.source, link.target), {})[link.network] = link
+
+    def add_link(self, link: FriendLink):
+        """Insert a link; a link on the same (source, target, network) is replaced.
+
+        The graph keeps the link's fields, not the record: changing the
+        record afterwards does not change the graph.
+        """
+        if self._frozen:
+            raise FrozenGraphError("graph is frozen")
+        self.check_ends(link.source, link.target)
+        self._pending.append(
+            link.source,
+            link.target,
+            link.network,
+            link.profile.quantitative,
+            link.profile.qualitative,
+            link.trust_value,
+        )
+
+    def add_links(self, links: LinkColumns):
+        """Insert many links at once, as add_link would one by one."""
+        if self._frozen:
+            raise FrozenGraphError("graph is frozen")
+        ids = np.array(self.entity_ids(), dtype=np.int64)
+        bad = (
+            (links.source == links.target)
+            | ~np.isin(links.source, ids)
+            | ~np.isin(links.target, ids)
+        )
+        if bad.any():
+            row = int(np.argmax(bad))
+            self.check_ends(int(links.source[row]), int(links.target[row]))
+        self._links = _merged(self.link_columns(), links)
 
     def freeze(self):
         """Forbid further entity/link insertion. Trust values may still be set."""
@@ -120,7 +322,7 @@ class SocialGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SocialGraph):
             return NotImplemented
-        return self._entities == other._entities and self._pairs == other._pairs
+        return self._entities == other._entities and self.links() == other.links()
 
     def entity_ids(self) -> List[int]:
         return sorted(self._entities)
@@ -140,27 +342,44 @@ class SocialGraph:
         self._require_entity(entity_id)
         return self._entities[entity_id].malicious
 
+    def link_columns(self) -> LinkColumns:
+        """The links as columns, in (source, target, network) order.
+
+        The columns are the graph's own: fuzzy scoring writes the trust
+        column in place, and nothing else may be written.
+        """
+        if self._pending.source:
+            pending, self._pending = self._pending, LinkRows()
+            self._links = _merged(self._links, pending.columns())
+        return self._links
+
     def links(self) -> List[FriendLink]:
-        """All links, sorted by (source, target, network)."""
-        return sorted(
-            (link for by_net in self._pairs.values() for link in by_net.values()),
-            key=attrgetter("source", "target", "network"),
-        )
+        """All links as fresh records, sorted by (source, target, network)."""
+        return self.link_columns().records()
 
     def link_count(self) -> int:
-        """Number of links, counted without building or sorting them."""
-        return sum(len(by_net) for by_net in self._pairs.values())
+        """Number of links, counted without building them."""
+        return len(self.link_columns())
+
+    def _pair_rows(self, source: int, target: int) -> Tuple[int, int]:
+        """[lo, hi) rows of the (source, target) links, networks ascending."""
+        links = self.link_columns()
+        lo, hi = np.searchsorted(links.source, [source, source + 1]).tolist()
+        found = lo + np.searchsorted(links.target[lo:hi], [target, target + 1])
+        return int(found[0]), int(found[1])
 
     def link(self, source: int, target: int, network: int) -> FriendLink:
-        try:
-            return self._pairs[(source, target)][network]
-        except KeyError:
+        lo, hi = self._pair_rows(source, target)
+        links = self.link_columns()
+        row = lo + int(np.searchsorted(links.network[lo:hi], network))
+        if row == hi or links.network[row] != network:
             raise NoLinkError(
                 "no link %d->%d on network %d" % (source, target, network)
-            ) from None
+            )
+        return links.take([row]).records()[0]
 
     def networks(self) -> frozenset:
-        return frozenset(net for by_net in self._pairs.values() for net in by_net)
+        return frozenset(np.unique(self.link_columns().network).tolist())
 
     # -- trust views -------------------------------------------------------
 
@@ -168,10 +387,12 @@ class SocialGraph:
         """Best per-network trust value of the (source, target) tie."""
         self._require_entity(source)
         self._require_entity(target)
-        by_net = self._pairs.get((source, target))
-        if not by_net:
+        lo, hi = self._pair_rows(source, target)
+        if lo == hi:
             raise NoLinkError("no link %d->%d on any network" % (source, target))
-        return _best_network(by_net, source, target)
+        links = self.link_columns()
+        _require_scored(links, lo, hi)
+        return float(links.trust[lo:hi].max())
 
     def pair_arrays(self, trust: bool = False):
         """The id->row index and every linked pair as arrays, gathered fresh.
@@ -179,20 +400,25 @@ class SocialGraph:
         Returns (ids, src, tgt, tv): the entity ids in row order, the source
         and target row of each linked pair, and with trust=True each pair's
         merged trust value (None otherwise). Links on several networks
-        between the same pair count as one pair.
+        between the same pair count as one pair; pairs come in (source,
+        target) order.
         """
         ids = self.entity_ids()
-        row = {eid: k for k, eid in enumerate(ids)}
+        links = self.link_columns()
+        first = np.ones(len(links), dtype=bool)
+        first[1:] = (links.source[1:] != links.source[:-1]) | (
+            links.target[1:] != links.target[:-1]
+        )
+        starts = np.flatnonzero(first)
         tv = None
         if trust:
-            tv = np.array(
-                [_best_network(by_net, *pair) for pair, by_net in self._pairs.items()],
-                dtype=float,
-            )
+            _require_scored(links, 0, len(links))
+            tv = np.maximum.reduceat(links.trust, starts) if len(links) else np.zeros(0)
+        index = np.array(ids, dtype=np.int64)
         return (
             ids,
-            np.array([row[source] for source, _ in self._pairs], dtype=np.intp),
-            np.array([row[target] for _, target in self._pairs], dtype=np.intp),
+            np.searchsorted(index, links.source[starts]),
+            np.searchsorted(index, links.target[starts]),
             tv,
         )
 
@@ -204,17 +430,15 @@ class SocialGraph:
         return mask
 
 
-def _best_network(by_net: Dict[int, FriendLink], source: int, target: int) -> float:
-    best = -1.0
-    for net in sorted(by_net):
-        tv = by_net[net].trust_value
-        if tv is None:
-            raise DomainError(
-                "link %d->%d network %d has no trust value yet"
-                % (source, target, net)
-            )
-        best = max(best, tv)
-    return best
+def _require_scored(links: LinkColumns, lo: int, hi: int):
+    """Fail naming the first of rows [lo, hi) that has no trust value yet."""
+    unscored = np.flatnonzero(np.isnan(links.trust[lo:hi]))
+    if len(unscored):
+        row = lo + int(unscored[0])
+        raise DomainError(
+            "link %d->%d network %d has no trust value yet"
+            % (links.source[row], links.target[row], links.network[row])
+        )
 
 
 def reach_frontiers(mask: np.ndarray, rows: np.ndarray, max_hops: int) -> List[np.ndarray]:
@@ -283,6 +507,10 @@ QUANTITATIVE_NAMES = ("freq", "time")
 QUALITATIVE_NAMES = ("Major", "Relationship")
 RAW_HIGH = 10.0
 
+#: Generator kinds: "er" draws each edge with a fixed probability,
+#: "calibrated" fits the probability to a target mean circle size.
+GENERATOR_KINDS = ("er", "calibrated")
+
 #: How far the calibrated mean circle size may land from its target.
 CALIBRATION_TOL = 2.5
 
@@ -302,19 +530,17 @@ class GeneratorParams:
     def __post_init__(self):
         if self.n < 1:
             raise GeneratorParamsError("n must be >= 1, got %d" % self.n)
+        if self.kind not in GENERATOR_KINDS:
+            raise GeneratorParamsError("unknown generator kind %r" % (self.kind,))
         if self.kind == "er":
             if not 0.0 <= self.value <= 1.0:
                 raise GeneratorParamsError(
                     "er edge probability must be in [0, 1], got %r" % (self.value,)
                 )
-        elif self.kind == "calibrated":
-            if not 0.0 < self.value < 1.0:
-                raise GeneratorParamsError(
-                    "calibrated circle fraction must be in (0, 1), got %r"
-                    % (self.value,)
-                )
-        else:
-            raise GeneratorParamsError("unknown generator kind %r" % (self.kind,))
+        elif not 0.0 < self.value < 1.0:
+            raise GeneratorParamsError(
+                "calibrated circle fraction must be in (0, 1), got %r" % (self.value,)
+            )
         if not (math.isfinite(self.bandwidth_max) and self.bandwidth_max > 0.0):
             raise GeneratorParamsError(
                 "bandwidth_max must be positive and finite, got %r" % (self.bandwidth_max,)
@@ -396,22 +622,21 @@ def generate_graph(params: GeneratorParams, seed: int) -> SocialGraph:
     raws *= (0.2 + 0.8 * target_rep)[:, None]
     # Class mix per inbound link: POSITIVE with probability 0.05 + 0.7 r,
     # NEUTRAL with 0.2, NEGATIVE with the rest, r the target's reputation.
-    class_order = (ValueClass.POSITIVE, ValueClass.NEUTRAL, ValueClass.NEGATIVE)
+    # The picks 0, 1, 2 are those classes' codes in VALUE_CLASSES.
     p_pos = (0.05 + 0.7 * target_rep)[:, None]
     v = attr_rng.random((n_links, len(QUALITATIVE_NAMES)))
     picks = np.where(v < p_pos, 0, np.where(v < p_pos + 0.2, 1, 2))
-    for k in range(n_links):
-        profile = AttributeProfile(
-            quantitative={
-                name: float(raws[k, a])
-                for a, name in enumerate(QUANTITATIVE_NAMES)
-            },
-            qualitative={
-                name: class_order[int(picks[k, a])]
-                for a, name in enumerate(QUALITATIVE_NAMES)
-            },
+    graph.add_links(
+        LinkColumns(
+            source=rows.astype(np.int64) + 1,
+            target=cols.astype(np.int64) + 1,
+            network=np.ones(n_links, dtype=np.int64),
+            quant_names=QUANTITATIVE_NAMES,
+            quant=raws,
+            present=np.ones(raws.shape, dtype=bool),
+            qual_names=QUALITATIVE_NAMES,
+            qual=picks.astype(np.int8),
+            trust=np.full(n_links, math.nan),
         )
-        graph.add_link(
-            FriendLink(int(rows[k]) + 1, int(cols[k]) + 1, 1, profile)
-        )
+    )
     return graph

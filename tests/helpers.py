@@ -350,14 +350,17 @@ def copy_graph(graph: SocialGraph, flags=None) -> SocialGraph:
 # -- scoring reference ------------------------------------------------------------
 
 
-def reference_trust_values(graph: SocialGraph, rules: FuzzyRuleSet) -> None:
+def reference_trust_values(graph: SocialGraph, rules: FuzzyRuleSet, scores=None) -> dict:
     """The per-(source, network) scoring loop the grouped pass replaced.
 
     It queried the graph once per source for its networks and once per
     (source, network) for the links, in target order; here both queries
     filter graph.links(). Normalizers take only values above zero, so an
-    all-zero attribute has none.
+    all-zero attribute has none. Returns the scores keyed by (source,
+    target, network), filling scores (a dict) when given, so the scores
+    made before an error stay readable.
     """
+    scores = {} if scores is None else scores
     links = graph.links()
     for source in graph.entity_ids():
         networks = sorted({link.network for link in links if link.source == source})
@@ -372,7 +375,36 @@ def reference_trust_values(graph: SocialGraph, rules: FuzzyRuleSet) -> None:
                     if value > normalizers.get(name, 0.0):
                         normalizers[name] = value
             for link in group:
-                link.trust_value = link_trust(link, normalizers, rules)
+                key = (link.source, link.target, link.network)
+                scores[key] = link_trust(link, normalizers, rules)
+    return scores
+
+
+def scalar_trust_values(graph: SocialGraph, rules: FuzzyRuleSet, scores=None) -> dict:
+    """The one-link-at-a-time pass the column scorer replaced.
+
+    One pass over graph.links() splits each source's links by network,
+    targets ascending; each group, networks ascending, takes its maxima
+    (zero included) and then scores its links with link_trust. Returns the
+    scores keyed by (source, target, network), filling scores (a dict)
+    when given, so the scores made before an error stay readable.
+    """
+    scores = {} if scores is None else scores
+    for _, outgoing in itertools.groupby(graph.links(), key=lambda link: link.source):
+        by_network = {}
+        for link in outgoing:
+            by_network.setdefault(link.network, []).append(link)
+        for network in sorted(by_network):
+            group = by_network[network]
+            normalizers = {}
+            for link in group:
+                for name, value in link.profile.quantitative.items():
+                    if value > normalizers.setdefault(name, 0.0):
+                        normalizers[name] = value
+            for link in group:
+                key = (link.source, link.target, link.network)
+                scores[key] = link_trust(link, normalizers, rules)
+    return scores
 
 
 # -- CSV reference --------------------------------------------------------------

@@ -1,10 +1,18 @@
 """End-to-end command line runs, in process."""
 
 import argparse
+from collections import Counter
 
 import pytest
 
-from oniontrust import compute_trust_values, read_graph, read_rules
+from oniontrust import (
+    AttributeProfile,
+    FriendLink,
+    SocialGraph,
+    compute_trust_values,
+    read_graph,
+    read_rules,
+)
 from oniontrust.cli import build_parser, main
 
 from helpers import reference_trust_scores_csv
@@ -301,3 +309,38 @@ def test_each_subcommand_takes_exactly_the_options_it_reads():
     }
     assert got == {name: options | shared for name, options in want.items()}
 
+
+
+def test_the_pipeline_builds_no_link_records(tmp_path, monkeypatch):
+    # trust, simulate and sweep read the link columns: no FriendLink or
+    # AttributeProfile is built and graph.links() is never called.
+    assert main(
+        ["generate", "--n", "60", "--generator", "er:0.08", "--seed", "2",
+         "--out", str(tmp_path), "--quiet"]
+    ) == 0
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(SCENARIO)
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text(SCENARIO + "draw_mode = circuit\ncase = best\n")
+    counts = Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for cls in (FriendLink, AttributeProfile):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    monkeypatch.setattr(SocialGraph, "links", counting("links", SocialGraph.links))
+    out = str(tmp_path / "out")
+    for argv in (
+        ["trust", str(tmp_path / "graph.txt")],
+        ["simulate", str(scenario)],
+        ["simulate", str(circuit)],
+        ["sweep", str(scenario), "--axis", "ts_h", "--values", "0,0.2"],
+    ):
+        assert main(argv + ["--out", out, "--quiet"]) == 0
+    assert counts == {}
+    read_graph(tmp_path / "graph.txt").links()  # the counters do count
+    assert set(counts) == {"FriendLink", "AttributeProfile", "links"}

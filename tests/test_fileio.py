@@ -142,6 +142,36 @@ def test_parse_graph_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+def test_parse_graph_rejects_repeated_keys_and_duplicate_links():
+    head = (
+        "entities 2\nentity 1 bandwidth=1.0 malicious=0\n"
+        "entity 2 bandwidth=1.0 malicious=0\n"
+    )
+    text = head + (
+        "link 1 2 network=1 q:freq=1.0 q:freq=5.0 c:Major=POSITIVE network=3\n"
+        "link 1 2 network=3 q:freq=2.0 c:Major=NEGATIVE\n"
+    )
+    with pytest.raises(ParseError, match=r"^line 4: repeated key 'q:freq'$"):
+        parse_graph(text)
+    for tokens, key in (
+        ("network=1 network=3", "network"),
+        ("network=1 c:Major=POSITIVE c:Major=NEGATIVE", "c:Major"),
+        ("network=1 tv=0.5 tv=0.5", "tv"),
+    ):
+        with pytest.raises(ParseError, match=r"^line 4: repeated key '%s'$" % key):
+            parse_graph(head + "link 1 2 %s\n" % tokens)
+    text = head + (
+        "link 1 2 network=3 q:freq=1.0\n"
+        "link 2 1 network=3 q:freq=1.0\n"
+        "link 1 2 network=3 q:freq=2.0 c:Major=NEGATIVE\n"
+    )
+    with pytest.raises(ParseError, match=r"^line 6: duplicate link 1->2 network 3$"):
+        parse_graph(text)
+    # the same pair on another network and the reverse tie are other links
+    text = head + "link 1 2 network=3\nlink 1 2 network=1\nlink 2 1 network=3\n"
+    assert parse_graph(text).link_count() == 3
+
+
 @pytest.mark.parametrize(
     "line, fragment",
     [

@@ -1,20 +1,24 @@
 """Fuzzy engine tests: memberships, closed forms, defuzzification."""
 
+import itertools
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oniontrust import (
     AttributeProfile,
     FriendLink,
     FuzzyRuleSet,
+    GeneratorParams,
     Rule,
     SocialGraph,
     ValueClass,
     aggregate,
     compute_trust_values,
+    generate_graph,
     link_trust,
     parse_rules,
     trust_value,
@@ -38,12 +42,12 @@ from oniontrust.fuzzy import (
 )
 
 from helpers import (
-    copy_graph,
     default_rules,
     profiled_graphs,
     quad_truncated,
     quad_trust_value,
     reference_trust_values,
+    scalar_trust_values,
 )
 
 
@@ -268,13 +272,13 @@ def test_the_first_bad_link_in_group_order_is_named():
     )
     graph.add_link(FriendLink(1, 2, 2, AttributeProfile({"freq": 1.0},
                                                           {"Major": ValueClass.POSITIVE})))
-    reference = copy_graph(graph)
+    reference = {}
     with pytest.raises(DomainError, match="^link 1->5 network 1: attribute 'freq' = nan"):
-        reference_trust_values(reference, default_rules())
+        reference_trust_values(graph, default_rules(), reference)
     with pytest.raises(DomainError, match="^link 1->5 network 1: attribute 'freq' = nan"):
         compute_trust_values(graph, default_rules())
     # the link before it in that order is scored, as the reference scored it
-    assert graph.link(1, 4, 1).trust_value == reference.link(1, 4, 1).trust_value
+    assert graph.link(1, 4, 1).trust_value == reference[(1, 4, 1)]
     assert graph.link(1, 4, 1).trust_value is not None
     assert graph.link(1, 2, 2).trust_value is None
 
@@ -287,9 +291,8 @@ def _named_link(exc):
 @given(profiled_graphs())
 def test_grouped_scoring_equals_the_per_group_loop(drawn):
     graph, _ = drawn
-    reference = copy_graph(graph)
     try:
-        reference_trust_values(reference, default_rules())
+        reference = reference_trust_values(graph, default_rules())
     except OnionTrustError as exc:
         # Only an all-zero attribute fails here; it now reads as a zero
         # maximum of the same link instead of a missing normalizer.
@@ -300,8 +303,89 @@ def test_grouped_scoring_equals_the_per_group_loop(drawn):
         return
     compute_trust_values(graph, default_rules())
     assert [link.trust_value.hex() for link in graph.links()] == [
-        link.trust_value.hex() for link in reference.links()
+        reference[key].hex() for key in sorted(reference)
     ]
+
+
+#: Links added on top of a profiled graph, each with one thing the column
+#: scorer must treat as link_trust does. "zero" and "top" links have e = 0
+#: and e = 1 when their group has other positive values, and classes that
+#: give them zero mass; "zero" alone in its group is an all-zero attribute.
+SPECIAL_LINKS = {
+    "zero": ({"freq": 0.0, "time": 0.0}, (ValueClass.POSITIVE, ValueClass.NEUTRAL)),
+    "top": ({"freq": 50.0, "time": 50.0}, (ValueClass.NEGATIVE, ValueClass.NEUTRAL)),
+    "unruled-neutral": ({"freq": 1.0, "time": 1.0}, tuple(ValueClass)),
+    "unruled-positive": ({"freq": 1.0, "time": 1.0}, tuple(ValueClass)),
+    "nan": ({"freq": float("nan"), "time": 1.0}, tuple(ValueClass)),
+    "missing": ({"freq": 1.0}, tuple(ValueClass)),
+}
+
+
+@st.composite
+def scoring_graphs(draw):
+    """A profiled graph plus a few SPECIAL_LINKS, added through add_link."""
+    graph, _ = draw(profiled_graphs())
+    pairs = list(itertools.permutations(graph.entity_ids(), 2))
+    for kind in draw(st.lists(st.sampled_from(sorted(SPECIAL_LINKS)), max_size=4)):
+        values, classes = SPECIAL_LINKS[kind]
+        qualitative = {
+            "Major": draw(st.sampled_from(classes)),
+            "Relationship": draw(st.sampled_from(classes)),
+        }
+        if kind == "unruled-neutral":
+            qualitative["Citizenship"] = ValueClass.NEUTRAL  # fires MEDIUM
+        elif kind == "unruled-positive":
+            qualitative["Citizenship"] = ValueClass.POSITIVE  # has no rule
+        source, target = draw(st.sampled_from(pairs))
+        profile = AttributeProfile(dict(values), qualitative)
+        graph.add_link(FriendLink(source, target, draw(st.integers(1, 3)), profile))
+    return graph
+
+
+def _trust_hex(value):
+    return None if value is None else value.hex()
+
+
+@settings(max_examples=300)
+@given(scoring_graphs())
+def test_the_column_scorer_equals_link_trust_bit_for_bit(graph):
+    before = {(l.source, l.target, l.network): l.trust_value for l in graph.links()}
+    want = {}
+    try:
+        scalar_trust_values(graph, default_rules(), want)
+    except OnionTrustError as exc:
+        with pytest.raises(type(exc)) as info:
+            compute_trust_values(graph, default_rules())
+        assert str(info.value) == str(exc)
+    else:
+        compute_trust_values(graph, default_rules())
+    # scored links carry link_trust's bits; on an error, the links from the
+    # bad one on keep the values they had
+    got = {(l.source, l.target, l.network): _trust_hex(l.trust_value) for l in graph.links()}
+    assert got == {key: _trust_hex(want.get(key, tv)) for key, tv in before.items()}
+
+
+def test_the_column_scorer_equals_link_trust_on_a_generated_graph():
+    # About 2000 links with spread-out aggregates: enough that a cube taken
+    # by numpy instead of Python's float pow would change some bits.
+    graph = generate_graph(GeneratorParams(n=150, kind="er", value=0.1), seed=3)
+    want = scalar_trust_values(graph, default_rules())
+    compute_trust_values(graph, default_rules())
+    assert [l.trust_value.hex() for l in graph.links()] == [want[k].hex() for k in sorted(want)]
+
+
+def test_zero_mass_links_take_the_one_sided_limit():
+    # 1->2 has e = 0 with only POSITIVE classes, 1->3 has e = 1 with only
+    # NEGATIVE ones: both have zero mass, and 1->4 sets the maxima.
+    graph = _profile_graph([(1, 2, 1, 0.0, 0.0), (1, 3, 1, 8.0, 8.0), (1, 4, 1, 2.0, 3.0)])
+    negative = AttributeProfile({"freq": 8.0, "time": 8.0},
+                                {"Major": ValueClass.NEGATIVE, "Relationship": ValueClass.NEGATIVE})
+    graph.add_link(FriendLink(1, 3, 1, negative))
+    compute_trust_values(graph, default_rules())
+    assert graph.link(1, 2, 1).trust_value == defuzzify([Rule.LARGE], 0.0)
+    assert graph.link(1, 3, 1).trust_value == defuzzify([Rule.SMALL, Rule.SMALLEST], 1.0)
+    want = scalar_trust_values(graph, default_rules())
+    assert [l.trust_value.hex() for l in graph.links()] == [want[k].hex() for k in sorted(want)]
 
 
 def test_ruleset_validation():
