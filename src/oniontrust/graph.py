@@ -546,7 +546,7 @@ class GeneratorParams:
                 "bandwidth_max must be positive and finite, got %r" % (self.bandwidth_max,)
             )
         if self.max_hops < 1:
-            raise GeneratorParamsError("max_hops must be >= 1")
+            raise GeneratorParamsError("max_hops must be >= 1, got %r" % (self.max_hops,))
 
 
 def _mean_circle_size(mask: np.ndarray, max_hops: int) -> float:

@@ -14,8 +14,9 @@ source's row of trust scores and reach flags: the simulation passes a
 
 All weighted draws go through one sampler, `weighted_picks`: sequential
 inverse-CDF picks without replacement on the cumulative weights. A single
-router, a circuit and a whole round of circuits are the same call with a
-different number of rows and picks per row.
+router, a circuit and a whole block of rounds of circuits are the same call
+with a different number of rows and picks per row: it takes the uniforms,
+one row per draw, not a generator.
 """
 
 from __future__ import annotations
@@ -158,14 +159,8 @@ def selection_probability(
     return float(w[hit[0]] / total)
 
 
-def weighted_picks(
-    cum: np.ndarray,
-    weights: np.ndarray,
-    rng: np.random.Generator,
-    draws: int,
-    length: int,
-) -> np.ndarray:
-    """`draws` rows of `length` weighted picks without replacement.
+def weighted_picks(cum: np.ndarray, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One row of weighted picks without replacement per row of uniforms.
 
     cum is np.cumsum(weights), so candidate i holds [starts[i], cum[i]) of
     the mass, with starts[i] = cum[i-1] and starts[0] = 0. Pick k of a row
@@ -175,12 +170,15 @@ def weighted_picks(
     past itself by its weight. searchsorted then lands on the remaining
     candidate that holds the point, so every pick follows weight / remaining
     mass, the law of drawing one router at a time and zeroing its weight.
-    A row takes `length` uniforms, and for length 1 the stream is exactly
-    rng.random(draws) * weights.sum(). A weight too small to move cum (below
-    its rounding) can only come up once the larger ones are picked.
+    u is a (rows, length) array of uniforms in [0, 1), one per pick, and
+    rows are independent, so rows drawn for several rounds can be sampled in
+    one call. For length 1 the pick is searchsorted(cum, u[:, 0] * total)
+    with total = weights.sum(). A weight too small to move cum (below its
+    rounding) can only come up once the larger ones are picked.
 
-    Returns a (draws, length) array of indices into weights.
+    Returns a (rows, length) array of indices into weights.
     """
+    rows, length = u.shape
     n = len(weights)
     if n < length:
         raise InsufficientCandidatesError("need %d candidates, have %d" % (length, n))
@@ -192,8 +190,7 @@ def weighted_picks(
         raise ZeroDenominatorError(
             "only %d candidates carry positive weight, need %d" % (positive, length)
         )
-    u = rng.random((draws, length))
-    picks = np.empty((draws, length), dtype=np.intp)
+    picks = np.empty((rows, length), dtype=np.intp)
     starts = np.concatenate(([0.0], cum[:-1])) if length > 1 else None
     left = total  # per row from the second pick on: the mass not yet picked
     for k in range(length):
@@ -226,7 +223,7 @@ def select_router(
 ) -> int:
     """One weighted draw from the candidate set."""
     w = candidates.weights(policy)
-    k = weighted_picks(np.cumsum(w), w, rng, 1, 1)[0, 0]
+    k = weighted_picks(np.cumsum(w), w, rng.random((1, 1)))[0, 0]
     return int(candidates.entity_ids[k])
 
 
@@ -254,5 +251,5 @@ def build_circuit(
     fallback.
     """
     w = candidates.weights(policy)
-    row = weighted_picks(np.cumsum(w), w, rng, 1, policy.circuit_length)[0]
+    row = weighted_picks(np.cumsum(w), w, rng.random((1, policy.circuit_length)))[0]
     return Circuit(members=tuple(candidates.entity_ids[row].tolist()))

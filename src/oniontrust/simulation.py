@@ -22,7 +22,14 @@ draws one flag mask through the strategy's `_flag_drawer`. The graph
 itself is never copied or changed.
 
 All randomness is derived from the scenario seed through fixed stream keys,
-so a scenario replays byte for byte and sweeps share draws across values.
+so a scenario replays byte for byte. Round r has its own pair of streams:
+a flag stream for that round's mask and a draw stream for its uniforms.
+One runner, `_run_rounds`, takes the rounds in blocks: it draws each
+round's mask and uniforms once, then samples the whole block in one
+`weighted_picks` call. A sweep runs the values on one graph as one batch,
+since the flags never read omega or ts_threshold: every value reads round
+r's uniforms, and the values with one fraction its one flag mask. Each
+value's reports are still those of its scenario run alone.
 """
 
 from __future__ import annotations
@@ -61,6 +68,11 @@ from .selection import (
 # (0,), (1,), (2,); these must not collide with them.
 _SETUP_KEY = 10
 _ROUND_KEY = 11
+
+#: Picks (rounds x draws x picks per draw) that one weighted_picks call
+#: samples; it keeps a block's uniforms, picks and gathers at a few hundred
+#: KB whatever the round layout. A round larger than this is a block alone.
+BLOCK_PICKS = 1 << 14
 
 
 class Strategy(enum.Enum):
@@ -143,13 +155,11 @@ class SimScenario:
             raise DomainError("fraction must be in [0, 1], got %r" % (self.fraction,))
         if self.rounds < 1 or self.draws < 1:
             raise DomainError("rounds and draws must be >= 1")
-        for name in ("n", "max_hops"):
-            if getattr(self, name) < 1:
-                raise DomainError("%s must be >= 1, got %r" % (name, getattr(self, name)))
         if self.seed < 0:
             raise DomainError("seed must be >= 0, got %r" % (self.seed,))
-        # The generator and the policy check their own fields, so every bad
-        # value fails here, before a graph is built.
+        # The generator (n, kind, value, bandwidth_max, max_hops) and the
+        # policy check their own fields, so every bad value fails here,
+        # before a graph is built.
         generator_params = GeneratorParams(
             self.n, self.generator_kind, self.generator_value,
             self.bandwidth_max, self.max_hops,
@@ -368,6 +378,7 @@ class _Prepared:
             else None
         )
         self.weights = candidates.weights(policy)
+        self.cum = np.cumsum(self.weights)
         self.draw_flags = _flag_drawer(
             self.ids, self.bw, scenario, arrays, row, mean_trust
         )
@@ -375,32 +386,68 @@ class _Prepared:
 
 def _run_rounds(
     graph: SocialGraph,
-    scenario: SimScenario,
+    scenarios: Sequence[SimScenario],
     mean_trust: Optional[Dict[int, float]],
     arrays: Optional[TrustArrays],
     circuits: bool,
-) -> SimulationResult:
-    prep = _Prepared(graph, scenario, mean_trust, arrays)
-    length = scenario.circuit_length if circuits else 1
-    cum = np.cumsum(prep.weights)
-    reports = []
-    for r in range(scenario.rounds):
-        flag_rng, draw_rng = _round_streams(scenario.seed, r)
-        flag_mask = np.zeros(len(prep.ids), dtype=bool)
-        flag_mask[prep.draw_flags(flag_rng)] = True
-        members = weighted_picks(cum, prep.weights, draw_rng, scenario.draws, length)
-        picked = prep.cand_idx[members]  # (draws, length) of global indices
-        hit = flag_mask[picked]
-        reports.append(
-            RoundReport(
-                index=r,
-                r_mr=float(hit.mean()),
-                r_mc=float(hit.any(axis=1).mean()) if circuits else None,
-                avg_bandwidth=float(prep.bw[picked].min(axis=1).mean()),
-                draws=scenario.draws,
+) -> List[SimulationResult]:
+    """The rounds of scenarios that differ at most in omega, ts_threshold
+    and fraction, one result per scenario.
+
+    Rounds run in blocks of at most BLOCK_PICKS picks. Round r's streams
+    are drawn once for all scenarios: one flag mask per distinct fraction,
+    each from the round's fresh flag stream, and one array of uniforms.
+    Each scenario then samples the block in one weighted_picks call and
+    reduces it per round; rows are independent and a row's mean sums in the
+    same order as a single round's, so the reports are those of running
+    each scenario alone, round by round.
+    """
+    first = scenarios[0]
+    length = first.circuit_length if circuits else 1
+    preps = []
+    for sc in scenarios:
+        preps.append(_Prepared(graph, sc, mean_trust, arrays))
+        # The sampler's input checks, before any rounds, so that a batch
+        # fails on its first bad scenario as one run at a time would.
+        weighted_picks(preps[-1].cum, preps[-1].weights, np.empty((0, length)))
+    # Flags never read omega or ts_threshold: one drawer per fraction.
+    drawers = {}
+    for sc, prep in zip(scenarios, preps):
+        drawers.setdefault(sc.fraction, prep.draw_flags)
+    block = max(1, BLOCK_PICKS // (first.draws * length))
+    u = np.empty((block, first.draws, length))
+    masks = {f: np.empty((block, len(preps[0].ids)), dtype=bool) for f in drawers}
+    reports: List[List[RoundReport]] = [[] for _ in scenarios]
+    for start in range(0, first.rounds, block):
+        indices = range(start, min(start + block, first.rounds))
+        b = len(indices)
+        for i, r in enumerate(indices):
+            flag_rng, draw_rng = _round_streams(first.seed, r)
+            fresh = flag_rng.bit_generator.state
+            for fraction, draw_flags in drawers.items():
+                flag_rng.bit_generator.state = fresh
+                masks[fraction][i] = False
+                masks[fraction][i, draw_flags(flag_rng)] = True
+            draw_rng.random(out=u[i])
+        for sc, prep, out in zip(scenarios, preps, reports):
+            members = weighted_picks(prep.cum, prep.weights, u[:b].reshape(-1, length))
+            picked = prep.cand_idx[members].reshape(b, first.draws, length)
+            hit = np.take_along_axis(masks[sc.fraction][:b], picked.reshape(b, -1), axis=1)
+            r_mr = hit.mean(axis=1).tolist()
+            r_mc = (
+                hit.reshape(picked.shape).any(axis=2).mean(axis=1).tolist()
+                if circuits else [None] * b
             )
-        )
-    return SimulationResult(scenario, reports, prep.circle_size, prep.trustworthy_size)
+            bandwidth = prep.bw[picked].min(axis=2).mean(axis=1).tolist()
+            out.extend(
+                RoundReport(index=r, r_mr=r_mr[i], r_mc=r_mc[i],
+                            avg_bandwidth=bandwidth[i], draws=first.draws)
+                for i, r in enumerate(indices)
+            )
+    return [
+        SimulationResult(sc, out, prep.circle_size, prep.trustworthy_size)
+        for sc, prep, out in zip(scenarios, preps, reports)
+    ]
 
 
 def run_selection_rounds(
@@ -410,7 +457,7 @@ def run_selection_rounds(
     arrays: Optional[TrustArrays] = None,
 ) -> SimulationResult:
     """Rounds of single-router draws."""
-    return _run_rounds(graph, scenario, mean_trust, arrays, circuits=False)
+    return _run_rounds(graph, [scenario], mean_trust, arrays, circuits=False)[0]
 
 
 def run_circuit_rounds(
@@ -420,7 +467,7 @@ def run_circuit_rounds(
     arrays: Optional[TrustArrays] = None,
 ) -> SimulationResult:
     """Rounds of full-circuit draws; a circuit with any flagged member counts."""
-    return _run_rounds(graph, scenario, mean_trust, arrays, circuits=True)
+    return _run_rounds(graph, [scenario], mean_trust, arrays, circuits=True)[0]
 
 
 def run_simulation(
@@ -490,14 +537,17 @@ def sweep(
     values: Sequence[float],
     rules: FuzzyRuleSet,
 ) -> SweepResult:
-    """Run the scenario once per axis value, sharing the seed across values.
+    """Run the scenario once per axis value, sharing its random numbers.
 
-    The graph is regenerated only when the axis is n; all other axes reuse
-    one graph, so sweep points differ only in the swept knob (common random
-    numbers by construction). Each graph is propagated once, and every value
-    reads its arrays: the rounds through run_simulation's arrays argument,
-    the circle and trustworthy sizes directly. A bad value fails before any
-    value runs.
+    The graph is regenerated only when the axis is n, once per distinct n;
+    all other axes reuse one graph and run its values as one batch of
+    rounds. Round r's streams are drawn once for the batch: every value
+    reads its uniforms, and every value with the same fraction (all of them
+    on the ts_h and omega axes) its flag mask. So sweep points differ only
+    in the swept knob (common random numbers), and each value's reports
+    equal run_simulation's for it alone. Each graph is propagated once, and
+    every value reads its arrays: the rounds, the circle and trustworthy
+    sizes. A bad value fails before any value runs.
     """
     if axis not in SWEEP_AXES:
         raise DomainError(
@@ -514,15 +564,22 @@ def sweep(
             value = int(value)
         scenarios.append(dataclasses.replace(scenario, **{field: value}))
         _require_generated_source(scenarios[-1])
-    rows: List[SweepRow] = []
+    # The values on one graph run as one batch; the n axis builds one graph
+    # per distinct n and runs its values one at a time.
+    batches = [[sc] for sc in scenarios] if field == "n" else [scenarios]
+    circuits = scenario.draw_mode is DrawMode.CIRCUIT
     results: List[SimulationResult] = []
     cache: Dict[int, Tuple[SocialGraph, TrustArrays]] = {}
-    for value, sc in zip(values, scenarios):
-        if sc.n not in cache:
-            graph = build_scenario_graph(sc, rules)
-            cache[sc.n] = (graph, propagate_arrays(graph, sc.max_hops))
-        graph, arrays = cache[sc.n]
-        result = run_simulation(graph, sc, arrays=arrays)
+    for batch in batches:
+        n = batch[0].n
+        if n not in cache:
+            graph = build_scenario_graph(batch[0], rules)
+            cache[n] = (graph, propagate_arrays(graph, batch[0].max_hops))
+        graph, arrays = cache[n]
+        results += _run_rounds(graph, batch, None, arrays, circuits)
+    rows: List[SweepRow] = []
+    for value, sc, result in zip(values, scenarios, results):
+        arrays = cache[sc.n][1]
         trustworthy = (arrays.best >= sc.ts_threshold) & arrays.reached
         mean_tf = float(np.mean(trustworthy.sum(axis=1)))
         rows.append(
@@ -536,5 +593,4 @@ def sweep(
                 mean_trustworthy_size=mean_tf,
             )
         )
-        results.append(result)
     return SweepResult(axis=axis, rows=rows, results=results)

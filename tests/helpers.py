@@ -2,9 +2,10 @@
 
 The oracles deliberately re-derive results from first principles (numeric
 quadrature, exhaustive path and draw-order enumeration) instead of reusing
-package code. The CSV reference writer, the per-group scoring loop and the
-dict-based candidate and correlation references are the exception: they are
-the slow paths the current code replaced, kept to pin its bits.
+package code. The CSV reference writer, the per-group scoring loop, the
+dict-based candidate and correlation references and the round-by-round
+simulation loop are the exception: they are the slow paths the current code
+replaced, kept to pin its bits.
 """
 
 import dataclasses
@@ -29,6 +30,8 @@ from oniontrust import (
     propagate,
 )
 from oniontrust.errors import DomainError, EmptyCandidateSetError
+from oniontrust.selection import weighted_picks
+from oniontrust.simulation import RoundReport, _Prepared, _round_streams
 
 # -- rule sets ----------------------------------------------------------------
 
@@ -487,3 +490,35 @@ def reference_correlation(graph: SocialGraph, case, scores, rng) -> dict:
     for pos, eid in enumerate(outsiders):
         mapping[eid] = outside_block[int(order[pos])]
     return mapping
+
+
+# -- round-by-round reference ---------------------------------------------------
+
+
+def reference_rounds(graph: SocialGraph, scenario, circuits: bool, mean_trust=None, arrays=None):
+    """(reports, circle size, trustworthy size) as the per-round loop made them.
+
+    One scenario, one round at a time: the round's flag mask from its own
+    flag stream, then `draws` rows of picks from its draw stream.
+    """
+    prep = _Prepared(graph, scenario, mean_trust, arrays)
+    length = scenario.circuit_length if circuits else 1
+    cum = np.cumsum(prep.weights)
+    reports = []
+    for r in range(scenario.rounds):
+        flag_rng, draw_rng = _round_streams(scenario.seed, r)
+        flag_mask = np.zeros(len(prep.ids), dtype=bool)
+        flag_mask[prep.draw_flags(flag_rng)] = True
+        u = draw_rng.random((scenario.draws, length))
+        picked = prep.cand_idx[weighted_picks(cum, prep.weights, u)]
+        hit = flag_mask[picked]
+        reports.append(
+            RoundReport(
+                index=r,
+                r_mr=float(hit.mean()),
+                r_mc=float(hit.any(axis=1).mean()) if circuits else None,
+                avg_bandwidth=float(prep.bw[picked].min(axis=1).mean()),
+                draws=scenario.draws,
+            )
+        )
+    return reports, prep.circle_size, prep.trustworthy_size

@@ -40,6 +40,8 @@ from oniontrust.simulation import (
     _flag_count,
     _flag_drawer,
     _Prepared,
+    _round_streams,
+    _run_rounds,
     _setup_rng,
 )
 
@@ -50,6 +52,7 @@ from helpers import (
     graph_from_trust_links,
     reference_candidates,
     reference_correlation,
+    reference_rounds,
     scored_graphs,
 )
 
@@ -436,22 +439,100 @@ def test_sweep_reads_the_source_table_from_its_arrays(monkeypatch, strategy, cas
         strategy=strategy, fraction=0.1, case=case, n=40, generator_kind="er",
         generator_value=0.08, rounds=10, draws=40, source=5,
     )
-    # one propagation per graph: the ts_h axis shares one, the n axis
-    # builds one graph per distinct n
-    for axis, values, field, graphs in (
-        ("ts_h", [0.0, 0.03], "ts_threshold", [40]),
-        ("n", [40, 50, 40], "n", [40, 50]),
+    # one propagation per graph: the ts_h, omega and fraction axes share
+    # one, the n axis builds one graph per distinct n. The values on one
+    # graph share each round's streams, and in both draw modes each value
+    # still equals its scenario run alone.
+    for (axis, values, field, graphs), draw_mode in itertools.product(
+        (
+            ("ts_h", [0.0, 0.03], "ts_threshold", [40]),
+            ("omega", [0.0, 0.6, 1.0], "omega", [40]),
+            ("fraction", [0.1, 0.25, 0.1], "fraction", [40]),
+            ("n", [40, 50, 40], "n", [40, 50]),
+        ),
+        DrawMode,
     ):
+        base = dataclasses.replace(scenario, draw_mode=draw_mode)
         with monkeypatch.context() as patch:
             calls = count_propagations(patch)
-            result = sweep(scenario, axis, values, default_rules())
+            result = sweep(base, axis, values, default_rules())
         assert calls == graphs
         for value, point in zip(values, result.results):
-            sc = dataclasses.replace(scenario, **{field: value})
+            sc = dataclasses.replace(base, **{field: value})
             alone = run_simulation(build_scenario_graph(sc, default_rules()), sc)
             assert point.reports == alone.reports
             assert point.circle_size == alone.circle_size
             assert point.trustworthy_size == alone.trustworthy_size
+
+
+def test_a_sweep_draws_each_rounds_streams_once_and_a_mask_per_fraction(monkeypatch):
+    import oniontrust.simulation
+
+    streams, masks = [], []
+
+    def counted_streams(seed, index):
+        streams.append(index)
+        return _round_streams(seed, index)
+
+    def counted_drawer(ids, bandwidth, scenario, *rest):
+        draw = _flag_drawer(ids, bandwidth, scenario, *rest)
+
+        def counted(rng):
+            masks.append(scenario.fraction)
+            return draw(rng)
+
+        return counted
+
+    monkeypatch.setattr(oniontrust.simulation, "_round_streams", counted_streams)
+    monkeypatch.setattr(oniontrust.simulation, "_flag_drawer", counted_drawer)
+    scenario = SimScenario(
+        strategy=Strategy.PRACTICAL_STOR, fraction=0.1, n=40, generator_kind="er",
+        generator_value=0.08, rounds=10, draws=40, source=5,
+    )
+    sweep(scenario, "ts_h", [0.0, 0.01, 0.02, 0.03], default_rules())
+    assert streams == list(range(10))
+    assert masks == [0.1] * 10
+    del streams[:], masks[:]
+    sweep(scenario, "fraction", [0.1, 0.2, 0.1, 0.3], default_rules())
+    assert streams == list(range(10))
+    assert masks == [0.1, 0.2, 0.3] * 10
+
+
+def test_a_batch_fails_on_its_first_bad_scenario():
+    # at ts_h 0 every candidate weighs 0, at 0.5 there is none: the error is
+    # the first scenario's, as when each runs alone, in either order
+    zero = star(4, tv=0.0)
+    scenario = SimScenario(strategy=Strategy.PRACTICAL_STOR, fraction=0.25, rounds=2)
+    weightless, empty = (dataclasses.replace(scenario, ts_threshold=t) for t in (0.0, 0.5))
+    with pytest.raises(ZeroDenominatorError):
+        _run_rounds(zero, [weightless, empty], None, None, circuits=False)
+    with pytest.raises(EmptyCandidateSetError):
+        _run_rounds(zero, [empty, weightless], None, None, circuits=False)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_batched_rounds_equal_the_round_by_round_loop(monkeypatch, strategy):
+    import oniontrust.simulation
+
+    base = SimScenario(
+        strategy=strategy, fraction=0.15, n=40, generator_kind="er",
+        generator_value=0.1, rounds=7, draws=30, seed=4, source=5,
+    )
+    graph = build_scenario_graph(base, default_rules())
+    arrays = propagate_arrays(graph, base.max_hops)
+    # A select round is 30 picks and a circuit round 90: the default holds
+    # all seven rounds in one block, 100 picks make blocks of 3, 3 and 1
+    # select rounds, and 64 make blocks of 2, 2, 2 and 1 select rounds and
+    # one-round blocks of circuits, which alone pass the cap.
+    for block_picks in (oniontrust.simulation.BLOCK_PICKS, 100, 64):
+        monkeypatch.setattr(oniontrust.simulation, "BLOCK_PICKS", block_picks)
+        for case, circuits in itertools.product(CorrelationCase, (False, True)):
+            sc = dataclasses.replace(base, case=case)
+            run = run_circuit_rounds if circuits else run_selection_rounds
+            got = run(graph, sc, arrays=arrays)
+            want, circle, trustworthy = reference_rounds(graph, sc, circuits, arrays=arrays)
+            assert got.reports == want
+            assert (got.circle_size, got.trustworthy_size) == (circle, trustworthy)
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
@@ -487,9 +568,10 @@ def test_scenario_validation():
         SimScenario(
             strategy=Strategy.ORIGINAL_TOR, fraction=0.1, generator_kind="nope"
         )
+    # n and max_hops are the generator's fields, checked by GeneratorParams
     for field in ("n", "max_hops"):
         for bad in (0, -3):
-            with pytest.raises(DomainError, match="%s must be >= 1, got %d" % (field, bad)):
+            with pytest.raises(GeneratorParamsError, match="%s must be >= 1, got %d" % (field, bad)):
                 SimScenario(strategy=Strategy.ORIGINAL_TOR, fraction=0.1, **{field: bad})
     # policy, seed and generator fields fail when the scenario is built, in
     # every strategy, not when a graph is run
@@ -645,7 +727,9 @@ def test_sweep_validates_every_value_before_running_any(monkeypatch, axis, value
         strategy=Strategy.PRACTICAL_STOR, fraction=0.2, n=20, generator_kind="er",
         generator_value=0.4, rounds=2, draws=5,
     )
-    with pytest.raises(DomainError, match=re.escape(message)):
+    # n is a generator field, so GeneratorParams rejects it
+    error = GeneratorParamsError if axis == "n" else DomainError
+    with pytest.raises(error, match=re.escape(message)):
         sweep(scenario, axis, values, default_rules())
 
 
