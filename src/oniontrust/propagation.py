@@ -3,21 +3,22 @@
 A path's trust distance is the product of its link trust values, and an
 entity's trust score from a source is the best trust distance over acyclic
 paths of bounded length. Because every factor sits in [0, 1], dropping a
-cycle from a walk never hurts the product, so a Dijkstra-style search over
-(node, hops) states finds the same optimum as exhaustive path enumeration.
+cycle from a walk never hurts the product, so the best walk of at most r
+links is as strong as the best such path, and the layered (max, x)
+recurrence over walks finds the optimum of exhaustive path enumeration.
 
-The same argument lets the all-sources kernel run layer by layer over
-walks: layer r extends every source's best (r - 1)-link prefix product by
-one link, in the order the search multiplies, so both agree bit for bit.
-Its output, TrustArrays, is the one trust input of every pipeline path
-(score CSVs, mean trust, simulations, sweeps). propagate_all is its table
-view, TrustArrays.table the one place a row becomes a TrustScoreTable, and
-propagate the witness-path API and the kernel's test oracle.
+One kernel runs that recurrence for a set of source rows: layer r extends
+each row's best (r - 1)-link prefix products by one link. propagate_arrays
+runs it over every row. Its output, TrustArrays, is the one trust input of
+every pipeline path (score CSVs, mean trust, simulations, sweeps).
+propagate_all is its table view, TrustArrays.table the one place a row
+becomes a TrustScoreTable, and propagate, the witness-path API, reads the
+kernel's row for one source at each budget up to max_hops and rebuilds
+witness paths layer by layer.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -96,49 +97,6 @@ def trust_distance(links: Sequence[FriendLink]) -> float:
     return product
 
 
-def _search(
-    adjacency: Dict[int, Dict[int, float]],
-    source: int,
-    max_hops: int,
-) -> Dict[int, TrustScore]:
-    """Max-product Dijkstra over (node, hops) states.
-
-    Heap keys are (-product, hops, path) so pops come out product-descending,
-    then fewest hops, then lexicographically smallest path; the first pop per
-    node is its final score. Walks that would re-enter the source are skipped,
-    and any walk that first reaches a node is beaten (or tied and out-hopped)
-    by its cycle-free reduction, so recorded witnesses are acyclic.
-
-    Witness choice among equally strong paths is deterministic: the search
-    extends only the strongest prefix per (node, hops) state, breaking exact
-    prefix ties lexicographically. That picks the lexicographically smallest
-    optimal path except when a zero-trust link downstream collapses two
-    different prefix products into the same final score.
-    """
-    scores: Dict[int, TrustScore] = {}
-    settled = set()
-    heap = [(-1.0, 0, (source,))]
-    last = 1.0
-    while heap:
-        neg, hops, seq = heapq.heappop(heap)
-        product = -neg
-        assert product <= last, "heap popped an increasing product"
-        last = product
-        node = seq[-1]
-        if (node, hops) in settled:
-            continue
-        settled.add((node, hops))
-        if node != source and node not in scores:
-            scores[node] = TrustScore(product, hops, seq)
-        if hops == max_hops:
-            continue
-        for nbr, tv in adjacency[node].items():
-            if nbr == source or (nbr, hops + 1) in settled:
-                continue
-            heapq.heappush(heap, (-(product * tv), hops + 1, seq + (nbr,)))
-    return scores
-
-
 def propagate(
     graph: SocialGraph,
     source: int,
@@ -146,17 +104,38 @@ def propagate(
 ) -> TrustScoreTable:
     """Trust scores from one source over merged links, within max_hops.
 
-    The witness-path API and the kernel's test oracle. The heap keys are a
-    total order, so the neighbour dicts' order cannot change a result.
+    The witness-path API: the kernel's row for the source at budgets r = 1,
+    2, ... A target whose hop count at budget r is r extends the smallest
+    witness among its in-neighbours whose hop count at budget r - 1 is
+    r - 1 and whose score times the link's trust is the target's score. So
+    each (node, hops) state extends its strongest prefix, exact ties broken
+    lexicographically: the lexicographically smallest optimal path, except
+    where a zero-trust link collapses two prefix products into one score.
     """
     graph._require_entity(source)
     if max_hops < 1:
         raise DomainError("max_hops must be >= 1")
     ids, src, tgt, tv = graph.pair_arrays(trust=True)
-    adjacency: Dict[int, Dict[int, float]] = {eid: {} for eid in ids}
-    for s, t, value in zip(src.tolist(), tgt.tolist(), tv.tolist()):
-        adjacency[ids[s]][ids[t]] = value
-    return TrustScoreTable(source, _search(adjacency, source, max_hops))
+    n, row = len(ids), ids.index(source)
+    # level holds the witnesses of the rows whose hop count at budget r is r;
+    # budget 0 holds the source alone, at product 1.0.
+    best = np.zeros(n)
+    best[row] = 1.0
+    level, paths = {row: (source,)}, {}
+    for r in range(1, max_hops + 1):
+        last_best, last, level = best, level, {}
+        best, hops, _ = (a[0] for a in _kernel(n, src, tgt, tv, [row], r))
+        step = (hops[tgt] == r) & np.isin(src, list(last)) & (last_best[src] * tv == best[tgt])
+        for k, t in zip(src[step].tolist(), tgt[step].tolist()):
+            path = last[k] + (ids[t],)
+            if t not in level or path < level[t]:
+                level[t] = path
+        paths.update(level)
+    # paths covers the reached targets, each last set at its final hop count.
+    return TrustScoreTable(
+        source,
+        {ids[t]: TrustScore(best[t].item(), int(hops[t]), paths[t]) for t in sorted(paths)},
+    )
 
 
 @dataclass(frozen=True)
@@ -200,30 +179,29 @@ class TrustArrays:
         return int(self.reached[rows].sum()) / len(rows)
 
 
-def propagate_arrays(graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS) -> TrustArrays:
-    """Trust scores from every source at once, as arrays.
+def _kernel(n, src, tgt, tv, rows, max_hops):
+    """(best, hops, reached) of the source rows (ascending) within max_hops.
 
+    Each is a (len(rows), n) array over the n entity rows, with the linked
+    pairs src -> tgt of trust tv, laid out and zeroed as in TrustArrays.
     Layer r takes, for each target j, the max over its in-neighbours k of
     best[i, k] * t[k, j]: the best prefix product times the last link.
     Since every factor is in [0, 1] and rounding is monotone, that is the
-    best product over walks of at most r links, which is what the search
-    finds. A target's hop count is the first layer that reaches it or
-    strictly raises its score. Reachability comes from the same frontier
-    matmuls that size friendship circles, so zero-trust paths still reach.
+    best product over walks of at most r links. A target's hop count is the
+    first layer that reaches it or strictly raises its score. Reachability
+    comes from the same frontier matmuls that size friendship circles, so
+    zero-trust paths still reach.
     """
-    if max_hops < 1:
-        raise DomainError("max_hops must be >= 1")
-    ids, src, tgt, tv = graph.pair_arrays(trust=True)
-    n = len(ids)
     mask = np.zeros((n, n), dtype=bool)
     mask[src, tgt] = True
-    frontiers = reach_frontiers(mask, np.arange(n), max_hops)
+    frontiers = reach_frontiers(mask, rows, max_hops)
 
-    # The layers work on [target, source] arrays, so the in-neighbours of a
+    # The layers work on [target, row] arrays, so the in-neighbours of a
     # target are whole contiguous rows.
-    best = np.zeros((n, n))
-    best[tgt, src] = tv
-    hops = mask.T.astype(np.int64)
+    first = np.isin(src, rows)
+    best = np.zeros((n, len(rows)))
+    best[tgt[first], np.searchsorted(rows, src[first])] = tv[first]
+    hops = frontiers[0].T.astype(np.int64)
     order = np.argsort(tgt, kind="stable")
     in_src, in_tv = src[order], tv[order]
     bounds = np.searchsorted(tgt[order], np.arange(n + 1)).tolist()
@@ -239,14 +217,18 @@ def propagate_arrays(graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS) -> Tr
         np.maximum(best, extended, out=best)
 
     reached = np.logical_or.reduce(frontiers)
-    np.fill_diagonal(reached, False)
-    return TrustArrays(
-        ids=ids,
-        best=np.where(reached, best.T, 0.0),
-        hops=np.where(reached, hops.T, 0),
-        reached=reached,
-        max_hops=max_hops,
-    )
+    reached[np.arange(len(rows)), rows] = False
+    return np.where(reached, best.T, 0.0), np.where(reached, hops.T, 0), reached
+
+
+def propagate_arrays(graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS) -> TrustArrays:
+    """Trust scores from every source at once, as arrays: the kernel over
+    all source rows."""
+    if max_hops < 1:
+        raise DomainError("max_hops must be >= 1")
+    ids, src, tgt, tv = graph.pair_arrays(trust=True)
+    best, hops, reached = _kernel(len(ids), src, tgt, tv, np.arange(len(ids)), max_hops)
+    return TrustArrays(ids=ids, best=best, hops=hops, reached=reached, max_hops=max_hops)
 
 
 def propagate_all(

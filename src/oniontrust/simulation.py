@@ -237,12 +237,11 @@ def mean_trust_scores(
     if tables is None:
         return _mean_trust(propagate_arrays(graph, max_hops))
     ids = graph.entity_ids()
-    totals = {eid: 0.0 for eid in ids}
+    totals = np.zeros(len(ids))
     for table in tables.values():
-        for target, score in table.scores.items():
-            totals[target] += score.value
+        totals += table.row(ids)[0]  # rejects unknown targets; absent ones add 0.0
     denom = max(1, len(ids) - 1)
-    return {eid: totals[eid] / denom for eid in ids}
+    return {eid: total / denom for eid, total in zip(ids, totals.tolist())}
 
 
 def _mean_trust(arrays: TrustArrays) -> Dict[int, float]:
@@ -260,7 +259,8 @@ def _flag_drawer(ids: List[int], bandwidth: np.ndarray, scenario: SimScenario,
 
     bandwidth is over the arrays' ids and row is the source's. ORIGINAL_TOR
     flags the top-bandwidth rows and never draws; PRACTICAL_STOR weighs each
-    row by 1 - its mean trust, read off arrays unless mean_trust is given;
+    row by 1 - its mean trust, read off arrays unless mean_trust is given
+    (and then rejected when it misses an entity or leaves [0, 1]);
     THEORETICAL_STOR draws outside the source's reached row; OPPORTUNISTIC_TOR
     draws uniformly. With no routers to flag nothing is drawn.
     """
@@ -273,7 +273,14 @@ def _flag_drawer(ids: List[int], bandwidth: np.ndarray, scenario: SimScenario,
     if scenario.strategy is Strategy.PRACTICAL_STOR:
         if mean_trust is None:
             mean_trust = _mean_trust(arrays)
-        weights = np.array([max(0.0, 1.0 - mean_trust[eid]) for eid in ids])
+        for eid in ids:
+            if eid not in mean_trust:
+                raise UnknownEntityError("mean_trust has no entry for entity %d" % eid)
+            if not 0.0 <= mean_trust[eid] <= 1.0:
+                raise DomainError(
+                    "mean trust of entity %d must be in [0, 1], got %r" % (eid, mean_trust[eid])
+                )
+        weights = np.array([1.0 - mean_trust[eid] for eid in ids])
         return lambda rng: _weighted_draw(weights, m, rng)
     if scenario.strategy is Strategy.THEORETICAL_STOR:
         outside = ~arrays.reached[row]
@@ -480,7 +487,8 @@ def run_simulation(
 
     Every trust input is read off arrays, propagate_arrays(graph,
     scenario.max_hops), computed when not given; mean_trust, when given,
-    replaces their column means. Pass arrays to share one propagation.
+    replaces their column means and must hold a value in [0, 1] for every
+    entity. Pass arrays to share one propagation.
     """
     if scenario.draw_mode is DrawMode.CIRCUIT:
         return run_circuit_rounds(graph, scenario, mean_trust, arrays)
@@ -554,6 +562,8 @@ def sweep(
             "unknown sweep axis %r (have: %s)" % (axis, ", ".join(sorted(SWEEP_AXES)))
         )
     field = SWEEP_AXES[axis]
+    if len(values) == 0:
+        raise DomainError("no %s values to sweep" % axis)
     # Every value's scenario is built (and so validated) and its source
     # checked before any graph is built.
     scenarios = []

@@ -2,16 +2,17 @@
 
 The oracles deliberately re-derive results from first principles (numeric
 quadrature, exhaustive path and draw-order enumeration) instead of reusing
-package code. The CSV reference writer, the per-group scoring loop, the
-dict-based candidate and correlation references and the round-by-round
-simulation loop are the exception: they are the slow paths the current code
-replaced, kept to pin its bits.
+package code. The heap search, the CSV reference writer, the per-group
+scoring loop, the dict-based candidate and correlation references and the
+round-by-round simulation loop are the exception: they are the slow paths
+the current code replaced, kept to pin its bits.
 """
 
 import dataclasses
+import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -25,9 +26,10 @@ from oniontrust import (
     Rule,
     SelectionMode,
     SocialGraph,
+    TrustScore,
+    TrustScoreTable,
     ValueClass,
     link_trust,
-    propagate,
 )
 from oniontrust.errors import DomainError, EmptyCandidateSetError
 from oniontrust.selection import weighted_picks
@@ -204,6 +206,65 @@ def enumerate_best_paths(graph: SocialGraph, source: int, max_hops: int):
     return {
         target: (-neg, hops, path) for target, (neg, hops, path) in best.items()
     }
+
+
+# -- heap-search oracle -----------------------------------------------------------
+
+
+def _search(
+    adjacency: Dict[int, Dict[int, float]],
+    source: int,
+    max_hops: int,
+) -> Dict[int, TrustScore]:
+    """Max-product Dijkstra over (node, hops) states.
+
+    Heap keys are (-product, hops, path) so pops come out product-descending,
+    then fewest hops, then lexicographically smallest path; the first pop per
+    node is its final score. Walks that would re-enter the source are skipped,
+    and any walk that first reaches a node is beaten (or tied and out-hopped)
+    by its cycle-free reduction, so recorded witnesses are acyclic.
+
+    Witness choice among equally strong paths is deterministic: the search
+    extends only the strongest prefix per (node, hops) state, breaking exact
+    prefix ties lexicographically. That picks the lexicographically smallest
+    optimal path except when a zero-trust link downstream collapses two
+    different prefix products into the same final score.
+    """
+    scores: Dict[int, TrustScore] = {}
+    settled = set()
+    heap = [(-1.0, 0, (source,))]
+    last = 1.0
+    while heap:
+        neg, hops, seq = heapq.heappop(heap)
+        product = -neg
+        assert product <= last, "heap popped an increasing product"
+        last = product
+        node = seq[-1]
+        if (node, hops) in settled:
+            continue
+        settled.add((node, hops))
+        if node != source and node not in scores:
+            scores[node] = TrustScore(product, hops, seq)
+        if hops == max_hops:
+            continue
+        for nbr, tv in adjacency[node].items():
+            if nbr == source or (nbr, hops + 1) in settled:
+                continue
+            heapq.heappush(heap, (-(product * tv), hops + 1, seq + (nbr,)))
+    return scores
+
+
+def heap_search(graph: SocialGraph, source: int, max_hops: int) -> TrustScoreTable:
+    """propagate as the heap search computed it: scores, hops and witnesses.
+
+    The heap keys are a total order, so the neighbour dicts' order cannot
+    change a result.
+    """
+    ids, src, tgt, tv = graph.pair_arrays(trust=True)
+    adjacency: Dict[int, Dict[int, float]] = {eid: {} for eid in ids}
+    for s, t, value in zip(src.tolist(), tgt.tolist(), tv.tolist()):
+        adjacency[ids[s]][ids[t]] = value
+    return TrustScoreTable(source, _search(adjacency, source, max_hops))
 
 
 @dataclass(frozen=True)
@@ -423,10 +484,10 @@ def reference_cell(value) -> str:
 
 
 def reference_trust_scores_csv(graph: SocialGraph, max_hops: int) -> bytes:
-    """trust_scores.csv row by row over per-source propagate tables."""
+    """trust_scores.csv row by row over per-source heap_search tables."""
     lines = ["source,target,ts,hops"]
     for source in graph.entity_ids():
-        table = propagate(graph, source, max_hops)
+        table = heap_search(graph, source, max_hops)
         for target in table.targets():
             score = table.scores[target]
             lines.append(

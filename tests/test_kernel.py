@@ -15,12 +15,11 @@ from oniontrust import (
     generate_graph,
     mean_circle_size,
     mean_trust_scores,
-    propagate,
 )
 from oniontrust.graph import circle_sizes
 from oniontrust.propagation import propagate_arrays
 
-from helpers import default_rules
+from helpers import default_rules, heap_search
 from helpers import scored_graphs as graphs
 
 PROPERTY = settings(max_examples=200)
@@ -45,7 +44,7 @@ def test_arrays_equal_the_search(graph, max_hops):
     arrays = propagate_arrays(graph, max_hops)
     assert arrays.ids == graph.entity_ids()
     for si, source in enumerate(arrays.ids):
-        slow = propagate(graph, source, max_hops)
+        slow = heap_search(graph, source, max_hops)
         cols = np.flatnonzero(arrays.reached[si])
         assert [arrays.ids[t] for t in cols] == slow.targets()
         for t in cols:
@@ -110,7 +109,7 @@ def test_reachability_on_raw_masks_equals_set_bfs(cells, max_hops, data):
 @given(graphs(), st.integers(1, 4))
 def test_array_mean_trust_equals_the_table_loop(graph, max_hops):
     tables = {
-        source: propagate(graph, source, max_hops)
+        source: heap_search(graph, source, max_hops)
         for source in graph.entity_ids()
     }
     fast = mean_trust_scores(graph, max_hops)

@@ -1,7 +1,10 @@
-"""Max-product trust propagation against an exhaustive path oracle."""
+"""Max-product trust propagation against the exhaustive path and heap-search oracles."""
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from oniontrust import propagate, propagate_all, trust_distance
 from oniontrust.errors import (
@@ -14,7 +17,9 @@ from oniontrust.errors import (
 from helpers import (
     enumerate_best_paths,
     graph_from_trust_links,
+    heap_search,
     random_trust_graph,
+    scored_graphs,
     scored_link,
 )
 
@@ -126,12 +131,29 @@ def test_propagate_all_matches_per_source():
             tables = propagate_all(g, max_hops=max_hops)
             assert set(tables) == set(g.entity_ids())
             for source, table in tables.items():
-                slow = propagate(g, source, max_hops=max_hops)
+                slow = heap_search(g, source, max_hops)
                 assert set(table.targets()) == set(slow.targets())
                 for target in slow.targets():
                     fast = table.get(target)
                     assert fast.value == slow.get(target).value
                     assert fast.hops == slow.get(target).hops
+
+
+@settings(max_examples=200)
+@given(scored_graphs())
+# an exact tie between two witnesses, (1, 2, 4) and (1, 3, 4)
+@example(graph_from_trust_links([(1, 2, 0.5), (1, 3, 0.5), (2, 4, 0.5), (3, 4, 0.5)]))
+# a zero-trust link behind state (4, 2): 5's witness extends its stronger
+# prefix (1, 3, 4), not the lexicographically smaller (1, 2, 4)
+@example(
+    graph_from_trust_links([(1, 2, 0.5), (1, 3, 0.9), (2, 4, 0.5), (3, 4, 0.5), (4, 5, 0.0)])
+)
+def test_propagate_equals_the_heap_search(graph):
+    # zero-trust and parallel links included: value, hops and witness path
+    for max_hops, source in itertools.product(range(1, 6), graph.entity_ids()):
+        got = propagate(graph, source, max_hops).scores
+        want = heap_search(graph, source, max_hops).scores
+        assert got == want
 
 
 def test_propagation_is_deterministic_under_ties():

@@ -19,7 +19,6 @@ from oniontrust import (
     Strategy,
     build_scenario_graph,
     mean_trust_scores,
-    propagate,
     run_circuit_rounds,
     run_selection_rounds,
     run_simulation,
@@ -34,7 +33,7 @@ from oniontrust.errors import (
     UnknownEntityError,
     ZeroDenominatorError,
 )
-from oniontrust.propagation import TrustArrays, propagate_arrays
+from oniontrust.propagation import TrustArrays, TrustScore, TrustScoreTable, propagate_arrays
 from oniontrust.simulation import (
     _correlated,
     _flag_count,
@@ -50,6 +49,7 @@ from helpers import (
     default_rules,
     exact_subset_probability,
     graph_from_trust_links,
+    heap_search,
     reference_candidates,
     reference_correlation,
     reference_rounds,
@@ -551,6 +551,31 @@ def test_run_simulation_propagates_once_unless_given_arrays(monkeypatch, strateg
     assert given.reports == alone.reports
 
 
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        ({4: None}, UnknownEntityError, "mean_trust has no entry for entity 4"),
+        ({3: float("nan")}, DomainError, "mean trust of entity 3 must be in [0, 1], got nan"),
+        ({2: 7.0}, DomainError, "mean trust of entity 2 must be in [0, 1], got 7.0"),
+    ],
+)
+def test_practical_flags_reject_a_bad_mean_trust(change, error, message):
+    g = star(4)
+    scenario = SimScenario(strategy=Strategy.PRACTICAL_STOR, fraction=0.25, rounds=2)
+    mean_trust = mean_trust_scores(g)
+    mean_trust.update(change)  # a None drops the entity's entry
+    mean_trust = {eid: ts for eid, ts in mean_trust.items() if ts is not None}
+    with pytest.raises(error, match=re.escape(message)):
+        run_simulation(g, scenario, mean_trust)
+
+
+def test_mean_trust_tables_reject_a_target_outside_the_graph():
+    g = graph_from_trust_links([(1, 2, 0.5), (2, 3, 0.4)])
+    tables = {1: TrustScoreTable(1, {2: TrustScore(0.5, 1), 9: TrustScore(0.2, 2)})}
+    with pytest.raises(UnknownEntityError, match="unknown entity 9"):
+        mean_trust_scores(g, tables=tables)
+
+
 def test_mean_trust_scores_by_hand():
     g = graph_from_trust_links([(1, 2, 0.5), (2, 3, 0.4), (1, 3, 0.1)])
     means = mean_trust_scores(g, max_hops=2)
@@ -714,6 +739,7 @@ def test_sweep_n_axis_rejects_non_integral_values(bad):
         ("ts_h", [0.0, 0.01, -0.5], "ts_threshold must be in [0, 1], got -0.5"),
         ("fraction", [0.1, 1.5], "fraction must be in [0, 1], got 1.5"),
         ("n", [20, 30, 0], "n must be >= 1, got 0"),
+        ("ts_h", [], "no ts_h values to sweep"),
     ],
 )
 def test_sweep_validates_every_value_before_running_any(monkeypatch, axis, values, message):
@@ -740,7 +766,7 @@ def test_prepared_rows_match_the_dict_based_references(graph, max_hops, seed, da
     ids = graph.entity_ids()
     source = data.draw(st.sampled_from(ids))
     arrays = propagate_arrays(graph, max_hops)
-    table = propagate(graph, source, max_hops)
+    table = heap_search(graph, source, max_hops)
     scored = sorted(score.value for score in table.scores.values())
     omegas = (0.0, 1.0, data.draw(st.floats(0.0, 1.0)))
     # a threshold at a score keeps that score's entities
