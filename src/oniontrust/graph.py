@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -444,18 +445,22 @@ def _require_scored(links: LinkColumns, lo: int, hi: int):
 def reach_frontiers(mask: np.ndarray, rows: np.ndarray, max_hops: int) -> List[np.ndarray]:
     """Entities first reached from each source row after exactly r links.
 
-    Returns one boolean (len(rows), n) array per r = 1..max_hops. A source
-    counts as reached when some walk returns to it. Each step is a float32
+    Returns one boolean (len(rows), n) array per r = 1..max_hops. Each
+    source counts as reached before its first link, so no frontier holds
+    its own source, whatever the mask's diagonal. Each step is a float32
     matmul of the frontier with the adjacency; its entries count frontier
     predecessors exactly, and only their sign is read.
     """
     link = mask.astype(np.float32)
+    own = (np.arange(len(rows)), rows)
     frontier = mask[rows]
-    reached = frontier
+    frontier[own] = False
+    reached = frontier.copy()
+    reached[own] = True
     out = [frontier]
     for _ in range(max_hops - 1):
         frontier = ((frontier.astype(np.float32) @ link) > 0.0) & ~reached
-        reached = reached | frontier
+        reached |= frontier
         out.append(frontier)
     return out
 
@@ -465,13 +470,9 @@ def circle_sizes(mask: np.ndarray, rows: np.ndarray, max_hops: int) -> np.ndarra
 
     Within a hop budget, reachability over walks equals reachability over
     acyclic paths (dropping a cycle never lengthens a path), so BFS layers
-    give the circle exactly.
+    give the circle exactly. The layers are disjoint, so their sizes add.
     """
-    reached = np.zeros((len(rows), mask.shape[0]), dtype=bool)
-    for frontier in reach_frontiers(mask, rows, max_hops):
-        reached |= frontier
-    reached[np.arange(len(rows)), rows] = False
-    return reached.sum(axis=1)
+    return sum(frontier.sum(axis=1) for frontier in reach_frontiers(mask, rows, max_hops))
 
 
 #: Hop budget of friendship circles and trust propagation unless a caller
@@ -488,8 +489,15 @@ def _sample_rows(n: int) -> np.ndarray:
     return np.linspace(0, n - 1, min(n, CIRCLE_SAMPLE)).astype(int)
 
 
+def check_max_hops(max_hops) -> None:
+    """Fail naming max_hops unless it is an integer hop budget of at least 1."""
+    if not isinstance(max_hops, numbers.Integral) or max_hops < 1:
+        raise DomainError("max_hops must be an integer >= 1, got %r" % (max_hops,))
+
+
 def mean_circle_size(graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS) -> float:
     """Mean ||F_i|| over the sources _sample_rows picks."""
+    check_max_hops(max_hops)
     if not len(graph):
         raise DomainError("graph has no entities")
     rows = _sample_rows(len(graph))

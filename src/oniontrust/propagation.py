@@ -7,14 +7,14 @@ cycle from a walk never hurts the product, so the best walk of at most r
 links is as strong as the best such path, and the layered (max, x)
 recurrence over walks finds the optimum of exhaustive path enumeration.
 
-One kernel runs that recurrence for a set of source rows: layer r extends
-each row's best (r - 1)-link prefix products by one link. propagate_arrays
-runs it over every row. Its output, TrustArrays, is the one trust input of
-every pipeline path (score CSVs, mean trust, simulations, sweeps).
-propagate_all is its table view, TrustArrays.table the one place a row
-becomes a TrustScoreTable, and propagate, the witness-path API, reads the
-kernel's row for one source at each budget up to max_hops and rebuilds
-witness paths layer by layer.
+One kernel pass runs that recurrence for a set of source rows, layer by
+layer: layer r extends each row's best (r - 1)-link prefix products by one
+link. propagate_arrays runs it over every row. Its output, TrustArrays, is
+the one trust input of every pipeline path (score CSVs, mean trust,
+simulations, sweeps). propagate_all is its table view, TrustArrays.table
+the one place a row becomes a TrustScoreTable, and propagate, the
+witness-path API, reads one pass over its source's row after each layer
+and rebuilds witness paths layer by layer.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CyclicPathError, DisconnectedPathError, DomainError, UnknownEntityError
-from .graph import DEFAULT_MAX_HOPS, FriendLink, SocialGraph, _sample_rows, reach_frontiers
+from .graph import DEFAULT_MAX_HOPS, FriendLink, SocialGraph, _sample_rows
+from .graph import check_max_hops, reach_frontiers
 
 
 @dataclass(frozen=True)
@@ -104,33 +105,34 @@ def propagate(
 ) -> TrustScoreTable:
     """Trust scores from one source over merged links, within max_hops.
 
-    The witness-path API: the kernel's row for the source at budgets r = 1,
-    2, ... A target whose hop count at budget r is r extends the smallest
-    witness among its in-neighbours whose hop count at budget r - 1 is
-    r - 1 and whose score times the link's trust is the target's score. So
+    The witness-path API: one kernel pass over the source's row, read after
+    each layer r = 1, 2, ... A target whose hop count at budget r is r
+    extends the smallest witness among its in-neighbours whose hop count at
+    budget r - 1 is r - 1 and whose score times the link's trust is the target's score. So
     each (node, hops) state extends its strongest prefix, exact ties broken
     lexicographically: the lexicographically smallest optimal path, except
     where a zero-trust link collapses two prefix products into one score.
     """
     graph._require_entity(source)
-    if max_hops < 1:
-        raise DomainError("max_hops must be >= 1")
+    check_max_hops(max_hops)
     ids, src, tgt, tv = graph.pair_arrays(trust=True)
     n, row = len(ids), ids.index(source)
     # level holds the witnesses of the rows whose hop count at budget r is r;
     # budget 0 holds the source alone, at product 1.0.
-    best = np.zeros(n)
-    best[row] = 1.0
+    last_best = np.zeros(n)
+    last_best[row] = 1.0
     level, paths = {row: (source,)}, {}
-    for r in range(1, max_hops + 1):
-        last_best, last, level = best, level, {}
-        best, hops, _ = (a[0] for a in _kernel(n, src, tgt, tv, [row], r))
-        step = (hops[tgt] == r) & np.isin(src, list(last)) & (last_best[src] * tv == best[tgt])
+    for r, state in enumerate(_kernel(n, src, tgt, tv, [row], max_hops), 1):
+        best, hops, reached = (a[:, 0] for a in state)
+        last, level = level, {}
+        step = reached[tgt] & (hops[tgt] == r) & np.isin(src, list(last))
+        step &= last_best[src] * tv == best[tgt]
         for k, t in zip(src[step].tolist(), tgt[step].tolist()):
             path = last[k] + (ids[t],)
             if t not in level or path < level[t]:
                 level[t] = path
         paths.update(level)
+        last_best = best.copy()  # the next layer updates best in place
     # paths covers the reached targets, each last set at its final hop count.
     return TrustScoreTable(
         source,
@@ -180,17 +182,18 @@ class TrustArrays:
 
 
 def _kernel(n, src, tgt, tv, rows, max_hops):
-    """(best, hops, reached) of the source rows (ascending) within max_hops.
+    """One pass for the source rows (ascending), layer by layer to max_hops.
 
-    Each is a (len(rows), n) array over the n entity rows, with the linked
-    pairs src -> tgt of trust tv, laid out and zeroed as in TrustArrays.
+    Yields (best, hops, reached) after each layer: the same (n, len(rows))
+    arrays over [target, row], updated in place, for the linked pairs
+    src -> tgt of trust tv. best and hops are read where reached is set.
     Layer r takes, for each target j, the max over its in-neighbours k of
-    best[i, k] * t[k, j]: the best prefix product times the last link.
+    best[k, i] * t[k, j]: the best prefix product times the last link.
     Since every factor is in [0, 1] and rounding is monotone, that is the
     best product over walks of at most r links. A target's hop count is the
     first layer that reaches it or strictly raises its score. Reachability
-    comes from the same frontier matmuls that size friendship circles, so
-    zero-trust paths still reach.
+    comes from the frontier matmuls that size friendship circles, so
+    zero-trust paths still reach and no source reaches itself.
     """
     mask = np.zeros((n, n), dtype=bool)
     mask[src, tgt] = True
@@ -202,11 +205,14 @@ def _kernel(n, src, tgt, tv, rows, max_hops):
     best = np.zeros((n, len(rows)))
     best[tgt[first], np.searchsorted(rows, src[first])] = tv[first]
     hops = frontiers[0].T.astype(np.int64)
+    reached = frontiers[0].copy()
+    yield best, hops, reached.T
     order = np.argsort(tgt, kind="stable")
     in_src, in_tv = src[order], tv[order]
     bounds = np.searchsorted(tgt[order], np.arange(n + 1)).tolist()
+    # Targets without in-neighbours are never written, so their rows stay 0.
+    extended = np.zeros_like(best)
     for r in range(2, max_hops + 1):
-        extended = np.zeros_like(best)
         for j in range(n):
             lo, hi = bounds[j], bounds[j + 1]
             if lo < hi:
@@ -215,19 +221,20 @@ def _kernel(n, src, tgt, tv, rows, max_hops):
                 )
         hops[(extended > best) | frontiers[r - 1].T] = r
         np.maximum(best, extended, out=best)
-
-    reached = np.logical_or.reduce(frontiers)
-    reached[np.arange(len(rows)), rows] = False
-    return np.where(reached, best.T, 0.0), np.where(reached, hops.T, 0), reached
+        reached |= frontiers[r - 1]
+        yield best, hops, reached.T
 
 
 def propagate_arrays(graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS) -> TrustArrays:
-    """Trust scores from every source at once, as arrays: the kernel over
-    all source rows."""
-    if max_hops < 1:
-        raise DomainError("max_hops must be >= 1")
+    """Trust scores from every source at once, as arrays: one kernel pass
+    over all source rows."""
+    check_max_hops(max_hops)
     ids, src, tgt, tv = graph.pair_arrays(trust=True)
-    best, hops, reached = _kernel(len(ids), src, tgt, tv, np.arange(len(ids)), max_hops)
+    # The pass ends, freeing its buffers, before the zeroed copies are made.
+    for best, hops, reached in _kernel(len(ids), src, tgt, tv, np.arange(len(ids)), max_hops):
+        pass
+    reached = reached.T
+    best, hops = np.where(reached, best.T, 0.0), np.where(reached, hops.T, 0)
     return TrustArrays(ids=ids, best=best, hops=hops, reached=reached, max_hops=max_hops)
 
 

@@ -259,8 +259,7 @@ def _flag_drawer(ids: List[int], bandwidth: np.ndarray, scenario: SimScenario,
 
     bandwidth is over the arrays' ids and row is the source's. ORIGINAL_TOR
     flags the top-bandwidth rows and never draws; PRACTICAL_STOR weighs each
-    row by 1 - its mean trust, read off arrays unless mean_trust is given
-    (and then rejected when it misses an entity or leaves [0, 1]);
+    row by 1 - its mean trust, read off arrays unless mean_trust is given;
     THEORETICAL_STOR draws outside the source's reached row; OPPORTUNISTIC_TOR
     draws uniformly. With no routers to flag nothing is drawn.
     """
@@ -273,13 +272,6 @@ def _flag_drawer(ids: List[int], bandwidth: np.ndarray, scenario: SimScenario,
     if scenario.strategy is Strategy.PRACTICAL_STOR:
         if mean_trust is None:
             mean_trust = _mean_trust(arrays)
-        for eid in ids:
-            if eid not in mean_trust:
-                raise UnknownEntityError("mean_trust has no entry for entity %d" % eid)
-            if not 0.0 <= mean_trust[eid] <= 1.0:
-                raise DomainError(
-                    "mean trust of entity %d must be in [0, 1], got %r" % (eid, mean_trust[eid])
-                )
         weights = np.array([1.0 - mean_trust[eid] for eid in ids])
         return lambda rng: _weighted_draw(weights, m, rng)
     if scenario.strategy is Strategy.THEORETICAL_STOR:
@@ -293,6 +285,23 @@ def _flag_drawer(ids: List[int], bandwidth: np.ndarray, scenario: SimScenario,
             )
         return lambda rng: rng.choice(pool, size=m, replace=False)
     return lambda rng: rng.choice(len(ids), size=m, replace=False)
+
+
+def _check_mean_trust(ids: List[int], mean_trust: Dict[int, float]):
+    """Fail naming a key of mean_trust outside ids, else the first of ids
+    that mean_trust misses or maps outside [0, 1]."""
+    outside = set(mean_trust).difference(ids)
+    if outside:
+        raise UnknownEntityError(
+            "mean_trust has an entry for entity %r outside the graph" % min(outside)
+        )
+    for eid in ids:
+        if eid not in mean_trust:
+            raise UnknownEntityError("mean_trust has no entry for entity %d" % eid)
+        if not 0.0 <= mean_trust[eid] <= 1.0:
+            raise DomainError(
+                "mean trust of entity %d must be in [0, 1], got %r" % (eid, mean_trust[eid])
+            )
 
 
 def _weighted_draw(weights: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -409,6 +418,8 @@ def _run_rounds(
     same order as a single round's, so the reports are those of running
     each scenario alone, round by round.
     """
+    if mean_trust is not None:
+        _check_mean_trust(graph.entity_ids(), mean_trust)
     first = scenarios[0]
     length = first.circuit_length if circuits else 1
     preps = []
@@ -487,8 +498,9 @@ def run_simulation(
 
     Every trust input is read off arrays, propagate_arrays(graph,
     scenario.max_hops), computed when not given; mean_trust, when given,
-    replaces their column means and must hold a value in [0, 1] for every
-    entity. Pass arrays to share one propagation.
+    replaces their column means: one value in [0, 1] for each entity, no
+    other key, checked whatever the strategy. Pass arrays to share one
+    propagation.
     """
     if scenario.draw_mode is DrawMode.CIRCUIT:
         return run_circuit_rounds(graph, scenario, mean_trust, arrays)

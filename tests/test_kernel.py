@@ -98,7 +98,8 @@ def test_mean_circle_size_samples_evenly_spaced_sources_in_large_graphs():
 def test_reachability_on_raw_masks_equals_set_bfs(cells, max_hops, data):
     n = int(round(len(cells) ** 0.5))
     mask = np.array(cells, dtype=bool).reshape(n, n)
-    np.fill_diagonal(mask, False)
+    if data.draw(st.booleans()):  # else self loops stay: a source never reaches itself
+        np.fill_diagonal(mask, False)
     nbrs = {i: set(np.flatnonzero(mask[i]).tolist()) for i in range(n)}
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     want = [set_bfs_circle(nbrs, int(i), max_hops) for i in rows]

@@ -1,18 +1,20 @@
 """Max-product trust propagation against the exhaustive path and heap-search oracles."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from oniontrust import propagate, propagate_all, trust_distance
+from oniontrust import mean_circle_size, propagate, propagate_all, propagation, trust_distance
 from oniontrust.errors import (
     CyclicPathError,
     DisconnectedPathError,
     DomainError,
     UnknownEntityError,
 )
+from oniontrust.graph import reach_frontiers
 
 from helpers import (
     enumerate_best_paths,
@@ -175,3 +177,26 @@ def test_propagate_rejects_bad_inputs():
         propagate(g, 1, max_hops=0)
     with pytest.raises(DomainError):
         propagate_all(g, max_hops=0)
+    # one max_hops check: below 1 or not an integer fails naming the value
+    for call, bad in [
+        (lambda h: mean_circle_size(g, h), 0),
+        (lambda h: mean_circle_size(g, h), -2),
+        (lambda h: propagate(g, 1, h), 2.5),
+        (lambda h: propagate_all(g, h), 2.5),
+    ]:
+        message = "max_hops must be an integer >= 1, got %r" % bad
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call(bad)
+
+
+def test_propagate_makes_one_kernel_pass(monkeypatch):
+    calls = []
+
+    def counted(mask, rows, max_hops):
+        calls.append(max_hops)
+        return reach_frontiers(mask, rows, max_hops)
+
+    monkeypatch.setattr(propagation, "reach_frontiers", counted)
+    g = graph_from_trust_links([(1, 2, 0.9), (2, 3, 0.8), (3, 4, 0.7), (4, 5, 0.6)])
+    assert propagate(g, 1, 4).get(5).path == (1, 2, 3, 4, 5)
+    assert calls == [4]

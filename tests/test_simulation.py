@@ -554,14 +554,27 @@ def test_run_simulation_propagates_once_unless_given_arrays(monkeypatch, strateg
 @pytest.mark.parametrize(
     "change, error, message",
     [
-        ({4: None}, UnknownEntityError, "mean_trust has no entry for entity 4"),
-        ({3: float("nan")}, DomainError, "mean trust of entity 3 must be in [0, 1], got nan"),
-        ({2: 7.0}, DomainError, "mean trust of entity 2 must be in [0, 1], got 7.0"),
+        # (strategy, fraction, changes to the computed means)
+        ((Strategy.PRACTICAL_STOR, 0.25, {4: None}), UnknownEntityError,
+         "mean_trust has no entry for entity 4"),
+        ((Strategy.PRACTICAL_STOR, 0.25, {3: float("nan")}), DomainError,
+         "mean trust of entity 3 must be in [0, 1], got nan"),
+        ((Strategy.PRACTICAL_STOR, 0.25, {2: 7.0}), DomainError,
+         "mean trust of entity 2 must be in [0, 1], got 7.0"),
+        # checked for every scenario, also when no flag reads the means
+        ((Strategy.PRACTICAL_STOR, 0.0, {1: float("nan")}), DomainError,
+         "mean trust of entity 1 must be in [0, 1], got nan"),
+        ((Strategy.OPPORTUNISTIC_TOR, 0.25, {1: 7.0}), DomainError,
+         "mean trust of entity 1 must be in [0, 1], got 7.0"),
+        ((Strategy.THEORETICAL_STOR, 0.25, {5: -1.0}), UnknownEntityError,
+         "mean_trust has an entry for entity 5 outside the graph"),
     ],
 )
 def test_practical_flags_reject_a_bad_mean_trust(change, error, message):
-    g = star(4)
-    scenario = SimScenario(strategy=Strategy.PRACTICAL_STOR, fraction=0.25, rounds=2)
+    strategy, fraction, change = change
+    g = graph_from_trust_links([(1, 2, 0.5), (2, 3, 0.5), (3, 4, 0.5)])
+    g.freeze()
+    scenario = SimScenario(strategy=strategy, fraction=fraction, rounds=2)
     mean_trust = mean_trust_scores(g)
     mean_trust.update(change)  # a None drops the entity's entry
     mean_trust = {eid: ts for eid, ts in mean_trust.items() if ts is not None}
