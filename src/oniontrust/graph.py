@@ -489,6 +489,12 @@ def _sample_rows(n: int) -> np.ndarray:
     return np.linspace(0, n - 1, min(n, CIRCLE_SAMPLE)).astype(int)
 
 
+def _require_integer(field: str, value, error: type) -> None:
+    """Fail with error naming field unless value is an integer."""
+    if not isinstance(value, numbers.Integral):
+        raise error("%s must be an integer, got %r" % (field, value))
+
+
 def check_max_hops(max_hops) -> None:
     """Fail naming max_hops unless it is an integer hop budget of at least 1."""
     if not isinstance(max_hops, numbers.Integral) or max_hops < 1:
@@ -536,6 +542,8 @@ class GeneratorParams:
     max_hops: int = DEFAULT_MAX_HOPS
 
     def __post_init__(self):
+        _require_integer("n", self.n, GeneratorParamsError)
+        _require_integer("max_hops", self.max_hops, GeneratorParamsError)
         if self.n < 1:
             raise GeneratorParamsError("n must be >= 1, got %d" % self.n)
         if self.kind not in GENERATOR_KINDS:
@@ -597,6 +605,7 @@ def generate_graph(params: GeneratorParams, seed: int) -> SocialGraph:
     Edges, bandwidths and link attributes come from independent substreams
     of the seed, so calibration never perturbs bandwidths or attributes.
     """
+    _require_integer("seed", seed, GeneratorParamsError)
     if seed < 0:
         raise GeneratorParamsError("seed must be >= 0, got %r" % (seed,))
     edge_ss, bw_ss, attr_ss = np.random.SeedSequence(seed).spawn(3)

@@ -35,7 +35,7 @@ from .errors import (
     UnknownEntityError,
     ZeroDenominatorError,
 )
-from .graph import SocialGraph
+from .graph import SocialGraph, _require_integer
 from .propagation import TrustScoreTable
 
 DEFAULT_CIRCUIT_LENGTH = 3
@@ -68,6 +68,7 @@ class SelectionPolicy:
             raise DomainError(
                 "ts_threshold must be in [0, 1], got %r" % (self.ts_threshold,)
             )
+        _require_integer("circuit_length", self.circuit_length, DomainError)
         if self.circuit_length < 1:
             raise DomainError("circuit_length must be >= 1")
 

@@ -18,15 +18,16 @@ outside the source's reached row.
 
 Flags and the bandwidth shape are per-scenario state and live only here:
 `_Prepared` permutes one bandwidth vector (`_correlated`) and each round
-draws one flag mask through the strategy's `_flag_drawer`. The graph
-itself is never copied or changed.
+draws one flag mask through the strategy's `_flag_drawer`. Every random
+placement is one keyed draw, `_weighted_draw`; the strategies differ only
+in its weights. The graph itself is never copied or changed.
 
 All randomness is derived from the scenario seed through fixed stream keys,
 so a scenario replays byte for byte. Round r has its own pair of streams:
 a flag stream for that round's mask and a draw stream for its uniforms.
 One runner, `_run_rounds`, takes the rounds in blocks: it draws each
 round's mask and uniforms once, then samples the whole block in one
-`weighted_picks` call. A sweep runs the values on one graph as one batch,
+`weighted_picks` call. A sweep runs the values on each graph as one batch,
 since the flags never read omega or ts_threshold: every value reads round
 r's uniforms, and the values with one fraction its one flag mask. Each
 value's reports are still those of its scenario run alone.
@@ -38,7 +39,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from .graph import (
     DEFAULT_MAX_HOPS,
     GeneratorParams,
     SocialGraph,
+    _require_integer,
     generate_graph,
 )
 from .propagation import TrustArrays, TrustScoreTable, propagate_arrays
@@ -153,6 +155,8 @@ class SimScenario:
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
             raise DomainError("fraction must be in [0, 1], got %r" % (self.fraction,))
+        for field in ("rounds", "draws", "seed"):
+            _require_integer(field, getattr(self, field), DomainError)
         if self.rounds < 1 or self.draws < 1:
             raise DomainError("rounds and draws must be >= 1")
         if self.seed < 0:
@@ -231,25 +235,28 @@ def mean_trust_scores(
 ) -> Dict[int, float]:
     """Mean trust score of each entity over all other sources.
 
+    The scores are propagate_arrays(graph, max_hops)'s, or the rows of
+    tables when given: one table per source, each over graph entities.
     Sources that cannot reach an entity contribute 0 to its mean, so an
     entity nobody knows averages to 0.
     """
-    if tables is None:
-        return _mean_trust(propagate_arrays(graph, max_hops))
     ids = graph.entity_ids()
-    totals = np.zeros(len(ids))
-    for table in tables.values():
-        totals += table.row(ids)[0]  # rejects unknown targets; absent ones add 0.0
-    denom = max(1, len(ids) - 1)
-    return {eid: total / denom for eid, total in zip(ids, totals.tolist())}
+    if tables is None:
+        best = propagate_arrays(graph, max_hops).best
+    else:
+        unknown = {table.source for table in tables.values()}.difference(ids)
+        if unknown:
+            raise UnknownEntityError("trust table of unknown source entity %r" % min(unknown))
+        # row() rejects unknown targets; absent ones score 0.0
+        rows = [table.row(ids)[0] for table in tables.values()]
+        best = np.array(rows).reshape(len(tables), len(ids))
+    return dict(zip(ids, _mean_trust(ids, best).tolist()))
 
 
-def _mean_trust(arrays: TrustArrays) -> Dict[int, float]:
-    # A column sum over C-ordered rows adds the sources in row order, the
-    # same order as the loop over score tables, so the floats are equal.
-    denom = max(1, len(arrays.ids) - 1)
-    totals = arrays.best.sum(axis=0).tolist()
-    return {eid: total / denom for eid, total in zip(arrays.ids, totals)}
+def _mean_trust(ids: List[int], best: np.ndarray) -> np.ndarray:
+    # Column means over the other sources. A column sum over C-ordered rows
+    # adds the sources in row order, as a loop over rows would.
+    return best.sum(axis=0) / max(1, len(ids) - 1)
 
 
 def _flag_drawer(ids: List[int], bandwidth: np.ndarray, scenario: SimScenario,
@@ -258,10 +265,12 @@ def _flag_drawer(ids: List[int], bandwidth: np.ndarray, scenario: SimScenario,
     """The strategy's per-round flag draw: a function rng -> flagged rows.
 
     bandwidth is over the arrays' ids and row is the source's. ORIGINAL_TOR
-    flags the top-bandwidth rows and never draws; PRACTICAL_STOR weighs each
-    row by 1 - its mean trust, read off arrays unless mean_trust is given;
-    THEORETICAL_STOR draws outside the source's reached row; OPPORTUNISTIC_TOR
-    draws uniformly. With no routers to flag nothing is drawn.
+    flags the top-bandwidth rows and never draws. The others draw through
+    _weighted_draw: PRACTICAL_STOR weighs each row by 1 - its mean trust,
+    read off arrays unless mean_trust is given; THEORETICAL_STOR weighs 1
+    outside the source's reached row and 0 inside it and at the source;
+    OPPORTUNISTIC_TOR weighs every row 1. With no routers to flag nothing
+    is drawn.
     """
     m = _flag_count(scenario.fraction, len(ids))
     if scenario.strategy is Strategy.ORIGINAL_TOR:
@@ -271,20 +280,21 @@ def _flag_drawer(ids: List[int], bandwidth: np.ndarray, scenario: SimScenario,
         return lambda rng: np.empty(0, dtype=int)
     if scenario.strategy is Strategy.PRACTICAL_STOR:
         if mean_trust is None:
-            mean_trust = _mean_trust(arrays)
-        weights = np.array([1.0 - mean_trust[eid] for eid in ids])
-        return lambda rng: _weighted_draw(weights, m, rng)
-    if scenario.strategy is Strategy.THEORETICAL_STOR:
+            weights = 1.0 - _mean_trust(ids, arrays.best)
+        else:
+            weights = 1.0 - np.array([mean_trust[eid] for eid in ids])
+    elif scenario.strategy is Strategy.THEORETICAL_STOR:
         outside = ~arrays.reached[row]
         outside[row] = False
-        pool = np.flatnonzero(outside)
-        if len(pool) < m:
+        if outside.sum() < m:
             raise InfeasibleAssignmentError(
                 "strategy needs %d routers outside the circle, only %d exist"
-                % (m, len(pool))
+                % (m, outside.sum())
             )
-        return lambda rng: rng.choice(pool, size=m, replace=False)
-    return lambda rng: rng.choice(len(ids), size=m, replace=False)
+        weights = outside.astype(float)
+    else:
+        weights = np.ones(len(ids))
+    return lambda rng: _weighted_draw(weights, m, rng)
 
 
 def _check_mean_trust(ids: List[int], mean_trust: Dict[int, float]):
@@ -305,23 +315,15 @@ def _check_mean_trust(ids: List[int], mean_trust: Dict[int, float]):
 
 
 def _weighted_draw(weights: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m distinct rows, drawn with probability proportional to weights."""
-    n = len(weights)
+    """m distinct rows drawn one by one with probability proportional to
+    weights >= 0, the zero-weight rows uniformly once the others run out:
+    the top m keys of u = 1 - rng.random(n) in (0, 1] (Efraimidis and
+    Spirakis), u ** (1 / w) for a positive weight, u - 1 <= 0 for a zero."""
+    u = 1.0 - rng.random(len(weights))
+    keys = u - 1.0
     positive = weights > 0.0
-    n_pos = int(positive.sum())
-    if n_pos == 0:
-        return rng.choice(n, size=m, replace=False)
-    # Exponential-key trick: top-m of u^(1/w) is a weighted sample
-    # without replacement.
-    keys = np.zeros(n)
-    u = 1.0 - rng.random(n_pos)  # in (0, 1], so keys stay positive
-    keys[positive] = u ** (1.0 / weights[positive])
-    if n_pos >= m:
-        return np.argpartition(-keys, m - 1)[:m]
-    # Weights cover fewer routers than needed; fill up uniformly.
-    rest = np.nonzero(~positive)[0]
-    fill = rng.choice(rest, size=m - n_pos, replace=False)
-    return np.concatenate([np.nonzero(positive)[0], fill])
+    keys[positive] = u[positive] ** (1.0 / weights[positive])
+    return np.argpartition(-keys, m - 1)[:m]
 
 
 def _correlated(bandwidth, trust, reached, case, rng) -> np.ndarray:
@@ -559,15 +561,16 @@ def sweep(
 ) -> SweepResult:
     """Run the scenario once per axis value, sharing its random numbers.
 
-    The graph is regenerated only when the axis is n, once per distinct n;
-    all other axes reuse one graph and run its values as one batch of
-    rounds. Round r's streams are drawn once for the batch: every value
-    reads its uniforms, and every value with the same fraction (all of them
-    on the ts_h and omega axes) its flag mask. So sweep points differ only
-    in the swept knob (common random numbers), and each value's reports
-    equal run_simulation's for it alone. Each graph is propagated once, and
-    every value reads its arrays: the rounds, the circle and trustworthy
-    sizes. A bad value fails before any value runs.
+    The values run as one batch of rounds per graph: one graph for the
+    omega, ts_h and fraction axes, one per distinct n, in the order the n
+    values first appear, each freed before the next is built. Round r's
+    streams are drawn once for a batch: every value reads its uniforms, and
+    every value with the same fraction (all of them off the fraction axis)
+    its flag mask. So sweep points differ only in the swept knob (common
+    random numbers), and each value's reports equal run_simulation's for it
+    alone. Each graph is propagated once, and its values read their rounds,
+    circle and trustworthy sizes off its arrays. A bad value fails before
+    any graph is built.
     """
     if axis not in SWEEP_AXES:
         raise DomainError(
@@ -586,33 +589,25 @@ def sweep(
             value = int(value)
         scenarios.append(dataclasses.replace(scenario, **{field: value}))
         _require_generated_source(scenarios[-1])
-    # The values on one graph run as one batch; the n axis builds one graph
-    # per distinct n and runs its values one at a time.
-    batches = [[sc] for sc in scenarios] if field == "n" else [scenarios]
     circuits = scenario.draw_mode is DrawMode.CIRCUIT
-    results: List[SimulationResult] = []
-    cache: Dict[int, Tuple[SocialGraph, TrustArrays]] = {}
-    for batch in batches:
-        n = batch[0].n
-        if n not in cache:
-            graph = build_scenario_graph(batch[0], rules)
-            cache[n] = (graph, propagate_arrays(graph, batch[0].max_hops))
-        graph, arrays = cache[n]
-        results += _run_rounds(graph, batch, None, arrays, circuits)
-    rows: List[SweepRow] = []
-    for value, sc, result in zip(values, scenarios, results):
-        arrays = cache[sc.n][1]
-        trustworthy = (arrays.best >= sc.ts_threshold) & arrays.reached
-        mean_tf = float(np.mean(trustworthy.sum(axis=1)))
-        rows.append(
-            SweepRow(
+    results, rows = [None] * len(values), [None] * len(values)
+    for n in dict.fromkeys(sc.n for sc in scenarios):  # one batch per graph
+        members = [k for k, sc in enumerate(scenarios) if sc.n == n]
+        batch = [scenarios[k] for k in members]
+        graph = build_scenario_graph(batch[0], rules)
+        arrays = propagate_arrays(graph, batch[0].max_hops)
+        for k, result in zip(members, _run_rounds(graph, batch, None, arrays, circuits)):
+            trustworthy = (arrays.best >= scenarios[k].ts_threshold) & arrays.reached
+            results[k] = result
+            rows[k] = SweepRow(
                 axis=axis,
-                value=float(value),
+                value=float(values[k]),
                 mean_r_mr=result.mean_r_mr,
                 mean_r_mc=result.mean_r_mc,
                 mean_bandwidth=result.mean_bandwidth,
                 mean_circle_size=arrays.mean_circle_size(),
-                mean_trustworthy_size=mean_tf,
+                mean_trustworthy_size=float(np.mean(trustworthy.sum(axis=1))),
             )
-        )
+        # Rebinding would keep this graph alive while the next is built.
+        del graph, arrays, trustworthy
     return SweepResult(axis=axis, rows=rows, results=results)

@@ -239,6 +239,17 @@ def test_generator_params_validation():
             match=r"bandwidth_max must be positive and finite, got %s" % re.escape(repr(bad)),
         ):
             GeneratorParams(n=5, kind="er", value=0.5, bandwidth_max=bad)
+    # counts must be integers, numpy's included; a float fails by name here,
+    # not later inside the generator
+    for args, kwargs, message in (
+        ((50, "calibrated", 0.5), {"max_hops": 2.5}, "max_hops must be an integer, got 2.5"),
+        ((50.5, "er", 0.1), {}, "n must be an integer, got 50.5"),
+        ((30.0, "er", 0.1), {}, "n must be an integer, got 30.0"),
+    ):
+        with pytest.raises(GeneratorParamsError, match=re.escape(message)):
+            GeneratorParams(*args, **kwargs)
+    params = GeneratorParams(np.int64(5), "er", 0.5, max_hops=np.int32(3))
+    assert (params.n, params.max_hops) == (5, 3)
 
 
 def test_generator_specs_map_to_one_kind_of_params():
@@ -255,3 +266,7 @@ def test_generator_specs_map_to_one_kind_of_params():
 def test_generate_graph_rejects_negative_seeds():
     with pytest.raises(GeneratorParamsError, match="seed must be >= 0, got -2"):
         generate_graph(GeneratorParams(n=5, kind="er", value=0.5), seed=-2)
+    with pytest.raises(GeneratorParamsError, match=re.escape("seed must be an integer, got 1.5")):
+        generate_graph(GeneratorParams(n=5, kind="er", value=0.5), seed=1.5)
+    params = GeneratorParams(n=5, kind="er", value=0.5)
+    assert generate_graph(params, seed=np.int64(3)) == generate_graph(params, seed=3)

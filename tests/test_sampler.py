@@ -2,10 +2,13 @@
 
 Every router, circuit and round of circuits is drawn by `weighted_picks`, so
 its law is checked here against exhaustive enumeration, and its guards (no
-zero-weight pick, no repeat) against random and adversarial weights.
+zero-weight pick, no repeat) against random and adversarial weights. Every
+random flag placement is the keyed draw `_weighted_draw`, whose subset law
+is checked the same way.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -29,9 +32,9 @@ from oniontrust.errors import (
     ZeroDenominatorError,
 )
 from oniontrust.selection import weighted_picks
-from oniontrust.simulation import _Prepared, _round_streams
+from oniontrust.simulation import _Prepared, _round_streams, _weighted_draw
 
-from helpers import exact_order_probability, graph_from_trust_links
+from helpers import exact_order_probability, exact_subset_probability, graph_from_trust_links
 
 PROPERTY = settings(max_examples=300)
 
@@ -160,6 +163,52 @@ def test_sampler_errors():
     for bad in ([1.0, -0.5, 2.0], [1.0, float("nan")], [1.0, float("inf")]):
         with pytest.raises(DomainError):
             picks(bad, rng, 1, 1)
+
+
+# -- keyed flag draw ------------------------------------------------------------
+
+
+def exact_flag_law(weights, m):
+    """Chance of each m-subset under _weighted_draw's law: sequential picks
+    while positive weights last, then a uniform subset of the zero rows."""
+    positive = {k for k, w in enumerate(weights) if w > 0.0}
+    zeros = len(weights) - len(positive)
+    law = {}
+    for subset in itertools.combinations(range(len(weights)), m):
+        if len(positive) >= m:
+            p = exact_subset_probability(weights, subset) if set(subset) <= positive else 0.0
+        else:
+            p = 1.0 / math.comb(zeros, m - len(positive)) if positive <= set(subset) else 0.0
+        law[subset] = p
+    return law
+
+
+@pytest.mark.parametrize(
+    "weights, m",
+    [
+        ([0.0, 3.0, 1.0, 0.5, 2.0], 2),  # a zero, four positive weights
+        ([0.25, 4.0, 0.0, 1.0, 0.5], 3),
+        ([1.0, 1.0, 1.0, 1.0, 1.0], 2),  # uniform, as OPPORTUNISTIC_TOR weighs
+        ([0.0, 2.0, 0.0, 0.5, 0.0], 3),  # fewer positive weights than m
+        ([0.0, 0.0, 0.0, 0.0, 0.0], 2),  # no positive weight at all
+    ],
+)
+def test_keyed_draw_follows_the_exact_subset_law(weights, m):
+    law = exact_flag_law(weights, m)
+    assert sum(law.values()) == pytest.approx(1.0)
+    rng = np.random.default_rng(500 + m)
+    draws = 20_000
+    counts = dict.fromkeys(law, 0)
+    w = np.array(weights)
+    for _ in range(draws):
+        counts[tuple(sorted(_weighted_draw(w, m, rng).tolist()))] += 1
+    support = [s for s, p in law.items() if p > 0.0]
+    assert sum(counts[s] for s in support) == draws  # nothing off the support
+    obs = [counts[s] for s in support]
+    exp = [law[s] * draws for s in support]
+    if len(support) > 1:
+        _, pvalue = stats.chisquare(obs, exp)
+        assert pvalue > 0.001
 
 
 # -- select-mode bytes ------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Router and circuit selection weights, filtering and sampling."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -42,6 +44,9 @@ def test_policy_validation():
         SelectionPolicy(ts_threshold=2.0)
     with pytest.raises(DomainError):
         SelectionPolicy(circuit_length=0)
+    with pytest.raises(DomainError, match=re.escape("circuit_length must be an integer, got 2.5")):
+        SelectionPolicy(circuit_length=2.5)
+    assert SelectionPolicy(circuit_length=np.int64(2)).circuit_length == 2
 
 
 def test_mixed_weight_worked_example():

@@ -1,9 +1,11 @@
 """Adversary simulation: flag placement, correlation cases, round metrics."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -166,6 +168,40 @@ def test_theoretical_flags_stay_outside_the_circle():
     too_many = SimScenario(strategy=Strategy.THEORETICAL_STOR, fraction=0.9)
     with pytest.raises(InfeasibleAssignmentError):
         flag_plan(g, too_many)
+
+
+def keyed_draw_cases():
+    """(graph, scenario, ids always flagged, ids that fill up by u, m)."""
+    # OPPORTUNISTIC_TOR: any of the 10 rows, the source included
+    yield star(10), Strategy.OPPORTUNISTIC_TOR, 0.3, set(), range(1, 11)
+    # THEORETICAL_STOR: only the 6 rows outside the source's circle
+    g = graph_from_trust_links([(1, 2, 0.5), (2, 3, 0.5)])
+    for eid in range(4, 10):
+        g.add_entity(eid, 1000.0)
+    g.freeze()
+    yield g, Strategy.THEORETICAL_STOR, 0.4, set(), range(4, 10)
+    # PRACTICAL_STOR with zero weights: 5 is the only positive weight, then
+    # the fully trusted 1..4 fill up
+    triples = [(a, b, 1.0) for a in (1, 2, 3, 4) for b in (1, 2, 3, 4) if a != b]
+    g = graph_from_trust_links(triples + [(5, k, 1.0) for k in (1, 2, 3, 4)])
+    g.freeze()
+    yield g, Strategy.PRACTICAL_STOR, 0.6, {5}, range(1, 5)
+
+
+@pytest.mark.parametrize("case", list(keyed_draw_cases()), ids=lambda case: case[1].code)
+def test_every_random_placement_is_one_keyed_draw_of_the_rounds_uniforms(case):
+    # What a round flags, read off u = 1 - rng.random(n) alone: the rows of
+    # positive weight first, then the largest u among the rest a strategy
+    # may flag. A second draw from rng or a second sampler fails this.
+    g, strategy, fraction, always, fill = case
+    plan = flag_plan(g, SimScenario(strategy=strategy, fraction=fraction))
+    ids = plan[0]
+    m = _flag_count(fraction, len(ids))
+    for seed in range(20):
+        u = 1.0 - np.random.default_rng(seed).random(len(ids))
+        by_u = sorted(fill, key=lambda eid: -u[ids.index(eid)])
+        want = always | set(by_u[: m - len(always)])
+        assert flagged_ids(plan, np.random.default_rng(seed)) == want
 
 
 def test_flag_draws_leave_the_stream_alone_when_nothing_is_random():
@@ -589,6 +625,15 @@ def test_mean_trust_tables_reject_a_target_outside_the_graph():
         mean_trust_scores(g, tables=tables)
 
 
+def test_mean_trust_tables_reject_a_source_outside_the_graph():
+    g = graph_from_trust_links([(1, 2, 0.5), (2, 3, 0.5)])
+    tables = {s: TrustScoreTable(s, {}) for s in (1, 2, 3)}
+    assert mean_trust_scores(g, tables=tables) == {1: 0.0, 2: 0.0, 3: 0.0}
+    tables[99] = TrustScoreTable(99, {1: TrustScore(0.5, 1)})
+    with pytest.raises(UnknownEntityError, match="unknown source entity 99"):
+        mean_trust_scores(g, tables=tables)
+
+
 def test_mean_trust_scores_by_hand():
     g = graph_from_trust_links([(1, 2, 0.5), (2, 3, 0.4), (1, 3, 0.1)])
     means = mean_trust_scores(g, max_hops=2)
@@ -611,6 +656,10 @@ def test_scenario_validation():
         for bad in (0, -3):
             with pytest.raises(GeneratorParamsError, match="%s must be >= 1, got %d" % (field, bad)):
                 SimScenario(strategy=Strategy.ORIGINAL_TOR, fraction=0.1, **{field: bad})
+        with pytest.raises(
+            GeneratorParamsError, match=re.escape("%s must be an integer, got 30.0" % field)
+        ):
+            SimScenario(strategy=Strategy.ORIGINAL_TOR, fraction=0.1, **{field: 30.0})
     # policy, seed and generator fields fail when the scenario is built, in
     # every strategy, not when a graph is run
     for field, bad, message in (
@@ -618,11 +667,19 @@ def test_scenario_validation():
         ("omega", float("nan"), "omega must be in [0, 1], got nan"),
         ("ts_threshold", -0.5, "ts_threshold must be in [0, 1], got -0.5"),
         ("circuit_length", 0, "circuit_length must be >= 1"),
+        ("circuit_length", 2.5, "circuit_length must be an integer, got 2.5"),
         ("seed", -1, "seed must be >= 0, got -1"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("rounds", 2.5, "rounds must be an integer, got 2.5"),
+        ("draws", 2.5, "draws must be an integer, got 2.5"),
     ):
-        for strategy in Strategy:
+        for strategy, draw_mode in itertools.product(Strategy, DrawMode):
             with pytest.raises(DomainError, match=re.escape(message)):
-                SimScenario(strategy=strategy, fraction=0.1, **{field: bad})
+                SimScenario(strategy=strategy, fraction=0.1, draw_mode=draw_mode, **{field: bad})
+    # numpy integers are integers
+    counts = {field: np.int64(3) for field in ("rounds", "draws", "seed", "n", "max_hops",
+                                               "circuit_length")}
+    assert SimScenario(strategy=Strategy.ORIGINAL_TOR, fraction=0.1, **counts).rounds == 3
     for changes, message in (
         ({"bandwidth_max": float("nan")}, "bandwidth_max must be positive and finite, got nan"),
         ({"generator_kind": "er", "generator_value": 1.5}, "er edge probability must be in [0, 1], got 1.5"),
@@ -728,6 +785,33 @@ def test_sweep_n_axis_regenerates():
     assert result.rows[0].mean_circle_size != result.rows[1].mean_circle_size
     with pytest.raises(DomainError):
         sweep(scenario, "bandwidth", [1.0], default_rules())
+
+
+def test_an_n_sweep_holds_one_graph_at_a_time(monkeypatch):
+    import oniontrust.simulation
+
+    alive = []  # weak references to each graph and its arrays
+
+    def tracked_propagate(graph, max_hops=2):
+        arrays = propagate_arrays(graph, max_hops)
+        alive.extend([weakref.ref(graph), weakref.ref(arrays)])
+        return arrays
+
+    def tracked_build(scenario, rules):
+        gc.collect()
+        assert [ref() for ref in alive] == [None] * len(alive), "an earlier graph is alive"
+        return build_scenario_graph(scenario, rules)
+
+    monkeypatch.setattr(oniontrust.simulation, "propagate_arrays", tracked_propagate)
+    monkeypatch.setattr(oniontrust.simulation, "build_scenario_graph", tracked_build)
+    scenario = SimScenario(
+        strategy=Strategy.PRACTICAL_STOR, fraction=0.2, n=20, generator_kind="er",
+        generator_value=0.2, rounds=3, draws=10,
+    )
+    result = sweep(scenario, "n", [30, 20, 40, 20], default_rules())
+    assert len(alive) == 6  # three graphs, the repeated n on the first 20's
+    assert [row.value for row in result.rows] == [30.0, 20.0, 40.0, 20.0]
+    assert result.results[1].reports == result.results[3].reports
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 40.7])
