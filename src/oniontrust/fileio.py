@@ -497,7 +497,7 @@ def write_link_trust(path, graph: SocialGraph):
 
 
 def write_trust_scores(path, arrays: TrustArrays):
-    """One (source, target, ts, hops) row per reached pair of the arrays.
+    """One (source, target, ts, hops) row per scored pair (hops > 0).
 
     Rows run source-major over the sorted ids, the order of the per-source
     tables' sorted targets. Id and hop cells come from small tables of
@@ -512,13 +512,13 @@ def write_trust_scores(path, arrays: TrustArrays):
     def blocks():
         for lo in range(0, len(id_text), _SCORE_BLOCK_ROWS):
             hi = lo + _SCORE_BLOCK_ROWS
-            reached = arrays.reached[lo:hi]
-            rows, cols = np.nonzero(reached)
+            scored = arrays.hops[lo:hi] > 0
+            rows, cols = np.nonzero(scored)
             yield (
                 id_text[rows + lo].tolist(),
                 id_text[cols].tolist(),
-                list(map(float.__repr__, arrays.best[lo:hi][reached].tolist())),
-                hop_text[arrays.hops[lo:hi][reached]].tolist(),
+                list(map(float.__repr__, arrays.best[lo:hi][scored].tolist())),
+                hop_text[arrays.hops[lo:hi][scored]].tolist(),
             )
 
     _write_csv(path, ("source", "target", "ts", "hops"), blocks())

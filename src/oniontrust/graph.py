@@ -283,6 +283,7 @@ class SocialGraph:
         if self._frozen:
             raise FrozenGraphError("graph is frozen")
         self.check_ends(link.source, link.target)
+        _check_trust(link.source, link.target, link.network, link.trust_value)
         self._pending.append(
             link.source,
             link.target,
@@ -301,10 +302,14 @@ class SocialGraph:
             (links.source == links.target)
             | ~np.isin(links.source, ids)
             | ~np.isin(links.target, ids)
+            | (links.trust < 0.0)
+            | (links.trust > 1.0)
         )
         if bad.any():
             row = int(np.argmax(bad))
-            self.check_ends(int(links.source[row]), int(links.target[row]))
+            source, target = int(links.source[row]), int(links.target[row])
+            self.check_ends(source, target)
+            _check_trust(source, target, int(links.network[row]), float(links.trust[row]))
         self._links = _merged(self.link_columns(), links)
 
     def freeze(self):
@@ -431,6 +436,15 @@ class SocialGraph:
         return mask
 
 
+def _check_trust(source: int, target: int, network: int, trust: Optional[float]):
+    """Fail naming the link unless trust is in [0, 1] or unscored (None or NaN)."""
+    if trust is not None and (trust < 0.0 or trust > 1.0):
+        raise DomainError(
+            "link %d->%d network %d: trust value must be in [0, 1], got %r"
+            % (source, target, network, float(trust))
+        )
+
+
 def _require_scored(links: LinkColumns, lo: int, hi: int):
     """Fail naming the first of rows [lo, hi) that has no trust value yet."""
     unscored = np.flatnonzero(np.isnan(links.trust[lo:hi]))
@@ -442,37 +456,22 @@ def _require_scored(links: LinkColumns, lo: int, hi: int):
         )
 
 
-def reach_frontiers(mask: np.ndarray, rows: np.ndarray, max_hops: int) -> List[np.ndarray]:
-    """Entities first reached from each source row after exactly r links.
-
-    Returns one boolean (len(rows), n) array per r = 1..max_hops. Each
-    source counts as reached before its first link, so no frontier holds
-    its own source, whatever the mask's diagonal. Each step is a float32
-    matmul of the frontier with the adjacency; its entries count frontier
-    predecessors exactly, and only their sign is read.
-    """
-    link = mask.astype(np.float32)
-    own = (np.arange(len(rows)), rows)
-    frontier = mask[rows]
-    frontier[own] = False
-    reached = frontier.copy()
-    reached[own] = True
-    out = [frontier]
-    for _ in range(max_hops - 1):
-        frontier = ((frontier.astype(np.float32) @ link) > 0.0) & ~reached
-        reached |= frontier
-        out.append(frontier)
-    return out
-
-
 def circle_sizes(mask: np.ndarray, rows: np.ndarray, max_hops: int) -> np.ndarray:
     """||F_i|| of each source row: entities within max_hops links, itself excluded.
 
     Within a hop budget, reachability over walks equals reachability over
-    acyclic paths (dropping a cycle never lengthens a path), so BFS layers
-    give the circle exactly. The layers are disjoint, so their sizes add.
+    acyclic paths (dropping a cycle never lengthens a path), so each step
+    widens the reach by one link: a float32 matmul of the reach with the
+    adjacency, whose entries count predecessors exactly and whose sign
+    alone is read. The source is dropped from its own reach at the end,
+    whatever the mask's diagonal.
     """
-    return sum(frontier.sum(axis=1) for frontier in reach_frontiers(mask, rows, max_hops))
+    link = mask.astype(np.float32)
+    reach = mask[rows]
+    for _ in range(max_hops - 1):
+        reach |= (reach.astype(np.float32) @ link) > 0.0
+    reach[np.arange(len(rows)), rows] = False
+    return reach.sum(axis=1)
 
 
 #: Hop budget of friendship circles and trust propagation unless a caller

@@ -9,12 +9,13 @@ recurrence over walks finds the optimum of exhaustive path enumeration.
 
 One kernel pass runs that recurrence for a set of source rows, layer by
 layer: layer r extends each row's best (r - 1)-link prefix products by one
-link. propagate_arrays runs it over every row. Its output, TrustArrays, is
-the one trust input of every pipeline path (score CSVs, mean trust,
-simulations, sweeps). propagate_all is its table view, TrustArrays.table
-the one place a row becomes a TrustScoreTable, and propagate, the
-witness-path API, reads one pass over its source's row after each layer
-and rebuilds witness paths layer by layer.
+link. That is all a layer computes; reach is read off the scores, with
+-inf for "no walk yet". propagate_arrays runs it over every row. Its
+output, TrustArrays, is the one trust input of every pipeline path (score
+CSVs, mean trust, simulations, sweeps). propagate_all is its table view,
+TrustArrays.table the one place a row becomes a TrustScoreTable, and
+propagate, the witness-path API, reads one pass over its source's row
+after each layer and rebuilds witness paths layer by layer.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CyclicPathError, DisconnectedPathError, DomainError, UnknownEntityError
-from .graph import DEFAULT_MAX_HOPS, FriendLink, SocialGraph, _sample_rows
-from .graph import check_max_hops, reach_frontiers
+from .graph import DEFAULT_MAX_HOPS, FriendLink, SocialGraph, _sample_rows, check_max_hops
 
 
 @dataclass(frozen=True)
@@ -123,16 +123,18 @@ def propagate(
     last_best[row] = 1.0
     level, paths = {row: (source,)}, {}
     for r, state in enumerate(_kernel(n, src, tgt, tv, [row], max_hops), 1):
-        best, hops, reached = (a[:, 0] for a in state)
+        best, hops = (a[:, 0] for a in state)
         last, level = level, {}
-        step = reached[tgt] & (hops[tgt] == r) & np.isin(src, list(last))
+        step = (hops[tgt] == r) & np.isin(src, list(last))
         step &= last_best[src] * tv == best[tgt]
         for k, t in zip(src[step].tolist(), tgt[step].tolist()):
             path = last[k] + (ids[t],)
             if t not in level or path < level[t]:
                 level[t] = path
         paths.update(level)
-        last_best = best.copy()  # the next layer updates best in place
+        # A copy, as the next layer updates best in place; unreached rows
+        # read 0.0 so that the product above stays finite.
+        last_best = np.maximum(best, 0.0)
     # paths covers the reached targets, each last set at its final hop count.
     return TrustScoreTable(
         source,
@@ -144,22 +146,21 @@ def propagate(
 class TrustArrays:
     """All-sources trust scores as (n, n) arrays over one id->row index.
 
-    Entry [s, t] is about target ids[t] as seen from source ids[s]. reached
-    marks the scored pairs and is never set on the diagonal; best holds the
-    score there and 0.0 everywhere else; hops holds the fewest links among
-    best-product paths there and 0 everywhere else. max_hops is the hop
-    budget they were propagated within.
+    Entry [s, t] is about target ids[t] as seen from source ids[s]. The
+    scored pairs are those with hops > 0, never on the diagonal: best holds
+    the score there and 0.0 everywhere else; hops holds the fewest links
+    among best-product paths there and 0 everywhere else. max_hops is the
+    hop budget they were propagated within.
     """
 
     ids: List[int]
     best: np.ndarray
     hops: np.ndarray
-    reached: np.ndarray
     max_hops: int
 
     def table(self, row: int) -> TrustScoreTable:
         """The score table of source ids[row], without witness paths."""
-        cols = np.flatnonzero(self.reached[row])
+        cols = np.flatnonzero(self.hops[row])
         ids = self.ids
         return TrustScoreTable(
             ids[row],
@@ -174,55 +175,52 @@ class TrustArrays:
         )
 
     def mean_circle_size(self) -> float:
-        """graph.mean_circle_size read off reached, with no reachability pass."""
+        """graph.mean_circle_size read off hops, with no reachability pass."""
         if not self.ids:
             raise DomainError("graph has no entities")
         rows = _sample_rows(len(self.ids))
-        return int(self.reached[rows].sum()) / len(rows)
+        return np.count_nonzero(self.hops[rows]) / len(rows)
 
 
 def _kernel(n, src, tgt, tv, rows, max_hops):
     """One pass for the source rows (ascending), layer by layer to max_hops.
 
-    Yields (best, hops, reached) after each layer: the same (n, len(rows))
-    arrays over [target, row], updated in place, for the linked pairs
-    src -> tgt of trust tv. best and hops are read where reached is set.
-    Layer r takes, for each target j, the max over its in-neighbours k of
-    best[k, i] * t[k, j]: the best prefix product times the last link.
-    Since every factor is in [0, 1] and rounding is monotone, that is the
-    best product over walks of at most r links. A target's hop count is the
-    first layer that reaches it or strictly raises its score. Reachability
-    comes from the frontier matmuls that size friendship circles, so
-    zero-trust paths still reach and no source reaches itself.
+    Yields (best, hops) after each layer: the same (n, len(rows)) arrays
+    over [target, row], updated in place, for the linked pairs src -> tgt
+    of trust tv in [0, 1]. A cell is reached where best >= 0; elsewhere
+    best is -inf ("no walk yet") and hops 0. Layer r takes, for each
+    target j, the fmax over its in-neighbours k of best[k, i] * t[k, j]:
+    the best prefix product times the last link. An unreached prefix gives
+    -inf, or NaN through a zero-trust link; fmax skips both, so zero-trust
+    paths still reach. Since every factor is in [0, 1] and rounding is
+    monotone, that is the best product over walks of at most r links. A
+    target's hop count is the first layer that reaches it or strictly
+    raises its score. No source scores its own cell: a walk back through
+    the source never beats the same walk with that cycle dropped.
     """
-    mask = np.zeros((n, n), dtype=bool)
-    mask[src, tgt] = True
-    frontiers = reach_frontiers(mask, rows, max_hops)
-
     # The layers work on [target, row] arrays, so the in-neighbours of a
     # target are whole contiguous rows.
     first = np.isin(src, rows)
-    best = np.zeros((n, len(rows)))
+    best = np.full((n, len(rows)), -np.inf)
     best[tgt[first], np.searchsorted(rows, src[first])] = tv[first]
-    hops = frontiers[0].T.astype(np.int64)
-    reached = frontiers[0].copy()
-    yield best, hops, reached.T
+    hops = (best >= 0).astype(np.int64)
+    yield best, hops
     order = np.argsort(tgt, kind="stable")
     in_src, in_tv = src[order], tv[order]
     bounds = np.searchsorted(tgt[order], np.arange(n + 1)).tolist()
-    # Targets without in-neighbours are never written, so their rows stay 0.
-    extended = np.zeros_like(best)
+    # Targets without in-neighbours are never written, so their rows stay -inf.
+    extended = np.full_like(best, -np.inf)
     for r in range(2, max_hops + 1):
-        for j in range(n):
-            lo, hi = bounds[j], bounds[j + 1]
-            if lo < hi:
-                np.multiply(best[in_src[lo:hi]], in_tv[lo:hi, None]).max(
-                    axis=0, out=extended[j]
-                )
-        hops[(extended > best) | frontiers[r - 1].T] = r
-        np.maximum(best, extended, out=best)
-        reached |= frontiers[r - 1]
-        yield best, hops, reached.T
+        with np.errstate(invalid="ignore"):  # -inf * 0.0 is NaN, skipped by fmax
+            for j in range(n):
+                lo, hi = bounds[j], bounds[j + 1]
+                if lo < hi:
+                    prefix = best[in_src[lo:hi]] * in_tv[lo:hi, None]
+                    np.fmax.reduce(prefix, axis=0, out=extended[j])
+        extended[rows, np.arange(len(rows))] = -np.inf  # walks back to the source
+        hops[extended > best] = r
+        np.fmax(best, extended, out=best)
+        yield best, hops
 
 
 def propagate_arrays(graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS) -> TrustArrays:
@@ -230,12 +228,14 @@ def propagate_arrays(graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS) -> Tr
     over all source rows."""
     check_max_hops(max_hops)
     ids, src, tgt, tv = graph.pair_arrays(trust=True)
-    # The pass ends, freeing its buffers, before the zeroed copies are made.
-    for best, hops, reached in _kernel(len(ids), src, tgt, tv, np.arange(len(ids)), max_hops):
+    for best, hops in _kernel(len(ids), src, tgt, tv, np.arange(len(ids)), max_hops):
         pass
-    reached = reached.T
-    best, hops = np.where(reached, best.T, 0.0), np.where(reached, hops.T, 0)
-    return TrustArrays(ids=ids, best=best, hops=hops, reached=reached, max_hops=max_hops)
+    # The pass has ended; one C-ordered copy at a time frees each pass array
+    # before the next is made (C order keeps _mean_trust's sums bit-exact).
+    np.maximum(best, 0.0, out=best)
+    best = best.T.copy()
+    hops = hops.T.copy()
+    return TrustArrays(ids=ids, best=best, hops=hops, max_hops=max_hops)
 
 
 def propagate_all(

@@ -14,7 +14,7 @@ Trust enters through one `propagate_arrays` result per graph, propagated
 within the scenario's hop budget. The source's row gives the circle size,
 the candidates and the BEST/WORST bandwidth permutation; PRACTICAL_STOR
 weighs flags by the column means and THEORETICAL_STOR flags entities
-outside the source's reached row.
+outside the source's circle, the row's cells with hops 0.
 
 Flags and the bandwidth shape are per-scenario state and live only here:
 `_Prepared` permutes one bandwidth vector (`_correlated`) and each round
@@ -268,7 +268,7 @@ def _flag_drawer(ids: List[int], bandwidth: np.ndarray, scenario: SimScenario,
     flags the top-bandwidth rows and never draws. The others draw through
     _weighted_draw: PRACTICAL_STOR weighs each row by 1 - its mean trust,
     read off arrays unless mean_trust is given; THEORETICAL_STOR weighs 1
-    outside the source's reached row and 0 inside it and at the source;
+    outside the source's circle (hops 0) and 0 inside it and at the source;
     OPPORTUNISTIC_TOR weighs every row 1. With no routers to flag nothing
     is drawn.
     """
@@ -284,7 +284,7 @@ def _flag_drawer(ids: List[int], bandwidth: np.ndarray, scenario: SimScenario,
         else:
             weights = 1.0 - np.array([mean_trust[eid] for eid in ids])
     elif scenario.strategy is Strategy.THEORETICAL_STOR:
-        outside = ~arrays.reached[row]
+        outside = arrays.hops[row] == 0
         outside[row] = False
         if outside.sum() < m:
             raise InfeasibleAssignmentError(
@@ -379,16 +379,16 @@ class _Prepared:
             )
         self.ids = arrays.ids
         row = self.ids.index(scenario.source)
-        trust, reached = arrays.best[row], arrays.reached[row]
-        self.circle_size = int(reached.sum())
+        trust, circle = arrays.best[row], arrays.hops[row] > 0
+        self.circle_size = int(circle.sum())
 
         self.bw = _correlated(
             np.array([graph.bandwidth(eid) for eid in self.ids]),
-            trust, reached, scenario.case, _setup_rng(scenario.seed),
+            trust, circle, scenario.case, _setup_rng(scenario.seed),
         )
         policy = scenario.policy
         self.cand_idx, candidates = row_candidates(
-            self.ids, trust, reached, self.bw, row, policy
+            self.ids, trust, circle, self.bw, row, policy
         )
         self.trustworthy_size = (
             candidates.size
@@ -597,7 +597,7 @@ def sweep(
         graph = build_scenario_graph(batch[0], rules)
         arrays = propagate_arrays(graph, batch[0].max_hops)
         for k, result in zip(members, _run_rounds(graph, batch, None, arrays, circuits)):
-            trustworthy = (arrays.best >= scenarios[k].ts_threshold) & arrays.reached
+            trustworthy = (arrays.best >= scenarios[k].ts_threshold) & (arrays.hops > 0)
             results[k] = result
             rows[k] = SweepRow(
                 axis=axis,

@@ -377,9 +377,6 @@ def test_write_trust_scores(tmp_path):
         ids=[1, 2, 3],
         best=np.array([[0.0, 0.9, 0.45], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]]),
         hops=np.array([[0, 1, 2], [0, 0, 1], [0, 0, 0]]),
-        reached=np.array(
-            [[False, True, True], [False, False, True], [False, False, False]]
-        ),
         max_hops=2,
     )
     path = tmp_path / "ts.csv"

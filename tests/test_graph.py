@@ -64,6 +64,29 @@ def test_add_entity_rejects_non_finite_bandwidth(bandwidth):
     assert len(g) == 0
 
 
+@pytest.mark.parametrize("trust", [1.5, -0.5, float("inf")])
+def test_links_reject_trust_outside_the_unit_interval(trust):
+    message = "link 1->2 network 1: trust value must be in [0, 1], got %r" % trust
+    g = graph_from_trust_links([(1, 2, 0.5)])
+    with pytest.raises(DomainError, match=re.escape(message)):
+        g.add_link(scored_link(1, 2, trust))
+    rows = oniontrust.graph.LinkRows()
+    rows.append(2, 1, 1, {}, {}, 0.5)
+    rows.append(1, 2, 1, {}, {}, trust)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        g.add_links(rows.columns())
+    assert g.link(1, 2, 1).trust_value == 0.5 and g.link_count() == 1
+    # NaN and None still mean unscored; the ends of the interval are scores
+    for unscored in (float("nan"), None):
+        g.add_link(scored_link(1, 2, unscored))
+        assert g.link(1, 2, 1).trust_value is None
+    rows = oniontrust.graph.LinkRows()
+    rows.append(1, 2, 1, {}, {}, 0.0)
+    rows.append(2, 1, 1, {}, {}, 1.0)
+    g.add_links(rows.columns())
+    assert g.merge_trust(1, 2) == 0.0 and g.merge_trust(2, 1) == 1.0
+
+
 def test_link_replacement_and_networks():
     g = SocialGraph()
     g.add_entity(1, 1.0)

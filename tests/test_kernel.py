@@ -17,9 +17,9 @@ from oniontrust import (
     mean_trust_scores,
 )
 from oniontrust.graph import circle_sizes
-from oniontrust.propagation import propagate_arrays
+from oniontrust.propagation import propagate, propagate_arrays
 
-from helpers import default_rules, heap_search
+from helpers import default_rules, graph_from_trust_links, heap_search
 from helpers import scored_graphs as graphs
 
 PROPERTY = settings(max_examples=200)
@@ -45,15 +45,43 @@ def test_arrays_equal_the_search(graph, max_hops):
     assert arrays.ids == graph.entity_ids()
     for si, source in enumerate(arrays.ids):
         slow = heap_search(graph, source, max_hops)
-        cols = np.flatnonzero(arrays.reached[si])
+        cols = np.flatnonzero(arrays.hops[si] > 0)
         assert [arrays.ids[t] for t in cols] == slow.targets()
         for t in cols:
             score = slow.get(arrays.ids[t])
             assert arrays.best[si, t] == score.value
             assert arrays.hops[si, t] == score.hops
-        outside = ~arrays.reached[si]
+        outside = arrays.hops[si] == 0
         assert not arrays.best[si, outside].any()
         assert not arrays.hops[si, outside].any()
+    # no source scores its own cell
+    assert not np.diagonal(arrays.best).any()
+    assert not np.diagonal(arrays.hops).any()
+
+
+def test_no_source_scores_itself_and_zero_trust_still_reaches():
+    # 1 <-> 2 at full trust is a cycle back to each source; 2 -> 3 -> 4 is
+    # reached only through a zero-trust link.
+    graph = graph_from_trust_links([(1, 2, 1.0), (2, 1, 1.0), (2, 3, 0.0), (3, 4, 0.5)])
+    arrays = propagate_arrays(graph, 3)
+    want = {
+        1: {2: (1.0, 1), 3: (0.0, 2), 4: (0.0, 3)},
+        2: {1: (1.0, 1), 3: (0.0, 1), 4: (0.0, 2)},
+        3: {4: (0.5, 1)},
+        4: {},
+    }
+    for row, source in enumerate(arrays.ids):
+        table = arrays.table(row)
+        assert {t: (s.value, s.hops) for t, s in table.scores.items()} == want[source]
+        witnessed = propagate(graph, source, 3)
+        assert {t: (s.value, s.hops) for t, s in witnessed.scores.items()} == want[source]
+    assert arrays.best.tolist() == [
+        [0.0, 1.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.5],
+        [0.0, 0.0, 0.0, 0.0],
+    ]
+    assert arrays.hops.tolist() == [[0, 1, 2, 3], [1, 0, 1, 2], [0, 0, 0, 1], [0, 0, 0, 0]]
 
 
 @PROPERTY

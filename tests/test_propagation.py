@@ -14,7 +14,6 @@ from oniontrust.errors import (
     DomainError,
     UnknownEntityError,
 )
-from oniontrust.graph import reach_frontiers
 
 from helpers import (
     enumerate_best_paths,
@@ -192,11 +191,13 @@ def test_propagate_rejects_bad_inputs():
 def test_propagate_makes_one_kernel_pass(monkeypatch):
     calls = []
 
-    def counted(mask, rows, max_hops):
-        calls.append(max_hops)
-        return reach_frontiers(mask, rows, max_hops)
+    kernel = propagation._kernel
 
-    monkeypatch.setattr(propagation, "reach_frontiers", counted)
+    def counted(n, src, tgt, tv, rows, max_hops):
+        calls.append(max_hops)
+        return kernel(n, src, tgt, tv, rows, max_hops)
+
+    monkeypatch.setattr(propagation, "_kernel", counted)
     g = graph_from_trust_links([(1, 2, 0.9), (2, 3, 0.8), (3, 4, 0.7), (4, 5, 0.6)])
     assert propagate(g, 1, 4).get(5).path == (1, 2, 3, 4, 5)
     assert calls == [4]

@@ -227,7 +227,7 @@ def correlation_fixture():
     arrays = propagate_arrays(g)
     row = arrays.ids.index(1)
     bandwidth = np.array([g.bandwidth(eid) for eid in arrays.ids])
-    return arrays.ids, bandwidth, arrays.best[row], arrays.reached[row]
+    return arrays.ids, bandwidth, arrays.best[row], arrays.hops[row] > 0
 
 
 def correlated(case, seed):
