@@ -17,16 +17,18 @@ once.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
+import operator
 from importlib import resources
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import OnionTrustError, ParseError
-from .fuzzy import VALUE_CLASSES, FuzzyRuleSet, Rule
-from .graph import GENERATOR_KINDS, LinkRows, SocialGraph
+from .errors import DomainError, OnionTrustError, ParseError
+from .fuzzy import VALUE_CLASSES, FuzzyRuleSet, Rule, ValueClass
+from .graph import GENERATOR_KINDS, LinkRows, SocialGraph, _require_id
 from .propagation import TrustArrays
 from .simulation import (
     CorrelationCase,
@@ -163,6 +165,10 @@ def parse_graph(text: str) -> SocialGraph:
                     codes.append(code)
                 elif key == "network":
                     network = _parse_int(value, "network id", number)
+                    try:
+                        _require_id("network id", network)
+                    except OnionTrustError as exc:
+                        raise ParseError(str(exc), line=number) from None
                 elif key == "tv":
                     tv = _parse_float(value, "trust value", number)
                     if not 0.0 <= tv <= 1.0:
@@ -200,7 +206,20 @@ def parse_graph(text: str) -> SocialGraph:
 def serialize_graph(graph: SocialGraph) -> str:
     """The text form, links written column by column in (source, target,
     network) order: each attribute is one column of tokens, empty where a
-    link has no value."""
+    link has no value.
+
+    A present quantitative value that is not finite fails by name, since
+    parse_graph would reject its token.
+    """
+    links = graph.link_columns()
+    bad = links.present & ~np.isfinite(links.quant)
+    if bad.any():
+        row, a = np.argwhere(bad)[0].tolist()
+        raise DomainError(
+            "link %d->%d network %d: attribute %s is %r, which a graph file "
+            "cannot hold" % (links.source[row], links.target[row], links.network[row],
+                             links.quant_names[a], float(links.quant[row, a]))
+        )
     out = io.StringIO()
     ids = graph.entity_ids()
     out.write("entities %d\n" % len(ids))
@@ -209,7 +228,6 @@ def serialize_graph(graph: SocialGraph) -> str:
             "entity %d bandwidth=%s malicious=%d\n"
             % (eid, repr(graph.bandwidth(eid)), 1 if graph.is_malicious(eid) else 0)
         )
-    links = graph.link_columns()
     columns = [
         [
             "link %d %d network=%d" % key
@@ -242,14 +260,18 @@ def read_graph(path) -> SocialGraph:
 
 
 def write_graph(path, graph: SocialGraph):
+    """Write the text form; a graph that cannot be serialized leaves no file."""
+    text = serialize_graph(graph)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(serialize_graph(graph))
+        handle.write(text)
 
 
 # -- rule-set files ------------------------------------------------------------
 
-_POSITIVE_CODES = ("1i", "1ii")
-_NEGATIVE_CODES = ("3i", "3ii")
+#: The codes a qualitative attribute's positive_rule and negative_rule may
+#: name: the rules that fire on POSITIVE and on NEGATIVE input.
+_POSITIVE_CODES = tuple(rule.code for rule in Rule if rule.input_class is ValueClass.POSITIVE)
+_NEGATIVE_CODES = tuple(rule.code for rule in Rule if rule.input_class is ValueClass.NEGATIVE)
 
 
 def parse_rules(text: str) -> FuzzyRuleSet:
@@ -525,29 +547,6 @@ def write_trust_scores(path, arrays: TrustArrays):
 
 
 def write_sweep_rows(path, rows: Sequence[SweepRow]):
-    _write_csv(
-        path,
-        (
-            "axis",
-            "value",
-            "mean_r_mr",
-            "mean_r_mc",
-            "mean_bandwidth",
-            "mean_circle_size",
-            "mean_trustworthy_size",
-        ),
-        [
-            _columns(
-                (
-                    row.axis,
-                    row.value,
-                    row.mean_r_mr,
-                    row.mean_r_mc,
-                    row.mean_bandwidth,
-                    row.mean_circle_size,
-                    row.mean_trustworthy_size,
-                )
-                for row in rows
-            )
-        ],
-    )
+    """One row per SweepRow, its fields as the columns in declaration order."""
+    names = [field.name for field in dataclasses.fields(SweepRow)]
+    _write_csv(path, names, [_columns(map(operator.attrgetter(*names), rows))])

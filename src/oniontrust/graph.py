@@ -259,6 +259,7 @@ class SocialGraph:
     def add_entity(self, entity_id: int, bandwidth: float, malicious: bool = False):
         if self._frozen:
             raise FrozenGraphError("graph is frozen")
+        _require_id("entity id", entity_id)
         if not (math.isfinite(bandwidth) and bandwidth > 0.0):
             raise DomainError(
                 "entity %d: bandwidth must be positive and finite, got %r"
@@ -269,10 +270,10 @@ class SocialGraph:
     def check_ends(self, source: int, target: int):
         """Raise the error add_link gives a link between these two ids, if any."""
         if source == target:
-            raise SelfLinkError("entity %d cannot link to itself" % source)
+            raise SelfLinkError("entity %s cannot link to itself" % (source,))
         for end in (source, target):
             if end not in self._entities:
-                raise UnknownEntityError("unknown entity %d" % end)
+                raise UnknownEntityError("unknown entity %s" % (end,))
 
     def add_link(self, link: FriendLink):
         """Insert a link; a link on the same (source, target, network) is replaced.
@@ -283,6 +284,7 @@ class SocialGraph:
         if self._frozen:
             raise FrozenGraphError("graph is frozen")
         self.check_ends(link.source, link.target)
+        _require_id("network id", link.network)
         _check_trust(link.source, link.target, link.network, link.trust_value)
         self._pending.append(
             link.source,
@@ -338,7 +340,7 @@ class SocialGraph:
 
     def _require_entity(self, entity_id: int):
         if entity_id not in self._entities:
-            raise UnknownEntityError("unknown entity %d" % entity_id)
+            raise UnknownEntityError("unknown entity %s" % (entity_id,))
 
     def bandwidth(self, entity_id: int) -> float:
         self._require_entity(entity_id)
@@ -492,6 +494,21 @@ def _require_integer(field: str, value, error: type) -> None:
     """Fail with error naming field unless value is an integer."""
     if not isinstance(value, numbers.Integral):
         raise error("%s must be an integer, got %r" % (field, value))
+
+
+#: The bounds of the int64 id columns.
+_ID_MIN, _ID_MAX = -(2**63), 2**63 - 1
+
+
+def _require_id(what: str, value) -> None:
+    """Fail naming value unless it is an integer that fits the int64 id
+    columns."""
+    # A parsed id is a plain int; the Integral check costs about 1 us per
+    # call, which adds up over the link lines of a graph file.
+    if type(value) is not int:
+        _require_integer(what, value, DomainError)
+    if not _ID_MIN <= value <= _ID_MAX:
+        raise DomainError("%s %d is outside int64" % (what, value))
 
 
 def check_max_hops(max_hops) -> None:

@@ -160,10 +160,10 @@ def selection_probability(
     return float(w[hit[0]] / total)
 
 
-def weighted_picks(cum: np.ndarray, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+def weighted_picks(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One row of weighted picks without replacement per row of uniforms.
 
-    cum is np.cumsum(weights), so candidate i holds [starts[i], cum[i]) of
+    With cum = np.cumsum(weights), candidate i holds [starts[i], cum[i]) of
     the mass, with starts[i] = cum[i-1] and starts[0] = 0. Pick k of a row
     scales a uniform by the mass its earlier picks left and maps the value
     back onto the full axis: walking the earlier picks in ascending index
@@ -191,6 +191,7 @@ def weighted_picks(cum: np.ndarray, weights: np.ndarray, u: np.ndarray) -> np.nd
         raise ZeroDenominatorError(
             "only %d candidates carry positive weight, need %d" % (positive, length)
         )
+    cum = np.cumsum(weights)
     picks = np.empty((rows, length), dtype=np.intp)
     starts = np.concatenate(([0.0], cum[:-1])) if length > 1 else None
     left = total  # per row from the second pick on: the mass not yet picked
@@ -224,7 +225,7 @@ def select_router(
 ) -> int:
     """One weighted draw from the candidate set."""
     w = candidates.weights(policy)
-    k = weighted_picks(np.cumsum(w), w, rng.random((1, 1)))[0, 0]
+    k = weighted_picks(w, rng.random((1, 1)))[0, 0]
     return int(candidates.entity_ids[k])
 
 
@@ -252,5 +253,5 @@ def build_circuit(
     fallback.
     """
     w = candidates.weights(policy)
-    row = weighted_picks(np.cumsum(w), w, rng.random((1, policy.circuit_length)))[0]
+    row = weighted_picks(w, rng.random((1, policy.circuit_length)))[0]
     return Circuit(members=tuple(candidates.entity_ids[row].tolist()))

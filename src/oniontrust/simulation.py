@@ -155,7 +155,7 @@ class SimScenario:
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
             raise DomainError("fraction must be in [0, 1], got %r" % (self.fraction,))
-        for field in ("rounds", "draws", "seed"):
+        for field in ("rounds", "draws", "seed", "source"):
             _require_integer(field, getattr(self, field), DomainError)
         if self.rounds < 1 or self.draws < 1:
             raise DomainError("rounds and draws must be >= 1")
@@ -367,7 +367,7 @@ class _Prepared:
         if not graph.frozen:
             raise DomainError("freeze the graph before simulating")
         if not graph.has_entity(scenario.source):
-            raise UnknownEntityError("unknown source entity %d" % scenario.source)
+            raise UnknownEntityError("unknown source entity %s" % (scenario.source,))
         if arrays is None:
             arrays = propagate_arrays(graph, scenario.max_hops)
         elif arrays.ids != graph.entity_ids():
@@ -396,7 +396,6 @@ class _Prepared:
             else None
         )
         self.weights = candidates.weights(policy)
-        self.cum = np.cumsum(self.weights)
         self.draw_flags = _flag_drawer(
             self.ids, self.bw, scenario, arrays, row, mean_trust
         )
@@ -429,7 +428,7 @@ def _run_rounds(
         preps.append(_Prepared(graph, sc, mean_trust, arrays))
         # The sampler's input checks, before any rounds, so that a batch
         # fails on its first bad scenario as one run at a time would.
-        weighted_picks(preps[-1].cum, preps[-1].weights, np.empty((0, length)))
+        weighted_picks(preps[-1].weights, np.empty((0, length)))
     # Flags never read omega or ts_threshold: one drawer per fraction.
     drawers = {}
     for sc, prep in zip(scenarios, preps):
@@ -450,7 +449,7 @@ def _run_rounds(
                 masks[fraction][i, draw_flags(flag_rng)] = True
             draw_rng.random(out=u[i])
         for sc, prep, out in zip(scenarios, preps, reports):
-            members = weighted_picks(prep.cum, prep.weights, u[:b].reshape(-1, length))
+            members = weighted_picks(prep.weights, u[:b].reshape(-1, length))
             picked = prep.cand_idx[members].reshape(b, first.draws, length)
             hit = np.take_along_axis(masks[sc.fraction][:b], picked.reshape(b, -1), axis=1)
             r_mr = hit.mean(axis=1).tolist()
@@ -512,7 +511,7 @@ def run_simulation(
 def _require_generated_source(scenario: SimScenario):
     """A generated graph has ids 1..n; reject a source outside them unbuilt."""
     if not 1 <= scenario.source <= scenario.n:
-        raise UnknownEntityError("unknown source entity %d" % scenario.source)
+        raise UnknownEntityError("unknown source entity %s" % (scenario.source,))
 
 
 def build_scenario_graph(scenario: SimScenario, rules: FuzzyRuleSet) -> SocialGraph:

@@ -564,14 +564,13 @@ def reference_rounds(graph: SocialGraph, scenario, circuits: bool, mean_trust=No
     """
     prep = _Prepared(graph, scenario, mean_trust, arrays)
     length = scenario.circuit_length if circuits else 1
-    cum = np.cumsum(prep.weights)
     reports = []
     for r in range(scenario.rounds):
         flag_rng, draw_rng = _round_streams(scenario.seed, r)
         flag_mask = np.zeros(len(prep.ids), dtype=bool)
         flag_mask[prep.draw_flags(flag_rng)] = True
         u = draw_rng.random((scenario.draws, length))
-        picked = prep.cand_idx[weighted_picks(cum, prep.weights, u)]
+        picked = prep.cand_idx[weighted_picks(prep.weights, u)]
         hit = flag_mask[picked]
         reports.append(
             RoundReport(

@@ -198,6 +198,19 @@ def test_an_all_zero_attribute_gives_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_an_id_outside_int64_gives_one_error_line(tmp_path, capsys):
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text(
+        "entities 2\n"
+        "entity 1 bandwidth=1 malicious=0\n"
+        "entity 99999999999999999999 bandwidth=1 malicious=0\n"
+    )
+    assert main(["trust", str(graph_path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 3: entity id 99999999999999999999 is outside int64\n"
+    assert "Traceback" not in captured.err
+
+
 def test_a_link_without_qualitative_attributes_is_named(tmp_path, capsys):
     graph_path = tmp_path / "graph.txt"
     graph_path.write_text(

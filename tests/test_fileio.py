@@ -1,5 +1,6 @@
 """Text formats for graphs, rule sets, scenarios, and the CSV writers."""
 
+import re
 from importlib import resources
 
 import numpy as np
@@ -34,7 +35,7 @@ from oniontrust import (
     write_sweep_rows,
     write_trust_scores,
 )
-from oniontrust.errors import ParseError, WeightSumError
+from oniontrust.errors import DomainError, ParseError, WeightSumError
 from oniontrust.fileio import _SCORE_BLOCK_ROWS
 from oniontrust.propagation import TrustArrays, propagate_arrays
 
@@ -75,6 +76,19 @@ def test_graph_file_round_trip(tmp_path):
     # serialization is stable byte for byte
     write_graph(tmp_path / "again.txt", read_graph(path))
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_graph_with_a_non_finite_value_is_not_serialized(tmp_path, value):
+    g = sample_graph()
+    g.add_link(FriendLink(3, 1, 4, AttributeProfile({"freq": 1.0, "time": value})))
+    message = "link 3->1 network 4: attribute time is %r, which a graph file cannot hold" % value
+    with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+        serialize_graph(g)
+    path = tmp_path / "g.txt"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        write_graph(path, g)
+    assert not path.exists()
 
 
 def test_parse_graph_ignores_comments_and_blanks():

@@ -64,6 +64,44 @@ def test_add_entity_rejects_non_finite_bandwidth(bandwidth):
     assert len(g) == 0
 
 
+BAD_IDS = [
+    (1.5, "must be an integer, got 1.5"),
+    ("3", "must be an integer, got '3'"),
+    (2**63, "%d is outside int64" % 2**63),
+    (-(2**63) - 1, "%d is outside int64" % (-(2**63) - 1)),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_IDS)
+def test_entity_ids_are_integers_within_int64(bad, message):
+    g = SocialGraph()
+    with pytest.raises(DomainError, match=re.escape("entity id " + message)):
+        g.add_entity(bad, 1.0)
+    assert len(g) == 0
+    # the int64 ends themselves are ids
+    g.add_entity(2**63 - 1, 1.0)
+    g.add_entity(-(2**63), 1.0)
+    g.add_link(scored_link(2**63 - 1, -(2**63), 0.5))
+    assert g.link_mask().tolist() == [[False, False], [True, False]]
+
+
+@pytest.mark.parametrize("bad, message", BAD_IDS)
+def test_network_ids_are_integers_within_int64(bad, message):
+    g = graph_from_trust_links([(1, 2, 0.5)])
+    with pytest.raises(DomainError, match=re.escape("network id " + message)):
+        g.add_link(scored_link(2, 1, 0.5, network=bad))
+    assert g.link_count() == 1 and g.networks() == frozenset({1})
+
+
+def test_unknown_entity_messages_name_the_id_as_given():
+    g = graph_from_trust_links([(1, 2, 0.5)])
+    for call in (lambda: g.bandwidth(1.5), lambda: g.add_link(scored_link(1, 2.5, 0.5))):
+        with pytest.raises(UnknownEntityError, match=r"^unknown entity [12]\.5$"):
+            call()
+    with pytest.raises(SelfLinkError, match=r"^entity 1\.5 cannot link to itself$"):
+        g.add_link(scored_link(1.5, 1.5, 0.5))
+
+
 @pytest.mark.parametrize("trust", [1.5, -0.5, float("inf")])
 def test_links_reject_trust_outside_the_unit_interval(trust):
     message = "link 1->2 network 1: trust value must be in [0, 1], got %r" % trust

@@ -698,6 +698,13 @@ def test_scenario_validation():
         DrawMode.from_code("nope")
 
 
+def test_a_non_integer_source_fails_by_name():
+    # at construction, so before build_scenario_graph generates anything
+    for bad in (1.5, "1"):
+        with pytest.raises(DomainError, match=re.escape("source must be an integer, got %r" % bad)):
+            SimScenario(strategy=Strategy.ORIGINAL_TOR, fraction=0.1, n=3, source=bad)
+
+
 def test_a_source_outside_the_generated_ids_fails_before_generation(monkeypatch):
     import oniontrust.simulation
 
