@@ -65,7 +65,7 @@ class TrustScoreTable:
         """(scores, scored) over ids, the inverse of TrustArrays.table."""
         unknown = set(self.scores).difference(ids)
         if unknown:
-            raise UnknownEntityError("unknown entity %d" % min(unknown))
+            raise UnknownEntityError("unknown entity %s" % min(unknown))
         return np.array([self.value(eid) for eid in ids]), np.isin(ids, list(self.scores))
 
 

@@ -16,7 +16,12 @@ All weighted draws go through one sampler, `weighted_picks`: sequential
 inverse-CDF picks without replacement on the cumulative weights. A single
 router, a circuit and a whole block of rounds of circuits are the same call
 with a different number of rows and picks per row: it takes the uniforms,
-one row per draw, not a generator.
+one row per draw, not a generator. Each pick is found by indexed search
+(Chen and Asau's guide table): a table of m >= n buckets over the mass,
+built once per call, gives every value a lower bound on its index, and a
+forward walk over the cumulative weights finishes the search, in at most
+1 + n/m expected steps whatever the weights. The index is the one a binary
+search (searchsorted, side="right") would return, for every value.
 """
 
 from __future__ import annotations
@@ -156,7 +161,7 @@ def selection_probability(
         raise ZeroDenominatorError("all selection weights are zero")
     hit = np.flatnonzero(candidates.entity_ids == entity_id)
     if not len(hit):
-        raise UnknownEntityError("entity %d is not a candidate" % entity_id)
+        raise UnknownEntityError("entity %s is not a candidate" % entity_id)
     return float(w[hit[0]] / total)
 
 
@@ -168,9 +173,13 @@ def weighted_picks(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     scales a uniform by the mass its earlier picks left and maps the value
     back onto the full axis: walking the earlier picks in ascending index
     order, each one whose interval starts at or below the value pushes it
-    past itself by its weight. searchsorted then lands on the remaining
-    candidate that holds the point, so every pick follows weight / remaining
-    mass, the law of drawing one router at a time and zeroing its weight.
+    past itself by its weight. The pick is then the number of cum entries at
+    or below the value, searchsorted(cum, value, side="right"): the
+    remaining candidate that holds the point, so every pick follows weight /
+    remaining mass, the law of drawing one router at a time and zeroing its
+    weight. That index is found by indexed search: a guide table over m >= n
+    buckets of the mass gives a lower bound, and a forward walk over cum,
+    1 + n/m steps in expectation, ends on it exactly.
     u is a (rows, length) array of uniforms in [0, 1), one per pick, and
     rows are independent, so rows drawn for several rounds can be sampled in
     one call. For length 1 the pick is searchsorted(cum, u[:, 0] * total)
@@ -191,15 +200,42 @@ def weighted_picks(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise ZeroDenominatorError(
             "only %d candidates carry positive weight, need %d" % (positive, length)
         )
-    cum = np.cumsum(weights)
+    # cum[n] = inf stops every forward step of the search below at n.
+    cum = np.empty(n + 1)
+    np.cumsum(weights, out=cum[:n])
+    cum[n] = np.inf
+    # Guide table: m buckets over [0, total]. bucket is a correctly rounded
+    # divide, an exact power-of-two multiply and a floor (capped at m in
+    # float, so an overflowing cum cannot make an invalid cast), hence
+    # monotone non-decreasing in v. Divide first: a subnormal total would
+    # make m / total infinite. guide[b] counts the cum entries whose bucket
+    # is below b; by monotonicity each of them lies below any value in
+    # bucket b, so guide[bucket(value)] is a lower bound of the index
+    # searchsorted(cum, value, side="right") returns.
+    m = 1 << (n - 1).bit_length()
+
+    def bucket(v):
+        return np.minimum(v / total * m, m).astype(np.intp)
+
+    # Counting bucket(cum) + 1 puts each entry's count one bucket up, so the
+    # running sum at b is the count of entries in the buckets below b.
+    guide = np.cumsum(np.bincount(bucket(cum[:n]) + 1, minlength=m + 1)[: m + 1])
     picks = np.empty((rows, length), dtype=np.intp)
-    starts = np.concatenate(([0.0], cum[:-1])) if length > 1 else None
+    starts = np.concatenate(([0.0], cum[: n - 1])) if length > 1 else None
     left = total  # per row from the second pick on: the mass not yet picked
     for k in range(length):
         value = u[:, k] * left
         for earlier in np.sort(picks[:, :k], axis=1).T:
             value = value + (starts[earlier] <= value) * weights[earlier]
-        pick = np.searchsorted(cum, value, side="right")
+        # From the lower bound, step forward the rows whose cum entry still
+        # lies at or below their value. Expected steps are at most 1 + n/m
+        # whatever the weights; passes are at most the fullest bucket's count.
+        pick = guide[bucket(value)]
+        behind = np.flatnonzero(cum[pick] <= value)
+        while len(behind):
+            step = pick[behind] + 1
+            pick[behind] = step
+            behind = behind[cum[step] <= value[behind]]
         # A value at or past the top of the mass (the u * total == total
         # float corner) falls off the end; it belongs to the last candidate
         # that still carries weight.

@@ -3,9 +3,10 @@
 The oracles deliberately re-derive results from first principles (numeric
 quadrature, exhaustive path and draw-order enumeration) instead of reusing
 package code. The heap search, the CSV reference writer, the per-group
-scoring loop, the dict-based candidate and correlation references and the
-round-by-round simulation loop are the exception: they are the slow paths
-the current code replaced, kept to pin its bits.
+scoring loop, the dict-based candidate and correlation references, the
+binary-search sampler and the round-by-round simulation loop are the
+exception: they are the slow paths the current code replaced, kept to pin
+its bits.
 """
 
 import dataclasses
@@ -551,6 +552,39 @@ def reference_correlation(graph: SocialGraph, case, scores, rng) -> dict:
     for pos, eid in enumerate(outsiders):
         mapping[eid] = outside_block[int(order[pos])]
     return mapping
+
+
+# -- binary-search sampler reference ---------------------------------------------
+
+
+def reference_picks(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """weighted_picks as it searched cum by binary search, for valid inputs.
+
+    Same walk over earlier picks and same corner walk; the pick is
+    searchsorted(cum, value, side="right"), the index the indexed search
+    must return for every value.
+    """
+    rows, length = u.shape
+    n = len(weights)
+    total = weights.sum()
+    cum = np.cumsum(weights)
+    picks = np.empty((rows, length), dtype=np.intp)
+    starts = np.concatenate(([0.0], cum[:-1])) if length > 1 else None
+    left = total
+    for k in range(length):
+        value = u[:, k] * left
+        for earlier in np.sort(picks[:, :k], axis=1).T:
+            value = value + (starts[earlier] <= value) * weights[earlier]
+        pick = np.searchsorted(cum, value, side="right")
+        for row in np.flatnonzero(pick == n):
+            i = n - 1
+            while weights[i] == 0.0 or i in picks[row, :k]:
+                i -= 1
+            pick[row] = i
+        picks[:, k] = pick
+        if k + 1 < length:
+            left = np.maximum(left - weights[pick], 0.0)
+    return picks
 
 
 # -- round-by-round reference ---------------------------------------------------

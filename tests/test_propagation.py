@@ -188,6 +188,12 @@ def test_propagate_rejects_bad_inputs():
             call(bad)
 
 
+def test_an_unknown_row_id_is_named_as_given():
+    table = propagation.TrustScoreTable(1, {2.5: propagation.TrustScore(0.5, 1)})
+    with pytest.raises(UnknownEntityError, match=r"^unknown entity 2\.5$"):
+        table.row([1, 2, 3])
+
+
 def test_propagate_makes_one_kernel_pass(monkeypatch):
     calls = []
 

@@ -1,8 +1,9 @@
 """The weighted sampler against the exact sequential law and its float corners.
 
 Every router, circuit and round of circuits is drawn by `weighted_picks`, so
-its law is checked here against exhaustive enumeration, and its guards (no
-zero-weight pick, no repeat) against random and adversarial weights. Every
+its law is checked here against exhaustive enumeration, its guards (no
+zero-weight pick, no repeat) against random and adversarial weights, and its
+indexed search index for index against the binary search it replaced. Every
 random flag placement is the keyed draw `_weighted_draw`, whose subset law
 is checked the same way.
 """
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -34,7 +35,12 @@ from oniontrust.errors import (
 from oniontrust.selection import weighted_picks
 from oniontrust.simulation import _Prepared, _round_streams, _weighted_draw
 
-from helpers import exact_order_probability, exact_subset_probability, graph_from_trust_links
+from helpers import (
+    exact_order_probability,
+    exact_subset_probability,
+    graph_from_trust_links,
+    reference_picks,
+)
 
 PROPERTY = settings(max_examples=300)
 
@@ -163,6 +169,71 @@ def test_sampler_errors():
     for bad in ([1.0, -0.5, 2.0], [1.0, float("nan")], [1.0, float("inf")]):
         with pytest.raises(DomainError):
             picks(bad, rng, 1, 1)
+
+
+# -- search oracle --------------------------------------------------------------
+
+HUGE = np.finfo(float).max / 2  # two of them sum to exactly the largest double
+SPIKE_TINY = st.sampled_from([1e-6, 1e-16, 5e-324, 0.0])
+
+
+def landing_uniforms(weights):
+    """Uniforms u < 1 with u * total exactly equal to a cum entry."""
+    cum, total = np.cumsum(weights), weights.sum()
+    out = []
+    for c in cum:
+        t = c / total
+        for u in (t, np.nextafter(t, 0.0), np.nextafter(t, 1.0)):
+            if u < 1.0 and u * total == c:
+                out.append(u)
+                break
+    return out
+
+
+@st.composite
+def search_cases(draw):
+    """(weights, u): valid sampler inputs over the float corners.
+
+    Weights mix zeros, subnormals and ordinary values, sum to near the top
+    of the double range, or hold one huge weight among many tiny ones. The
+    uniforms are random, with some entries replaced by 0, the top of the
+    unit interval, or a value that lands a first pick exactly on a cum
+    entry.
+    """
+    shape = draw(st.sampled_from(["mixed", "huge", "spike"]))
+    if shape == "mixed":
+        weights = draw(st.lists(WEIGHT, min_size=1, max_size=40))
+    elif shape == "huge":
+        n = draw(st.integers(1, 40))
+        fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        weights = [f * 1.999 * HUGE / n for f in fractions]  # total stays finite
+    else:
+        tiny = [draw(SPIKE_TINY)] * draw(st.integers(1, 799))
+        spot = draw(st.integers(0, len(tiny)))
+        weights = tiny[:spot] + [draw(st.sampled_from([1.0, 1e6]))] + tiny[spot:]
+    weights = np.array(weights)
+    positive = np.count_nonzero(weights)
+    assume(positive >= 1)
+    length = draw(st.integers(1, min(4, positive)))
+    rows = draw(st.sampled_from([0, 1, 3, 200]))
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((rows, length))
+    if rows:
+        special = [0.0, TopOfUnitInterval.TOP] + landing_uniforms(weights)
+        for cell, pick in draw(
+            st.lists(st.tuples(st.integers(0, u.size - 1), st.sampled_from(special)))
+        ):
+            u.flat[cell] = pick
+    return weights, u
+
+
+@PROPERTY
+@given(case=search_cases())
+@example(case=(np.array([5e-324, 0.0, 5e-324, 5e-324]), np.array([[0.5, 0.0], [0.99, 0.6]])))
+@example(case=(np.array([HUGE, 0.0, HUGE]), np.array([[0.5, 0.5], [TopOfUnitInterval.TOP] * 2])))
+@example(case=(np.array([1.0, 0.0, 1.0, 2.0, 4.0]), np.array([[0.0], [0.125], [0.25], [0.5]])))
+def test_indexed_search_equals_the_binary_search(case):
+    weights, u = case
+    np.testing.assert_array_equal(weighted_picks(weights, u), reference_picks(weights, u))
 
 
 # -- keyed flag draw ------------------------------------------------------------

@@ -61,6 +61,14 @@ def test_mixed_weight_worked_example():
         selection_probability(cands, policy, 1)
 
 
+def test_an_unknown_candidate_is_named_as_given():
+    g, table = fixture({2: 0.6, 3: 0.2}, {1: 10.0, 2: 200.0, 3: 100.0})
+    policy = SelectionPolicy(omega=0.5)
+    cands = build_candidates(g, table, 1, policy)
+    with pytest.raises(UnknownEntityError, match=r"^entity 2\.5 is not a candidate$"):
+        selection_probability(cands, policy, 2.5)
+
+
 def test_omega_extremes():
     g, table = fixture({2: 0.6, 3: 0.2}, {1: 10.0, 2: 200.0, 3: 100.0})
     pure_trust = build_candidates(g, table, 1, SelectionPolicy(omega=0.0))
