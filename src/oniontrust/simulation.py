@@ -212,9 +212,15 @@ class SimulationResult:
 
 
 def _round_streams(seed: int, index: int):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_ROUND_KEY, index))
-    flag_ss, draw_ss = ss.spawn(2)
-    return np.random.default_rng(flag_ss), np.random.default_rng(draw_ss)
+    """(flag, draw) generators of round index: the two children that
+    SeedSequence(seed, spawn_key=(_ROUND_KEY, index)).spawn(2) would make,
+    built directly."""
+    return tuple(
+        np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(_ROUND_KEY, index, child))
+        )
+        for child in (0, 1)
+    )
 
 
 def _setup_rng(seed: int) -> np.random.Generator:

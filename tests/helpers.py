@@ -2,11 +2,11 @@
 
 The oracles deliberately re-derive results from first principles (numeric
 quadrature, exhaustive path and draw-order enumeration) instead of reusing
-package code. The heap search, the CSV reference writer, the per-group
-scoring loop, the dict-based candidate and correlation references, the
-binary-search sampler and the round-by-round simulation loop are the
-exception: they are the slow paths the current code replaced, kept to pin
-its bits.
+package code. The heap search, the dense propagation loop, the CSV
+reference writer, the per-group scoring loop, the dict-based candidate and
+correlation references, the binary-search sampler and the round-by-round
+simulation loop are the exception: they are the slow paths the current
+code replaced, kept to pin its bits.
 """
 
 import dataclasses
@@ -616,3 +616,37 @@ def reference_rounds(graph: SocialGraph, scenario, circuits: bool, mean_trust=No
             )
         )
     return reports, prep.circle_size, prep.trustworthy_size
+
+
+# -- dense propagation reference ------------------------------------------------
+
+
+def reference_arrays(graph: SocialGraph, max_hops: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(best, hops) of propagate_arrays, every layer a dense layer.
+
+    Every layer r takes, for each target j, the fmax over its in-neighbours
+    k of best[k, i] * t[k, j] on [target, source] arrays; hops is set to r
+    where that strictly beats best. The result is transposed to [source,
+    target] at the end, unreached cells read 0.0 and hops is int64.
+    """
+    ids, src, tgt, tv = graph.pair_arrays(trust=True)
+    n = len(ids)
+    best = np.full((n, n), -np.inf)
+    best[tgt, src] = tv
+    hops = (best >= 0).astype(np.int64)
+    order = np.argsort(tgt, kind="stable")
+    in_src, in_tv = src[order], tv[order]
+    bounds = np.searchsorted(tgt[order], np.arange(n + 1)).tolist()
+    extended = np.full_like(best, -np.inf)
+    for r in range(2, max_hops + 1):
+        with np.errstate(invalid="ignore"):  # -inf * 0.0 is NaN, skipped by fmax
+            for j in range(n):
+                lo, hi = bounds[j], bounds[j + 1]
+                if lo < hi:
+                    prefix = best[in_src[lo:hi]] * in_tv[lo:hi, None]
+                    np.fmax.reduce(prefix, axis=0, out=extended[j])
+        np.fill_diagonal(extended, -np.inf)  # walks back to the source
+        hops[extended > best] = r
+        np.fmax(best, extended, out=best)
+    np.maximum(best, 0.0, out=best)
+    return best.T.copy(), hops.T.copy()

@@ -5,8 +5,11 @@ gapped ids and isolated entities; every fast result must equal its slow
 counterpart exactly, not approximately.
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oniontrust import (
@@ -15,11 +18,13 @@ from oniontrust import (
     generate_graph,
     mean_circle_size,
     mean_trust_scores,
+    propagation,
 )
+from oniontrust.fileio import read_rules
 from oniontrust.graph import circle_sizes
 from oniontrust.propagation import propagate, propagate_arrays
 
-from helpers import default_rules, graph_from_trust_links, heap_search
+from helpers import default_rules, graph_from_trust_links, heap_search, reference_arrays
 from helpers import scored_graphs as graphs
 
 PROPERTY = settings(max_examples=200)
@@ -146,3 +151,64 @@ def test_array_mean_trust_equals_the_table_loop(graph, max_hops):
     assert list(fast) == list(slow)
     for eid in fast:
         assert fast[eid].hex() == slow[eid].hex()
+
+
+# Layer modes for layers 2..5: all delta, all dense and both alternations.
+LAYER_MODES = [(True,) * 4, (False,) * 4, (True, False) * 2, (False, True) * 2]
+SIGNED_TRUST = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+
+
+def forced_layers(modes):
+    """A stand-in for the layer-mode rule that answers modes in turn."""
+    layers = iter(modes)
+    return lambda work, n, links: next(layers)
+
+
+@PROPERTY
+@given(
+    graphs(trust=SIGNED_TRUST),
+    st.integers(1, 5),
+    st.sampled_from(LAYER_MODES),
+    # small chunks split a delta layer, so a prefix read from best instead
+    # of the layer's snapshot would pick up an earlier chunk's raise
+    st.sampled_from([1, 3, propagation.DELTA_CHUNK]),
+)
+# 1 -> 2 -> 3 raises (1, 3) in layer 2 in the chunk before (1, 3)'s own;
+# extending (1, 3) from its raised value would reach 4 at 1.0, a 3-link walk
+@example(graph_from_trust_links([(1, 2, 1.0), (1, 3, 0.1), (2, 3, 1.0), (3, 4, 1.0)]),
+         2, LAYER_MODES[0], 1)
+def test_every_layer_mode_gives_the_dense_bits(graph, max_hops, modes, chunk):
+    best, hops = reference_arrays(graph, max_hops)
+    with mock.patch.object(propagation, "DELTA_CHUNK", chunk):
+        with mock.patch.object(propagation, "_delta_layer_wins", forced_layers(modes)):
+            arrays = propagate_arrays(graph, max_hops)
+        assert arrays.best.view(np.int64).tolist() == best.view(np.int64).tolist()
+        assert arrays.hops.tolist() == hops.tolist()
+        # each source's row, as propagate runs it, under the same layer modes
+        for row, source in enumerate(arrays.ids):
+            with mock.patch.object(propagation, "_delta_layer_wins", forced_layers(modes)):
+                table = propagate(graph, source, max_hops)
+            cols = np.flatnonzero(hops[row])
+            assert table.targets() == [arrays.ids[t] for t in cols]
+            for t in cols.tolist():
+                assert table.get(arrays.ids[t]).value == best[row, t]
+                assert table.get(arrays.ids[t]).hops == hops[row, t]
+
+
+def test_an_all_sources_pass_holds_its_result_and_one_square_buffer():
+    graph = generate_graph(GeneratorParams(n=1000, kind="calibrated", value=0.8), seed=7)
+    compute_trust_values(graph, read_rules())
+    tracemalloc.start()
+    try:
+        arrays = propagate_arrays(graph, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(arrays.ids)
+    assert arrays.hops.itemsize == 1
+    # the result plus one (n, n) float64 buffer; the old dense layers, an
+    # int64 hops and the final transposes took 26.2 MiB against 22.9 MiB
+    assert peak <= arrays.best.nbytes + arrays.hops.nbytes + n * n * 8

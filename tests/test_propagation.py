@@ -207,3 +207,27 @@ def test_propagate_makes_one_kernel_pass(monkeypatch):
     g = graph_from_trust_links([(1, 2, 0.9), (2, 3, 0.8), (3, 4, 0.7), (4, 5, 0.6)])
     assert propagate(g, 1, 4).get(5).path == (1, 2, 3, 4, 5)
     assert calls == [4]
+
+
+def test_a_hop_budget_past_uint8_is_exact_and_a_path_ends_the_pass_early(monkeypatch):
+    layers = []
+    kernel = propagation._kernel
+
+    def counted(*args):
+        for state in kernel(*args):
+            layers.append(len(layers) + 1)
+            yield state
+
+    monkeypatch.setattr(propagation, "_kernel", counted)
+    for n in (6, 300):
+        layers.clear()
+        g = graph_from_trust_links([(i, i + 1, 0.5) for i in range(1, n)])
+        arrays = propagation.propagate_arrays(g, 300)
+        # a layer past the path's end has no candidates, so the pass stops
+        assert layers == list(range(1, n))
+        # entity i + 1 reaches j + 1 > i + 1 in j - i links, past 255 for n = 300
+        hops = np.triu(np.arange(n)[None, :] - np.arange(n)[:, None])
+        assert arrays.hops.tolist() == hops.tolist()
+        assert arrays.best.tolist() == np.where(hops > 0, 0.5**hops, 0.0).tolist()
+        far = propagate(g, 1, 300).get(n)
+        assert (far.hops, far.path) == (n - 1, tuple(range(1, n + 1)))

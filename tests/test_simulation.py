@@ -41,6 +41,7 @@ from oniontrust.simulation import (
     _flag_count,
     _flag_drawer,
     _Prepared,
+    _ROUND_KEY,
     _round_streams,
     _run_rounds,
     _setup_rng,
@@ -377,6 +378,14 @@ def test_simulation_is_reproducible():
 
     c = run_simulation(g, dataclasses.replace(scenario, seed=1))
     assert [r.r_mr for r in a.reports] != [r.r_mr for r in c.reports]
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**40])
+def test_round_streams_are_the_round_seed_sequences_spawned_children(seed):
+    for index in (0, 1, 7, 10**6):
+        parent = np.random.SeedSequence(entropy=seed, spawn_key=(_ROUND_KEY, index))
+        for got, child in zip(_round_streams(seed, index), parent.spawn(2)):
+            assert got.random(5).tolist() == np.random.default_rng(child).random(5).tolist()
 
 
 def test_dispatch_and_result_shape():
