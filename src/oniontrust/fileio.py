@@ -2,10 +2,14 @@
 
 The text formats are line based; blank lines and lines starting with '#' are
 skipped everywhere. Serialization orders everything (entities, links, keys)
-so the same object always produces the same bytes. A graph file is read
-line by line into link rows that become the graph's link columns at once;
-the graph text and the link CSV are written from those columns, which are
-already in (source, target, network) order, so no link record is built.
+so the same object always produces the same bytes. A graph file is read by
+columns: its link lines are split a chunk at a time, grouped by their keys,
+and each group's tokens become arrays at once, checked over arrays. A file
+that fails any check is read again by the per-line loop, which raises the
+error naming its first bad line; the two accept the same files and give the
+same link columns. The graph text and the link CSV are written from those
+columns, which are already in (source, target, network) order, so no link
+record is built.
 
 Every CSV goes through one column-wise writer: a table arrives as blocks of
 text columns and is joined row by row per block. Cells follow one rule
@@ -19,8 +23,10 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 import math
 import operator
+import re
 from importlib import resources
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -80,23 +86,66 @@ def _parse_int(value: str, what: str, number: int) -> int:
 #: Class name in a link line -> its code in VALUE_CLASSES.
 _CLASS_CODES = {value_class.name: code for code, value_class in enumerate(VALUE_CLASSES)}
 
+#: Lines per step of the column parse, counted by their newlines. A step's
+#: lines and tokens are dropped before the next step splits its text, so
+#: neither the lines nor the tokens of a whole file are held at once.
+_PARSE_CHUNK = 8192
+
 
 def parse_graph(text: str) -> SocialGraph:
     """Graph from its text form; strict about counts and references.
 
     A key repeated on one link line and a second line on the same (source,
-    target, network) are errors. Link lines are gathered as rows and become
-    the graph's link columns at once, after the last line.
+    target, network) are errors. The text is parsed by columns; a text that
+    fails any check goes to the per-line loop, which accepts exactly the
+    same texts and raises the ParseError that names the first bad line.
     """
+    graph = _parse_graph_columns(text)
+    return _parse_graph_lines(text) if graph is None else graph
+
+
+def _graph_header(number: int, parts: List[str]) -> int:
+    """The entity count that the header line's tokens declare."""
+    if len(parts) != 2 or parts[0] != "entities":
+        raise ParseError("expected 'entities <count>' header", line=number)
+    return _parse_int(parts[1], "entity count", number)
+
+
+def _add_entity_line(graph: SocialGraph, parts: List[str], number: int) -> int:
+    """Add the entity of an 'entity' line's tokens to graph; returns its id."""
+    if len(parts) != 4:
+        raise ParseError(
+            "expected 'entity <id> bandwidth=... malicious=...'",
+            line=number,
+        )
+    eid = _parse_int(parts[1], "entity id", number)
+    if graph.has_entity(eid):
+        raise ParseError("duplicate entity %d" % eid, line=number)
+    fields = dict(_split_kv(p, number) for p in parts[2:])
+    if set(fields) != {"bandwidth", "malicious"}:
+        raise ParseError(
+            "entity line needs bandwidth= and malicious=", line=number
+        )
+    if fields["malicious"] not in ("0", "1"):
+        raise ParseError(
+            "malicious must be 0 or 1, got %r" % fields["malicious"],
+            line=number,
+        )
+    bandwidth = _parse_float(fields["bandwidth"], "bandwidth", number)
+    try:
+        graph.add_entity(eid, bandwidth, fields["malicious"] == "1")
+    except OnionTrustError as exc:
+        raise ParseError(str(exc), line=number) from None
+    return eid
+
+
+def _parse_graph_lines(text: str) -> SocialGraph:
+    """parse_graph one line at a time: the reference for every check, and
+    the reporter of every error, which names the first bad line."""
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty graph file", line=1)
-    number, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "entities":
-        raise ParseError("expected 'entities <count>' header", line=number)
-    declared = _parse_int(parts[1], "entity count", number)
-
+    declared = _graph_header(lines[0][0], lines[0][1].split())
     graph = SocialGraph()
     # Link lines fill rows column by column; the attribute columns are
     # keyed by their full token key ("q:freq") until the last line.
@@ -108,29 +157,7 @@ def parse_graph(text: str) -> SocialGraph:
     for number, line in lines[1:]:
         parts = line.split()
         if parts[0] == "entity":
-            if len(parts) != 4:
-                raise ParseError(
-                    "expected 'entity <id> bandwidth=... malicious=...'",
-                    line=number,
-                )
-            eid = _parse_int(parts[1], "entity id", number)
-            if graph.has_entity(eid):
-                raise ParseError("duplicate entity %d" % eid, line=number)
-            fields = dict(_split_kv(p, number) for p in parts[2:])
-            if set(fields) != {"bandwidth", "malicious"}:
-                raise ParseError(
-                    "entity line needs bandwidth= and malicious=", line=number
-                )
-            if fields["malicious"] not in ("0", "1"):
-                raise ParseError(
-                    "malicious must be 0 or 1, got %r" % fields["malicious"],
-                    line=number,
-                )
-            bandwidth = _parse_float(fields["bandwidth"], "bandwidth", number)
-            try:
-                graph.add_entity(eid, bandwidth, fields["malicious"] == "1")
-            except OnionTrustError as exc:
-                raise ParseError(str(exc), line=number) from None
+            _add_entity_line(graph, parts, number)
             seen_entities += 1
         elif parts[0] == "link":
             if len(parts) < 4:
@@ -201,6 +228,243 @@ def parse_graph(text: str) -> SocialGraph:
     rows.qual = {key[2:]: column for key, column in qual.items()}
     graph.add_links(rows.columns())
     return graph
+
+
+class _Irregular(Exception):
+    """A check of the column parse failed; the per-line loop takes over."""
+
+
+def _int64_column(tokens: Sequence[str]) -> np.ndarray:
+    """int() of each token as int64; an OverflowError is the int64 check."""
+    try:
+        return np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
+    except (ValueError, OverflowError):
+        raise _Irregular from None
+
+
+def _finite_column(tokens: Sequence[str]) -> np.ndarray:
+    """float() of each token; every value must be finite."""
+    try:
+        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+    except ValueError:
+        raise _Irregular from None
+    if not np.isfinite(values).all():
+        raise _Irregular
+    return values
+
+
+def _key_values(key: str, tokens: Sequence[str]) -> Optional[List[str]]:
+    """The values of tokens if every one of them is key=value, else None.
+
+    A token holds no newline, so joined on newlines each token adds one
+    newline-key-'=' exactly when it starts with key=.
+    """
+    prefix = "\n" + key + "="
+    joined = "\n" + "\n".join(tokens)
+    if joined.count(prefix) != len(tokens):
+        return None
+    return joined.replace(prefix, "\n").split("\n")[1:]
+
+
+def _check_signature(signature: Tuple[str, ...]):
+    """Fail unless a link line may carry these keys in this order."""
+    if "network" not in signature or len(set(signature)) < len(signature):
+        raise _Irregular
+    for key in signature:
+        if key[:2] not in ("q:", "c:") and key not in ("network", "tv"):
+            raise _Irregular
+
+
+def _signature_groups(links: List[List[str]]):
+    """(signature, ranks, sources, targets, values) per key signature of
+    link lines' token lists. The signature is the keys after 'link <from>
+    <to>' in order; ranks are the group's indices into links, and values
+    holds each key's value tokens.
+
+    When every line has the first line's keys, they form one group without
+    a signature being taken line by line.
+    """
+    signature = tuple(token.partition("=")[0] for token in links[0][3:])
+    _check_signature(signature)
+    width = len(links[0])
+    if list(map(len, links)).count(width) == len(links):
+        columns = list(zip(*links))
+        values = [_key_values(key, tokens) for key, tokens in zip(signature, columns[3:])]
+        if None not in values:
+            return [(signature, np.arange(len(links)), columns[1], columns[2], values)]
+    groups: Dict[Tuple[str, ...], List[int]] = {}
+    for rank, parts in enumerate(links):
+        groups.setdefault(tuple([token.partition("=")[0] for token in parts[3:]]), []).append(rank)
+    out = []
+    for signature, ranks in groups.items():
+        _check_signature(signature)
+        columns = list(zip(*[links[rank] for rank in ranks]))
+        # A token without '=' is its own key, so it is the one that fails.
+        values = [_key_values(key, tokens) for key, tokens in zip(signature, columns[3:])]
+        if None in values:
+            raise _Irregular
+        out.append((signature, np.array(ranks), columns[1], columns[2], values))
+    return out
+
+
+def _value_columns(signature: Tuple[str, ...], values: List[List[str]]) -> Dict[str, np.ndarray]:
+    """Each key's value tokens as an array, converted and checked as the
+    per-line loop does it."""
+    columns = {}
+    for key, tokens in zip(signature, values):
+        prefix = key[:2]
+        if prefix == "q:":
+            columns[key] = _finite_column(tokens)
+        elif prefix == "c:":
+            codes = list(map(_CLASS_CODES.get, tokens))
+            if None in codes:
+                raise _Irregular
+            columns[key] = np.array(codes, dtype=np.int8)
+        elif key == "network":
+            columns[key] = _int64_column(tokens)
+        else:  # tv, the one key left that _check_signature lets through
+            tv = _finite_column(tokens)
+            if not ((tv >= 0.0) & (tv <= 1.0)).all():
+                raise _Irregular
+            columns[key] = tv
+    return columns
+
+
+def _numbered_pieces(text: str):
+    """(number of the first line, lines) of each piece of text, cut after
+    every _PARSE_CHUNK-th newline. A piece ends with a line break, so in
+    order the pieces' str.splitlines() lines are the text's."""
+    newlines = re.finditer("\n", text)
+    start, first = 0, 1
+    while start < len(text):
+        cut = next(itertools.islice(newlines, _PARSE_CHUNK - 1, None), None)
+        stop = len(text) if cut is None else cut.end()
+        lines = text[start:stop].splitlines()
+        yield first, lines
+        start, first = stop, first + len(lines)
+
+
+class _ColumnParse:
+    """One column parse of a graph text, fed a piece of lines at a time.
+
+    It holds the graph with the entities so far, each entity's id and line
+    number, the header line, and the link columns: per piece the link lines'
+    numbers, sources and targets, and per key the rows that carry it with
+    their values. A piece's tokens are dropped once add() returns.
+    """
+
+    def __init__(self):
+        self.graph = SocialGraph()
+        self.header: Optional[Tuple[int, List[str]]] = None
+        self.entity_ids: List[int] = []
+        self.entity_at: List[int] = []
+        self.link_at: List[np.ndarray] = []
+        self.source: List[np.ndarray] = []
+        self.target: List[np.ndarray] = []
+        self.keyed: Dict[str, Tuple[List[np.ndarray], List[np.ndarray]]] = {}
+        self.rows = 0
+
+    def add(self, first: int, lines: List[str]):
+        """Parse lines, the first of them numbered first."""
+        links: List[List[str]] = []
+        at: List[int] = []
+        # split() drops the whitespace that strip() would, so a blank line
+        # has no tokens and a comment's first token starts with '#'.
+        for number, parts in enumerate(map(str.split, lines), first):
+            if not parts or parts[0][0] == "#":
+                continue
+            if self.header is None:
+                self.header = (number, parts)
+            elif parts[0] == "link":
+                links.append(parts)
+                at.append(number)
+            elif parts[0] == "entity":
+                self.entity_ids.append(_add_entity_line(self.graph, parts, number))
+                self.entity_at.append(number)
+            else:
+                raise _Irregular
+        if not links:
+            return
+        source = np.empty(len(links), dtype=np.int64)
+        target = np.empty(len(links), dtype=np.int64)
+        for signature, ranks, sources, targets, values in _signature_groups(links):
+            source[ranks] = _int64_column(sources)
+            target[ranks] = _int64_column(targets)
+            for key, column in _value_columns(signature, values).items():
+                have, got = self.keyed.setdefault(key, ([], []))
+                have.append(self.rows + ranks)
+                got.append(column)
+        self.link_at.append(np.array(at, dtype=np.int64))
+        self.source.append(source)
+        self.target.append(target)
+        self.rows += len(links)
+
+    def finish(self) -> SocialGraph:
+        """The graph with its links, once the checks that span lines pass:
+        the header count, self links, ends that no earlier entity line
+        declared, and duplicate links."""
+        if self.header is None or len(self.entity_ids) != _graph_header(*self.header):
+            raise _Irregular
+        empty = np.zeros(0, dtype=np.int64)
+        at, source, target = (
+            np.concatenate(pieces + [empty]) for pieces in (self.link_at, self.source, self.target)
+        )
+        if (source == target).any():
+            raise _Irregular
+        ids = np.array(self.entity_ids, dtype=np.int64)
+        order = np.argsort(ids)
+        for ends in (source, target):
+            _require_declared_before(ends, at, ids[order], np.array(self.entity_at)[order])
+        rows = LinkRows()
+        rows.source, rows.target = source, target
+        rows.network = np.empty(self.rows, dtype=np.int64)
+        rows.trust = np.full(self.rows, math.nan)
+        for key, (have, got) in self.keyed.items():
+            have, got = np.concatenate(have), np.concatenate(got)
+            if key == "network":
+                rows.network[have] = got
+            elif key == "tv":
+                rows.trust[have] = got
+            elif key[:2] == "q:":
+                rows.quant[key[2:]] = (have, got)
+            else:
+                rows.qual[key[2:]] = (have, got)
+        order = np.lexsort((rows.network, target, source))
+        keys = np.stack([source[order], target[order], rows.network[order]])
+        if (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
+            raise _Irregular
+        self.graph.add_links(rows.columns())
+        return self.graph
+
+
+def _require_declared_before(ends, at, ids, declared_at):
+    """Fail unless each end is one of the sorted ids and its entity line
+    (line number declared_at) comes before its link line (line number at)."""
+    k = np.searchsorted(ids, ends)
+    ok = k < len(ids)
+    ok[ok] = ids[k[ok]] == ends[ok]
+    ok[ok] = declared_at[k[ok]] < at[ok]
+    if not ok.all():
+        raise _Irregular
+
+
+def _parse_graph_columns(text: str) -> Optional[SocialGraph]:
+    """The graph of text parsed by columns, or None where any check fails.
+
+    The text is split _PARSE_CHUNK lines at a time. Entity lines go through
+    the per-line loop's own code; link lines are grouped by key signature
+    and each group's token columns are converted and checked at once; the
+    checks that span lines then run over arrays. Every text
+    _parse_graph_lines rejects fails a check here and no other text does,
+    so None means that loop will raise.
+    """
+    parse = _ColumnParse()
+    try:
+        for first, lines in _numbered_pieces(text):
+            parse.add(first, lines)
+        return parse.finish()
+    except (ParseError, _Irregular):
+        return None
 
 
 def serialize_graph(graph: SocialGraph) -> str:

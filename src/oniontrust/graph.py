@@ -152,7 +152,11 @@ _CLASS_CODE = {value_class: code for code, value_class in enumerate(VALUE_CLASSE
 
 
 class LinkRows:
-    """Links gathered one at a time, turned into LinkColumns at once."""
+    """Links gathered one at a time, turned into LinkColumns at once.
+
+    A caller that holds whole columns may set the fields to arrays in place
+    of the lists; columns() reads either the same way.
+    """
 
     def __init__(self):
         self.source: List[int] = []
@@ -260,7 +264,7 @@ class SocialGraph:
         if self._frozen:
             raise FrozenGraphError("graph is frozen")
         _require_id("entity id", entity_id)
-        if not (math.isfinite(bandwidth) and bandwidth > 0.0):
+        if not _positive_finite(bandwidth):
             raise DomainError(
                 "entity %d: bandwidth must be positive and finite, got %r"
                 % (entity_id, bandwidth)
@@ -496,6 +500,15 @@ def _require_integer(field: str, value, error: type) -> None:
         raise error("%s must be an integer, got %r" % (field, value))
 
 
+def _positive_finite(value) -> bool:
+    """value is above zero and finite; an integer past the float range is
+    not finite."""
+    try:
+        return math.isfinite(value) and value > 0.0
+    except OverflowError:
+        return False
+
+
 #: The bounds of the int64 id columns.
 _ID_MIN, _ID_MAX = -(2**63), 2**63 - 1
 
@@ -573,7 +586,7 @@ class GeneratorParams:
             raise GeneratorParamsError(
                 "calibrated circle fraction must be in (0, 1), got %r" % (self.value,)
             )
-        if not (math.isfinite(self.bandwidth_max) and self.bandwidth_max > 0.0):
+        if not _positive_finite(self.bandwidth_max):
             raise GeneratorParamsError(
                 "bandwidth_max must be positive and finite, got %r" % (self.bandwidth_max,)
             )

@@ -141,10 +141,12 @@ def propagate(
         # A copy, as the next layer updates best in place; unreached rows
         # read 0.0 so that the product above stays finite.
         last_best = np.maximum(best, 0.0)
-    # paths covers the reached targets, each last set at its final hop count.
+    # paths covers the reached targets, each last set at its final hop count;
+    # the scores are read off last_best, where -0.0 is made 0.0 as in
+    # propagate_arrays.
     return TrustScoreTable(
         source,
-        {ids[t]: TrustScore(best[t].item(), int(hops[t]), paths[t]) for t in sorted(paths)},
+        {ids[t]: TrustScore(last_best[t].item(), int(hops[t]), paths[t]) for t in sorted(paths)},
     )
 
 

@@ -6,7 +6,8 @@ package code. The heap search, the dense propagation loop, the CSV
 reference writer, the per-group scoring loop, the dict-based candidate and
 correlation references, the binary-search sampler and the round-by-round
 simulation loop are the exception: they are the slow paths the current
-code replaced, kept to pin its bits.
+code replaced, kept to pin its bits. The graph-file parser keeps its own
+slow path, the per-line loop, in the package as its error reporter.
 """
 
 import dataclasses
@@ -410,6 +411,17 @@ def copy_graph(graph: SocialGraph, flags=None) -> SocialGraph:
     for link in graph.links():
         out.add_link(dataclasses.replace(link))
     return out
+
+
+def assert_same_graph_bits(got: SocialGraph, want: SocialGraph):
+    """The same entities in the same order, and link columns equal bit for
+    bit (NaN and -0.0 included), names and dtypes too."""
+    assert list(got._entities.values()) == list(want._entities.values())
+    a, b = got.link_columns(), want.link_columns()
+    assert (a.quant_names, a.qual_names) == (b.quant_names, b.qual_names)
+    for name in ("source", "target", "network", "quant", "present", "qual", "trust"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
 
 # -- scoring reference ------------------------------------------------------------

@@ -14,6 +14,7 @@ from oniontrust import (
     FuzzyRuleSet,
     FriendLink,
     CorrelationCase,
+    GeneratorParams,
     RoundReport,
     Rule,
     SimScenario,
@@ -22,6 +23,8 @@ from oniontrust import (
     SweepRow,
     ValueClass,
     cdf_points,
+    compute_trust_values,
+    generate_graph,
     parse_graph,
     parse_rules,
     parse_scenario,
@@ -35,12 +38,14 @@ from oniontrust import (
     write_sweep_rows,
     write_trust_scores,
 )
+from oniontrust import fileio
 from oniontrust.errors import DomainError, ParseError, WeightSumError
-from oniontrust.fileio import _SCORE_BLOCK_ROWS
+from oniontrust.fileio import _SCORE_BLOCK_ROWS, _parse_graph_columns, _parse_graph_lines
 from oniontrust.propagation import TrustArrays, propagate_arrays
 
 from helpers import (
     TRUST,
+    assert_same_graph_bits,
     copy_graph,
     default_rules,
     reference_trust_scores_csv,
@@ -212,6 +217,41 @@ def test_parse_rejects_non_finite_bandwidth_and_scenario_values(value):
     with pytest.raises(ParseError) as err:
         parse_scenario("strategy = original_tor\nfraction = 0.1\nomega = %s" % value)
     assert str(err.value).startswith("line 3: omega must be a finite number")
+
+
+def multinet_text(seed: int = 5, n: int = 40) -> str:
+    """A graph file shaped like the benchmark's multi-network input: gapped
+    ids, one to three networks per linked pair, two quantitative and two
+    qualitative attributes on every link, no trust values."""
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(np.arange(1, 5 * n + 1), size=n, replace=False)).tolist()
+    lines = ["entities %d" % n]
+    for eid, bandwidth, bad in zip(ids, rng.pareto(1.5, n) * 1e6 + 1e4, rng.random(n) < 0.05):
+        lines.append("entity %d bandwidth=%r malicious=%d" % (eid, float(bandwidth), bad))
+    classes = ("POSITIVE", "NEUTRAL", "NEGATIVE")
+    for s in range(n):
+        targets = np.sort(rng.choice(n, size=rng.integers(1, 6), replace=False)).tolist()
+        for t in targets:
+            if t == s:
+                continue
+            for network in (np.sort(rng.choice(3, size=rng.integers(1, 4), replace=False)) + 1).tolist():
+                lines.append(
+                    "link %d %d network=%d q:freq=%r q:time=%r c:Major=%s c:Relationship=%s"
+                    % (ids[s], ids[t], network, float(rng.lognormal()), float(rng.lognormal()),
+                       classes[rng.integers(3)], classes[rng.integers(3)])
+                )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [fileio._PARSE_CHUNK, 7])
+def test_the_column_parse_takes_written_graphs_without_handing_over(chunk, monkeypatch):
+    generated = generate_graph(GeneratorParams(60, "er", 0.2), 3)
+    compute_trust_values(generated, default_rules())
+    monkeypatch.setattr(fileio, "_PARSE_CHUNK", chunk)
+    for text in (serialize_graph(generated), multinet_text()):
+        graph = _parse_graph_columns(text)
+        assert graph is not None
+        assert_same_graph_bits(graph, _parse_graph_lines(text))
 
 
 def test_parse_errors_carry_line_numbers():
@@ -472,7 +512,11 @@ def test_serialized_graphs_parse_back_equal(graph, flag_odd_ids):
     # parallel links on networks 1-3, unscored links and gapped ids
     if flag_odd_ids:
         graph = copy_graph(graph, {eid: eid % 2 == 1 for eid in graph.entity_ids()})
-    assert parse_graph(serialize_graph(graph)) == graph
+    text = serialize_graph(graph)
+    assert parse_graph(text) == graph
+    # links without some attributes or a trust value give several key
+    # signatures, and the column parse takes them all
+    assert_same_graph_bits(_parse_graph_columns(text), _parse_graph_lines(text))
 
 
 NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyzABCXYZ_0123456789", min_size=1, max_size=8)

@@ -1,6 +1,7 @@
 """Max-product trust propagation against the exhaustive path and heap-search oracles."""
 
 import itertools
+import math
 import re
 
 import numpy as np
@@ -109,6 +110,15 @@ def test_zero_trust_targets_are_still_reached():
     assert table.get(3).value == 0.0
     assert table.value(9) == 0.0  # unreached defaults to zero
     assert table.get(9) is None
+
+
+def test_a_negative_zero_link_scores_positive_zero_as_the_arrays_do():
+    g = graph_from_trust_links([(1, 2, -0.0), (2, 3, 0.5)])
+    arrays = propagation.propagate_arrays(g, 2)
+    table = propagate(g, 1, max_hops=2)
+    for t in (2, 3):
+        row = arrays.ids.index(t)
+        assert math.copysign(1, table.get(t).value) == math.copysign(1, arrays.best[0, row]) == 1.0
 
 
 def test_scores_never_drop_with_more_hops():
