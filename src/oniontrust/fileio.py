@@ -703,6 +703,9 @@ def read_scenario(path) -> SimScenario:
 #: held at once.
 _SCORE_BLOCK_ROWS = 64
 
+#: Links per write in write_link_trust, for the same reason.
+_LINK_BLOCK_ROWS = 1 << 13
+
 
 def _fmt(value) -> str:
     """One CSV cell: None -> empty, float -> shortest repr, else str.
@@ -766,20 +769,21 @@ def _trust_cells(trust: np.ndarray, prefix: str = "") -> List[str]:
 
 def write_link_trust(path, graph: SocialGraph):
     """One (source, target, network, trust_value) row per link, written
-    from the link columns in their (source, target, network) order."""
+    from the link columns in their (source, target, network) order,
+    _LINK_BLOCK_ROWS links at a time."""
     links = graph.link_columns()
-    _write_csv(
-        path,
-        ("source", "target", "network", "trust_value"),
-        [
-            (
-                list(map(str, links.source.tolist())),
-                list(map(str, links.target.tolist())),
-                list(map(str, links.network.tolist())),
-                _trust_cells(links.trust),
+
+    def blocks():
+        for lo in range(0, len(links), _LINK_BLOCK_ROWS):
+            rows = slice(lo, lo + _LINK_BLOCK_ROWS)
+            yield (
+                list(map(str, links.source[rows].tolist())),
+                list(map(str, links.target[rows].tolist())),
+                list(map(str, links.network[rows].tolist())),
+                _trust_cells(links.trust[rows]),
             )
-        ],
-    )
+
+    _write_csv(path, ("source", "target", "network", "trust_value"), blocks())
 
 
 def write_trust_scores(path, arrays: TrustArrays):

@@ -14,6 +14,11 @@ FriendLink is the record add_link takes and link()/links() return; those
 records are built from the columns, so changing one leaves the graph as it
 is.
 
+Reachability has one implementation, _kernel, a layered pass in the
+semiring of a combine ufunc: trust propagation and mean_circle_size (unit
+trusts, counting hops > 0) run it with np.multiply, calibration with
+np.minimum.
+
 Also home to the synthetic graph generator used by the simulations: directed
 Erdos-Renyi edges, either with a fixed edge probability or calibrated so the
 mean friendship-circle size hits a target fraction of the graph.
@@ -434,13 +439,6 @@ class SocialGraph:
             tv,
         )
 
-    def link_mask(self) -> np.ndarray:
-        """Boolean (n, n) adjacency over the entity_ids() rows."""
-        ids, src, tgt, _ = self.pair_arrays()
-        mask = np.zeros((len(ids), len(ids)), dtype=bool)
-        mask[src, tgt] = True
-        return mask
-
 
 def _check_trust(source: int, target: int, network: int, trust: Optional[float]):
     """Fail naming the link unless trust is in [0, 1] or unscored (None or NaN)."""
@@ -462,22 +460,149 @@ def _require_scored(links: LinkColumns, lo: int, hi: int):
         )
 
 
-def circle_sizes(mask: np.ndarray, rows: np.ndarray, max_hops: int) -> np.ndarray:
-    """||F_i|| of each source row: entities within max_hops links, itself excluded.
+#: Candidates (prefix cell x out-link) that one chunk of a delta layer
+#: extends, at most; a pass over fewer than 64 * DELTA_CHUNK cells takes a
+#: 64th of its cells. That keeps a chunk's dozen index and value arrays at
+#: a few hundred KB and under a fifth of the pass's result, whatever the
+#: graph and however few its source rows.
+DELTA_CHUNK = 1 << 13
 
-    Within a hop budget, reachability over walks equals reachability over
-    acyclic paths (dropping a cycle never lengthens a path), so each step
-    widens the reach by one link: a float32 matmul of the reach with the
-    adjacency, whose entries count predecessors exactly and whose sign
-    alone is read. The source is dropped from its own reach at the end,
-    whatever the mask's diagonal.
+
+def _delta_layer_wins(work, n, links):
+    """Whether a layer runs as a delta layer: its candidate count, work, is
+    below a quarter of the n * links products of a dense layer. (A delta
+    candidate costs several gathers and a scattered maximum, a dense
+    product one contiguous multiply.) A one-row pass has at most links
+    candidates, so its layers run as delta layers once n >= 4."""
+    return 4 * work < n * links
+
+
+def _kernel(n, src, tgt, tv, rows, max_hops, combine):
+    """One pass for the source rows (ascending), layer by layer to max_hops.
+
+    Yields (best, hops) after each layer: the same (len(rows), n) arrays
+    over [row, target], updated in place, for the linked pairs src -> tgt
+    (in (source, target) order) of weight tv. A cell is reached where
+    hops > 0; elsewhere best is -inf ("no walk yet") and hops 0. hops has
+    the smallest unsigned dtype that holds min(max_hops, n), as no hop
+    count exceeds either. Layer r raises a cell to the best r-link walk
+    value, the best (r - 1)-link prefix value combined with the last link,
+    and sets its hop count to r; a target's hop count is thus the first
+    layer that reaches it or strictly raises its value.
+
+    combine is the semiring's product (Mohri 2002): np.multiply for trust,
+    tv in [0, 1], and np.minimum for bottleneck widths. It must be monotone
+    in the prefix and never exceed it, combine(a, t) <= a. Monotone makes
+    the best r-link walk extend a best prefix; never exceeding the prefix
+    means dropping a cycle never lowers a walk, so the best walk of at most
+    r links is as good as the best such path, and no source scores its own
+    cell. Rounding is monotone, so both ufuncs keep this in floats.
+
+    Layer r can only raise a cell through a prefix cell that layer r - 1
+    raised (its delta; layer 2's is every linked pair), since an unchanged
+    prefix offered the same value a layer earlier. The delta is read off
+    hops (the cells whose count is r - 1), and its candidate count is the
+    sum of its prefix targets' out-degrees. _delta_layer_wins picks each
+    layer's mode from that count: a delta layer extends only the delta
+    (_delta_layer), a dense layer every prefix (_dense_layer, on one
+    target-major copy of best). Both give the same bits. Layer 2 extends
+    the linked pairs alone, about L^2 / n products against a dense layer's
+    n * L, so on sparse graphs a budget of 2 makes no copy; later layers on
+    calibrated graphs raise most of each circle and run dense. A pass ends
+    once a layer has no candidates, so a budget past the longest shortest
+    path costs nothing.
     """
-    link = mask.astype(np.float32)
-    reach = mask[rows]
-    for _ in range(max_hops - 1):
-        reach |= (reach.astype(np.float32) @ link) > 0.0
-    reach[np.arange(len(rows)), rows] = False
-    return reach.sum(axis=1)
+    rows = np.asarray(rows)
+    best = np.full((len(rows), n), -np.inf)
+    hops = np.zeros(best.shape, dtype=np.min_scalar_type(min(max_hops, n)))
+    first = np.isin(src, rows)
+    cells = np.searchsorted(rows, src[first]) * n + tgt[first]
+    best.reshape(-1)[cells] = tv[first]
+    hops.reshape(-1)[cells] = 1
+    yield best, hops
+    out_lo = np.searchsorted(src, np.arange(n + 1))
+    degree = np.diff(out_lo)
+    in_links = None
+    for r in range(2, max_hops + 1):
+        work = int(np.count_nonzero(hops == r - 1, axis=0) @ degree)
+        if work == 0:
+            return
+        if _delta_layer_wins(work, n, len(src)):
+            _delta_layer(best, hops, r, rows, out_lo, tgt, tv, combine)
+        else:
+            if in_links is None:
+                order = np.argsort(tgt, kind="stable")
+                in_links = (np.searchsorted(tgt[order], np.arange(n + 1)).tolist(),
+                            src[order], tv[order])
+            _dense_layer(best, hops, r, rows, combine, *in_links)
+        yield best, hops
+
+
+def _delta_layer(best, hops, r, rows, out_lo, tgt, tv, combine):
+    """Layer r from its delta: the cells layer r - 1 raised, which are those
+    whose hop count is r - 1.
+
+    A chunk of delta cells (s, k) expands by k's out-links (k, j) into the
+    candidates combine(prefix, t[k, j]), where prefix is the value of
+    (s, k) when the layer began, and folds them into best in place by
+    maximum.at. A cell is raised where that makes it strictly larger. The
+    prefixes come from that snapshot and never from best, so a cell raised
+    earlier in the layer cannot feed an (r + 1)-link walk into layer r.
+    Prefixes are reached, so no candidate is NaN or -inf.
+    """
+    n = best.shape[1]
+    flat, hop_flat = best.reshape(-1), hops.reshape(-1)
+    delta = np.flatnonzero(hop_flat == r - 1)
+    prefix = flat[delta]
+    row, k = np.divmod(delta, n)
+    first, count = out_lo[k], out_lo[k + 1] - out_lo[k]
+    ends = np.cumsum(count)
+    # Chunk c holds the cells whose candidates end in ((c-1)C, cC], C the
+    # chunk size: at most C candidates, plus one cell's out-links.
+    chunk = max(1, min(DELTA_CHUNK, flat.size // 64))
+    stops = np.searchsorted(ends, np.arange(chunk, ends[-1] + chunk, chunk),
+                            side="right").tolist()
+    lo = 0
+    for hi in stops:
+        if lo == hi:
+            continue
+        c = count[lo:hi]
+        # Candidate g of the layer extends its cell by out-link g - start
+        # of that cell, where start is the cell's first candidate.
+        start = ends[lo:hi] - c
+        link = np.arange(start[0], ends[hi - 1]) + np.repeat(first[lo:hi] - start, c)
+        s, j = np.repeat(row[lo:hi], c), tgt[link]
+        cand = combine(np.repeat(prefix[lo:hi], c), tv[link])
+        keep = j != rows[s]  # walks back to the source
+        cell, cand = s[keep] * n + j[keep], cand[keep]
+        old = flat[cell]
+        np.maximum.at(flat, cell, cand)
+        hop_flat[cell[flat[cell] > old]] = r
+        lo = hi
+
+
+def _dense_layer(best, hops, r, rows, combine, bounds, in_src, in_tv):
+    """Layer r over every prefix.
+
+    It works on a target-major snapshot of best, where the in-neighbours
+    of a target are whole contiguous rows: each target j takes the fmax
+    over its in-neighbours k of combine(prefix[k], t[k, j]) into its
+    column of best. An unreached prefix gives -inf, or NaN when multiplied
+    through a zero-trust link; fmax skips both, so zero-trust paths still
+    reach.
+    """
+    prefix = best.T.copy()
+    with np.errstate(invalid="ignore"):  # -inf * 0.0 is NaN, skipped by fmax
+        for j in range(best.shape[1]):
+            lo, hi = bounds[j], bounds[j + 1]
+            if lo < hi:
+                col = best[:, j]
+                np.fmax(col, np.fmax.reduce(combine(prefix[in_src[lo:hi]], in_tv[lo:hi, None]),
+                                            axis=0), out=col)
+    # Walks back to the source: the loop above may write a source's own
+    # cell, but the layer read its prefixes from the snapshot.
+    best[np.arange(len(rows)), rows] = -np.inf
+    hops[best > prefix.T] = r
 
 
 #: Hop budget of friendship circles and trust propagation unless a caller
@@ -535,8 +660,11 @@ def mean_circle_size(graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS) -> fl
     check_max_hops(max_hops)
     if not len(graph):
         raise DomainError("graph has no entities")
-    rows = _sample_rows(len(graph))
-    return int(circle_sizes(graph.link_mask(), rows, max_hops).sum()) / len(rows)
+    ids, src, tgt, _ = graph.pair_arrays()
+    rows = _sample_rows(len(ids))
+    for _, hops in _kernel(len(ids), src, tgt, np.ones(len(src)), rows, max_hops, np.multiply):
+        pass
+    return np.count_nonzero(hops) / len(rows)
 
 
 # -- synthetic graphs -------------------------------------------------------
@@ -594,10 +722,23 @@ class GeneratorParams:
             raise GeneratorParamsError("max_hops must be >= 1, got %r" % (self.max_hops,))
 
 
-def _mean_circle_size(mask: np.ndarray, max_hops: int) -> float:
-    """One calibration step: mean_circle_size over a thresholded mask."""
-    rows = _sample_rows(mask.shape[0])
-    return int(circle_sizes(mask, rows, max_hops).sum()) / len(rows)
+def _circle_widths(u: np.ndarray, h: float, max_hops: int) -> np.ndarray:
+    """Bottleneck widths -D over the links u < h, from the _sample_rows
+    sources: D[s, j] is the smallest largest u over walks of at most
+    max_hops links from s to j, and the width is -inf where there is none.
+    At any p <= h, j is in s's circle exactly where the width is above -p."""
+    links = u < h
+    np.fill_diagonal(links, False)  # a self loop never widens a circle
+    src, tgt = np.nonzero(links)
+    rows = _sample_rows(len(u))
+    for widths, _ in _kernel(len(u), src, tgt, -u[src, tgt], rows, max_hops, np.minimum):
+        pass
+    return widths
+
+
+def _mean_circle_size(widths: np.ndarray, p: float) -> float:
+    """One calibration step: the mean circle size at edge probability p."""
+    return np.count_nonzero(widths > -p) / len(widths)
 
 
 def _calibrate_edge_prob(u: np.ndarray, params: GeneratorParams) -> float:
@@ -607,21 +748,38 @@ def _calibrate_edge_prob(u: np.ndarray, params: GeneratorParams) -> float:
     edge set (and with it the mean circle size) grows monotonically in p and
     the search is well behaved. Missing CALIBRATION_TOL within 60 steps
     raises GeneratorParamsError naming the closest size reached.
+
+    One _circle_widths pass at h gives the size at every p <= h. h is the
+    smallest power of two at or above an Erdos-Renyi estimate of p, doubled
+    until its size clears the target by more than the tolerance; a step
+    with mid > h then goes down unread. Only a miss's closest size needs
+    those steps, so a miss replays the search over every link (h = 1).
     """
-    target = params.value * params.n
-    lo, hi = 0.0, 1.0
-    best_p, best_size = 1.0, float("inf")
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        size = _mean_circle_size(u < mid, params.max_hops)
-        if abs(size - target) <= CALIBRATION_TOL:
-            return mid
-        if abs(size - target) < abs(best_size - target):
-            best_p, best_size = mid, size
-        if size < target:
-            lo = mid
-        else:
-            hi = mid
+    target, max_hops = params.value * params.n, params.max_hops
+    guess = (-math.log1p(-params.value)) ** (1 / max_hops) / params.n ** ((max_hops - 1) / max_hops)
+    h = min(1.0, 2.0 ** math.ceil(math.log2(guess)))
+    widths = _circle_widths(u, h, max_hops)
+    while h < 1.0 and _mean_circle_size(widths, h) <= target + CALIBRATION_TOL:
+        h *= 2.0
+        widths = _circle_widths(u, h, max_hops)
+    while True:
+        lo, hi = 0.0, 1.0
+        best_p, best_size = 1.0, float("inf")
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            # past h the size is above target + tol, so the step goes down
+            size = _mean_circle_size(widths, mid) if mid <= h else math.inf
+            if abs(size - target) <= CALIBRATION_TOL:
+                return mid
+            if abs(size - target) < abs(best_size - target):
+                best_p, best_size = mid, size
+            if size < target:
+                lo = mid
+            else:
+                hi = mid
+        if h == 1.0:
+            break
+        h, widths = 1.0, _circle_widths(u, 1.0, max_hops)
     raise GeneratorParamsError(
         "calibration missed mean circle size %g within %g: closest was %g at p = %r"
         % (target, CALIBRATION_TOL, best_size, best_p)

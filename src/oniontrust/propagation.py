@@ -7,21 +7,22 @@ cycle from a walk never hurts the product, so the best walk of at most r
 links is as strong as the best such path, and the layered (max, x)
 recurrence over walks finds the optimum of exhaustive path enumeration.
 
-One kernel pass runs that recurrence for a set of source rows, layer by
-layer, in place on [source, target] arrays: layer r extends best
-(r - 1)-link prefix products by one link. Only a prefix that layer r - 1
-raised can raise a cell in layer r (semi-naive evaluation), so a layer
-runs either as a delta layer, extending just those cells chunk by chunk,
-or as a dense layer over every prefix, whichever its candidate count
-favours. That is all a layer computes; reach is read off the scores, with
--inf for "no walk yet". propagate_arrays runs it over every row and keeps
-its arrays: 9 bytes per pair, a float64 score and a uint8 hop count for
-budgets up to 255. Its output, TrustArrays, is the one trust input of
-every pipeline path (score CSVs, mean trust, simulations, sweeps).
-propagate_all is its table view, TrustArrays.table the one place a row
-becomes a TrustScoreTable, and propagate, the witness-path API, reads one
-pass over its source's row after each layer (its delta layers are a
-Bellman-Ford frontier) and rebuilds witness paths layer by layer.
+One pass of graph._kernel, the one reachability engine, runs that
+recurrence for a set of source rows, layer by layer, in place on [source,
+target] arrays: layer r extends best (r - 1)-link prefix products by one
+link. Only a prefix that layer r - 1 raised can raise a cell in layer r
+(semi-naive evaluation), so a layer runs either as a delta layer,
+extending just those cells chunk by chunk, or as a dense layer over every
+prefix, whichever its candidate count favours. That is all a layer
+computes; reach is read off the scores, with -inf for "no walk yet".
+propagate_arrays runs it over every row and keeps its arrays: 9 bytes per
+pair, a float64 score and a uint8 hop count for budgets up to 255. Its
+output, TrustArrays, is the one trust input of every pipeline path (score
+CSVs, mean trust, simulations, sweeps). propagate_all is its table view,
+TrustArrays.table the one place a row becomes a TrustScoreTable, and
+propagate, the witness-path API, reads one pass over its source's row
+after each layer (its delta layers are a Bellman-Ford frontier) and
+rebuilds witness paths layer by layer.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CyclicPathError, DisconnectedPathError, DomainError, UnknownEntityError
-from .graph import DEFAULT_MAX_HOPS, FriendLink, SocialGraph, _sample_rows, check_max_hops
+from .graph import DEFAULT_MAX_HOPS, FriendLink, SocialGraph, _kernel, _sample_rows, check_max_hops
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def propagate(
     last_best = np.zeros(n)
     last_best[row] = 1.0
     level, paths = {row: (source,)}, {}
-    for r, state in enumerate(_kernel(n, src, tgt, tv, [row], max_hops), 1):
+    for r, state in enumerate(_kernel(n, src, tgt, tv, [row], max_hops, np.multiply), 1):
         best, hops = (a[0] for a in state)
         last, level = level, {}
         step = (hops[tgt] == r) & np.isin(src, list(last))
@@ -192,147 +193,12 @@ class TrustArrays:
         return np.count_nonzero(self.hops[rows]) / len(rows)
 
 
-#: Candidates (prefix cell x out-link) that one chunk of a delta layer
-#: extends. It keeps a chunk's index and value arrays at a few hundred KB,
-#: far below the (n, n) result, whatever the graph.
-DELTA_CHUNK = 1 << 13
-
-
-def _delta_layer_wins(work, n, links):
-    """Whether a layer runs as a delta layer: its candidate count, work, is
-    below a quarter of the n * links products of a dense layer. (A delta
-    candidate costs several gathers and a scattered maximum, a dense
-    product one contiguous multiply.) A one-row pass has at most links
-    candidates, so its layers run as delta layers once n >= 4."""
-    return 4 * work < n * links
-
-
-def _kernel(n, src, tgt, tv, rows, max_hops):
-    """One pass for the source rows (ascending), layer by layer to max_hops.
-
-    Yields (best, hops) after each layer: the same (len(rows), n) arrays
-    over [row, target], updated in place, for the linked pairs src -> tgt
-    (in (source, target) order) of trust tv in [0, 1]. A cell is reached
-    where best >= 0; elsewhere best is -inf ("no walk yet") and hops 0.
-    hops has the smallest unsigned dtype that holds min(max_hops, n), as no
-    hop count exceeds either. Layer r raises a cell to the best r-link walk
-    product, the best (r - 1)-link prefix product times the last link, and
-    sets its hop count to r; a target's hop count is thus the first layer
-    that reaches it or strictly raises its score. Since every factor is in
-    [0, 1] and rounding is monotone, that is the best product over walks of
-    at most r links. No source scores its own cell: a walk back through the
-    source never beats the same walk with that cycle dropped.
-
-    Layer r can only raise a cell through a prefix cell that layer r - 1
-    raised (its delta; layer 2's is every linked pair), since an unchanged
-    prefix offered the same product a layer earlier. The delta is read off
-    hops (the cells whose count is r - 1), and its candidate count is the
-    sum of its prefix targets' out-degrees. _delta_layer_wins picks each
-    layer's mode from that count: a delta layer extends only the delta
-    (_delta_layer), a dense layer every prefix (_dense_layer, on one
-    target-major copy of best). Both give the same bits. Layer 2 extends
-    the linked pairs alone, about L^2 / n products against a dense layer's
-    n * L, so on sparse graphs a budget of 2 makes no copy; later layers on
-    calibrated graphs raise most of each circle and run dense. A pass ends
-    early once a layer has no candidates.
-    """
-    rows = np.asarray(rows)
-    best = np.full((len(rows), n), -np.inf)
-    hops = np.zeros(best.shape, dtype=np.min_scalar_type(min(max_hops, n)))
-    first = np.isin(src, rows)
-    cells = np.searchsorted(rows, src[first]) * n + tgt[first]
-    best.reshape(-1)[cells] = tv[first]
-    hops.reshape(-1)[cells] = 1
-    yield best, hops
-    out_lo = np.searchsorted(src, np.arange(n + 1))
-    degree = np.diff(out_lo)
-    in_links = None
-    for r in range(2, max_hops + 1):
-        work = int(np.count_nonzero(hops == r - 1, axis=0) @ degree)
-        if work == 0:
-            return
-        if _delta_layer_wins(work, n, len(src)):
-            _delta_layer(best, hops, r, rows, out_lo, tgt, tv)
-        else:
-            if in_links is None:
-                order = np.argsort(tgt, kind="stable")
-                in_links = (np.searchsorted(tgt[order], np.arange(n + 1)).tolist(),
-                            src[order], tv[order])
-            _dense_layer(best, hops, r, rows, *in_links)
-        yield best, hops
-
-
-def _delta_layer(best, hops, r, rows, out_lo, tgt, tv):
-    """Layer r from its delta: the cells layer r - 1 raised, which are those
-    whose hop count is r - 1.
-
-    A chunk of delta cells (s, k) expands by k's out-links (k, j) into the
-    candidates prefix * t[k, j], where prefix is the value of (s, k) when
-    the layer began, and folds them into best in place by maximum.at. A
-    cell is raised where that makes it strictly larger. The prefixes come
-    from that snapshot and never from best, so a cell raised earlier in the
-    layer cannot feed an (r + 1)-link walk into layer r. Prefixes are
-    reached, so no product is NaN or -inf.
-    """
-    n = best.shape[1]
-    flat, hop_flat = best.reshape(-1), hops.reshape(-1)
-    delta = np.flatnonzero(hop_flat == r - 1)
-    prefix = flat[delta]
-    row, k = np.divmod(delta, n)
-    first, count = out_lo[k], out_lo[k + 1] - out_lo[k]
-    ends = np.cumsum(count)
-    # Chunk c holds the cells whose candidates end in ((c-1)C, cC]: at most
-    # C candidates, plus one cell's out-links.
-    stops = np.searchsorted(ends, np.arange(DELTA_CHUNK, ends[-1] + DELTA_CHUNK, DELTA_CHUNK),
-                            side="right").tolist()
-    lo = 0
-    for hi in stops:
-        if lo == hi:
-            continue
-        c = count[lo:hi]
-        # Candidate g of the layer extends its cell by out-link g - start
-        # of that cell, where start is the cell's first candidate.
-        start = ends[lo:hi] - c
-        link = np.arange(start[0], ends[hi - 1]) + np.repeat(first[lo:hi] - start, c)
-        s, j = np.repeat(row[lo:hi], c), tgt[link]
-        cand = np.repeat(prefix[lo:hi], c) * tv[link]
-        keep = j != rows[s]  # walks back to the source
-        cell, cand = s[keep] * n + j[keep], cand[keep]
-        old = flat[cell]
-        np.maximum.at(flat, cell, cand)
-        hop_flat[cell[flat[cell] > old]] = r
-        lo = hi
-
-
-def _dense_layer(best, hops, r, rows, bounds, in_src, in_tv):
-    """Layer r over every prefix.
-
-    It works on a target-major snapshot of best, where the in-neighbours
-    of a target are whole contiguous rows: each target j takes the fmax
-    over its in-neighbours k of prefix[k] * t[k, j] into its column of
-    best. An unreached prefix gives -inf, or NaN through a zero-trust
-    link; fmax skips both, so zero-trust paths still reach.
-    """
-    prefix = best.T.copy()
-    with np.errstate(invalid="ignore"):  # -inf * 0.0 is NaN, skipped by fmax
-        for j in range(best.shape[1]):
-            lo, hi = bounds[j], bounds[j + 1]
-            if lo < hi:
-                col = best[:, j]
-                np.fmax(col, np.fmax.reduce(prefix[in_src[lo:hi]] * in_tv[lo:hi, None], axis=0),
-                        out=col)
-    # Walks back to the source: the loop above may write a source's own
-    # cell, but the layer read its prefixes from the snapshot.
-    best[np.arange(len(rows)), rows] = -np.inf
-    hops[best > prefix.T] = r
-
-
 def propagate_arrays(graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS) -> TrustArrays:
     """Trust scores from every source at once, as arrays: one kernel pass
     over all source rows, whose arrays it returns in place."""
     check_max_hops(max_hops)
     ids, src, tgt, tv = graph.pair_arrays(trust=True)
-    for best, hops in _kernel(len(ids), src, tgt, tv, np.arange(len(ids)), max_hops):
+    for best, hops in _kernel(len(ids), src, tgt, tv, np.arange(len(ids)), max_hops, np.multiply):
         pass
     np.maximum(best, 0.0, out=best)
     return TrustArrays(ids=ids, best=best, hops=hops, max_hops=max_hops)

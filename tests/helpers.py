@@ -2,8 +2,8 @@
 
 The oracles deliberately re-derive results from first principles (numeric
 quadrature, exhaustive path and draw-order enumeration) instead of reusing
-package code. The heap search, the dense propagation loop, the CSV
-reference writer, the per-group scoring loop, the dict-based candidate and
+package code. The heap search, the dense propagation loop, the matmul
+circle sizes and calibration loop, the CSV reference writer, the per-group scoring loop, the dict-based candidate and
 correlation references, the binary-search sampler and the round-by-round
 simulation loop are the exception: they are the slow paths the current
 code replaced, kept to pin its bits. The graph-file parser keeps its own
@@ -33,7 +33,9 @@ from oniontrust import (
     ValueClass,
     link_trust,
 )
-from oniontrust.errors import DomainError, EmptyCandidateSetError
+import oniontrust.graph
+from oniontrust.errors import DomainError, EmptyCandidateSetError, GeneratorParamsError
+from oniontrust.graph import _sample_rows
 from oniontrust.selection import weighted_picks
 from oniontrust.simulation import RoundReport, _Prepared, _round_streams
 
@@ -633,13 +635,15 @@ def reference_rounds(graph: SocialGraph, scenario, circuits: bool, mean_trust=No
 # -- dense propagation reference ------------------------------------------------
 
 
-def reference_arrays(graph: SocialGraph, max_hops: int) -> Tuple[np.ndarray, np.ndarray]:
+def reference_arrays(
+    graph: SocialGraph, max_hops: int, combine=np.multiply
+) -> Tuple[np.ndarray, np.ndarray]:
     """(best, hops) of propagate_arrays, every layer a dense layer.
 
     Every layer r takes, for each target j, the fmax over its in-neighbours
-    k of best[k, i] * t[k, j] on [target, source] arrays; hops is set to r
-    where that strictly beats best. The result is transposed to [source,
-    target] at the end, unreached cells read 0.0 and hops is int64.
+    k of combine(best[k, i], t[k, j]) on [target, source] arrays; hops is
+    set to r where that strictly beats best. The result is transposed to
+    [source, target] at the end, unreached cells read 0.0 and hops is int64.
     """
     ids, src, tgt, tv = graph.pair_arrays(trust=True)
     n = len(ids)
@@ -655,10 +659,64 @@ def reference_arrays(graph: SocialGraph, max_hops: int) -> Tuple[np.ndarray, np.
             for j in range(n):
                 lo, hi = bounds[j], bounds[j + 1]
                 if lo < hi:
-                    prefix = best[in_src[lo:hi]] * in_tv[lo:hi, None]
+                    prefix = combine(best[in_src[lo:hi]], in_tv[lo:hi, None])
                     np.fmax.reduce(prefix, axis=0, out=extended[j])
         np.fill_diagonal(extended, -np.inf)  # walks back to the source
         hops[extended > best] = r
         np.fmax(best, extended, out=best)
     np.maximum(best, 0.0, out=best)
     return best.T.copy(), hops.T.copy()
+
+
+# -- matmul reachability reference ----------------------------------------------
+
+
+def link_mask(graph: SocialGraph) -> np.ndarray:
+    """Boolean (n, n) adjacency over the entity_ids() rows."""
+    ids, src, tgt, _ = graph.pair_arrays()
+    mask = np.zeros((len(ids), len(ids)), dtype=bool)
+    mask[src, tgt] = True
+    return mask
+
+
+def reference_circle_sizes(mask: np.ndarray, rows: np.ndarray, max_hops: int) -> np.ndarray:
+    """||F_i|| of each source row: entities within max_hops links, itself excluded.
+
+    Within a hop budget, reachability over walks equals reachability over
+    acyclic paths, so each step widens the reach by one link: a float32
+    matmul of the reach with the adjacency, whose entries count
+    predecessors exactly and whose sign alone is read. The source is
+    dropped from its own reach at the end, whatever the mask's diagonal.
+    """
+    link = mask.astype(np.float32)
+    reach = mask[rows]
+    for _ in range(max_hops - 1):
+        reach |= (reach.astype(np.float32) @ link) > 0.0
+    reach[np.arange(len(rows)), rows] = False
+    return reach.sum(axis=1)
+
+
+def reference_calibration(u: np.ndarray, params) -> float:
+    """The calibrated edge probability as the bisection found it, one
+    matmul circle size of the thresholded u per step, under the package's
+    CALIBRATION_TOL as it is when called."""
+    tol = oniontrust.graph.CALIBRATION_TOL
+    rows = _sample_rows(params.n)
+    target = params.value * params.n
+    lo, hi = 0.0, 1.0
+    best_p, best_size = 1.0, float("inf")
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        size = int(reference_circle_sizes(u < mid, rows, params.max_hops).sum()) / len(rows)
+        if abs(size - target) <= tol:
+            return mid
+        if abs(size - target) < abs(best_size - target):
+            best_p, best_size = mid, size
+        if size < target:
+            lo = mid
+        else:
+            hi = mid
+    raise GeneratorParamsError(
+        "calibration missed mean circle size %g within %g: closest was %g at p = %r"
+        % (target, tol, best_size, best_p)
+    )

@@ -3,6 +3,11 @@
 import ast
 import importlib
 import pathlib
+from unittest import mock
+
+import oniontrust.cli
+import oniontrust.graph
+from oniontrust import GeneratorParams, generate_graph
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -30,3 +35,18 @@ def test_every_tracer_hook_resolves():
         if owner is None:
             missing.add(name)
     assert missing <= KNOWN_MISSING, sorted(missing - KNOWN_MISSING)
+
+
+def test_calibration_and_generate_call_the_hooked_circle_sizes(tmp_path, capsys):
+    # graph.calibrate times graph._mean_circle_size, and
+    # graph.mean_circle_size the function the CLI's generate summary calls
+    sizes = oniontrust.graph._mean_circle_size
+    with mock.patch.object(oniontrust.graph, "_mean_circle_size", wraps=sizes) as step:
+        generate_graph(GeneratorParams(n=60, kind="calibrated", value=0.5), seed=3)
+    assert step.called
+    summary = oniontrust.cli.mean_circle_size
+    assert summary is oniontrust.graph.mean_circle_size
+    with mock.patch.object(oniontrust.cli, "mean_circle_size", wraps=summary) as size:
+        assert oniontrust.cli.main(["generate", "--n", "30", "--out", str(tmp_path)]) == 0
+    assert size.called
+    assert "mean circle size" in capsys.readouterr().out

@@ -48,6 +48,7 @@ from helpers import (
     assert_same_graph_bits,
     copy_graph,
     default_rules,
+    graph_from_trust_links,
     reference_trust_scores_csv,
     scored_graphs,
     scored_link,
@@ -424,6 +425,23 @@ def test_write_link_trust(tmp_path):
         "1,2,1,0.8312\n"
         "2,3,2,\n"
     )
+
+
+def test_write_link_trust_streams_several_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "_LINK_BLOCK_ROWS", 3)
+    graph = graph_from_trust_links(
+        [(1, 2, 0.5), (1, 3, 0.0), (2, 1, 1.0), (2, 3, 0.25), (3, 1, 0.1), (3, 2, 0.7)]
+    )
+    graph.add_link(scored_link(1, 2, None, network=2))
+    path = tmp_path / "lt.csv"
+    write_link_trust(path, graph)
+    rows = [
+        "%d,%d,%d,%s" % (l.source, l.target, l.network,
+                         "" if l.trust_value is None else repr(l.trust_value))
+        for l in graph.links()
+    ]
+    assert len(rows) == 7
+    assert path.read_text() == "source,target,network,trust_value\n" + "\n".join(rows) + "\n"
 
 
 def test_write_trust_scores(tmp_path):

@@ -1,5 +1,6 @@
 """Graph container, friendship circles and the synthetic generator."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -30,6 +31,7 @@ from helpers import (
     graph_from_trust_links,
     profiled_graphs,
     random_trust_graph,
+    reference_calibration,
     scored_link,
 )
 
@@ -82,7 +84,9 @@ def test_entity_ids_are_integers_within_int64(bad, message):
     g.add_entity(2**63 - 1, 1.0)
     g.add_entity(-(2**63), 1.0)
     g.add_link(scored_link(2**63 - 1, -(2**63), 0.5))
-    assert g.link_mask().tolist() == [[False, False], [True, False]]
+    ids, src, tgt, _ = g.pair_arrays()
+    assert ids == [-(2**63), 2**63 - 1]
+    assert (src.tolist(), tgt.tolist()) == ([1], [0])
 
 
 @pytest.mark.parametrize("bad, message", BAD_IDS)
@@ -277,6 +281,41 @@ def test_calibration_miss_raises(monkeypatch):
         "calibration missed mean circle size 1.5 within 0.01: "
         "closest was 1.33333 at p = 0.5"
     )
+
+
+def test_hop_budgets_past_the_longest_path_change_nothing():
+    # 99 links is the longest path among 100 entities, so no longer budget
+    # reaches further; the layers stop once none raises a cell
+    params = GeneratorParams(n=100, kind="calibrated", value=0.8, max_hops=99)
+    g = generate_graph(params, seed=7)
+    assert g == generate_graph(dataclasses.replace(params, max_hops=10**6), seed=7)
+    assert mean_circle_size(g, 10**6) == mean_circle_size(g, 99)
+
+
+def calibration_outcome(calibrate, u, params):
+    """The calibrated p's bits, or the message of the miss."""
+    try:
+        return calibrate(u, params).hex()
+    except GeneratorParamsError as exc:
+        return str(exc)
+
+
+def test_calibration_replays_the_matmul_bisection(monkeypatch):
+    # Derandomized: fixed seeds and sizes, every hop budget from 1 to 4 and
+    # fractions across (0, 1); the tight tolerance makes many searches miss.
+    misses = 0
+    for tol in (oniontrust.graph.CALIBRATION_TOL, 0.01):
+        monkeypatch.setattr(oniontrust.graph, "CALIBRATION_TOL", tol)
+        for seed, n in enumerate((1, 2, 3, 4, 5, 7, 9, 12, 20, 37, 64, 150)):
+            u = np.random.default_rng(seed).random((n, n))
+            np.fill_diagonal(u, 1.0)
+            for max_hops in (1, 2, 3, 4):
+                for fraction in (0.01, 0.1, 0.3, 0.5, 0.65, 0.8, 0.95, 0.999):
+                    params = GeneratorParams(n, "calibrated", fraction, max_hops=max_hops)
+                    got = calibration_outcome(oniontrust.graph._calibrate_edge_prob, u, params)
+                    assert got == calibration_outcome(reference_calibration, u, params)
+                    misses += got.startswith("calibration missed")
+    assert misses > 0
 
 
 def test_generator_params_validation():

@@ -12,19 +12,26 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oniontrust.graph
 from oniontrust import (
     GeneratorParams,
     compute_trust_values,
     generate_graph,
     mean_circle_size,
     mean_trust_scores,
-    propagation,
 )
 from oniontrust.fileio import read_rules
-from oniontrust.graph import circle_sizes
+from oniontrust.graph import _circle_widths, _kernel, _mean_circle_size
 from oniontrust.propagation import propagate, propagate_arrays
 
-from helpers import default_rules, graph_from_trust_links, heap_search, reference_arrays
+from helpers import (
+    default_rules,
+    graph_from_trust_links,
+    heap_search,
+    link_mask,
+    reference_arrays,
+    reference_circle_sizes,
+)
 from helpers import scored_graphs as graphs
 
 PROPERTY = settings(max_examples=200)
@@ -96,7 +103,7 @@ def test_circle_sizes_equal_set_bfs(graph, max_hops):
     links = graph.links()
     nbrs = {eid: {l.target for l in links if l.source == eid} for eid in ids}
     want = [set_bfs_circle(nbrs, eid, max_hops) for eid in ids]
-    got = circle_sizes(graph.link_mask(), np.arange(len(ids)), max_hops)
+    got = reference_circle_sizes(link_mask(graph), np.arange(len(ids)), max_hops)
     assert got.tolist() == want
     assert mean_circle_size(graph, max_hops) == sum(want) / len(want)
     assert propagate_arrays(graph, max_hops).mean_circle_size() == sum(want) / len(want)
@@ -136,7 +143,31 @@ def test_reachability_on_raw_masks_equals_set_bfs(cells, max_hops, data):
     nbrs = {i: set(np.flatnonzero(mask[i]).tolist()) for i in range(n)}
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     want = [set_bfs_circle(nbrs, int(i), max_hops) for i in rows]
-    assert circle_sizes(mask, rows, max_hops).tolist() == want
+    assert reference_circle_sizes(mask, rows, max_hops).tolist() == want
+
+
+#: Edge weights and thresholds on one coarse grid, so that many a threshold
+#: p equals some link's u, where u < p must leave that link out.
+U_GRID = [k / 8 for k in range(9)]
+
+
+@PROPERTY
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.sampled_from(U_GRID), min_size=n * n, max_size=n * n)
+    ),
+    st.integers(1, 4),
+    st.sampled_from(U_GRID[1:]),
+)
+def test_bottleneck_widths_give_the_matmul_circle_sizes(cells, max_hops, h):
+    n = int(round(len(cells) ** 0.5))
+    # the diagonal is drawn too: a self loop below p must change nothing
+    u = np.array(cells).reshape(n, n)
+    widths = _circle_widths(u, h, max_hops)
+    for p in [k / 16 for k in range(1, 17) if k / 16 <= h]:
+        want = reference_circle_sizes(u < p, np.arange(n), max_hops)
+        assert np.count_nonzero(widths > -p, axis=1).tolist() == want.tolist()
+        assert _mean_circle_size(widths, p) == int(want.sum()) / n
 
 
 @PROPERTY
@@ -174,7 +205,7 @@ def forced_layers(modes):
     st.sampled_from(LAYER_MODES),
     # small chunks split a delta layer, so a prefix read from best instead
     # of the layer's snapshot would pick up an earlier chunk's raise
-    st.sampled_from([1, 3, propagation.DELTA_CHUNK]),
+    st.sampled_from([1, 3, oniontrust.graph.DELTA_CHUNK]),
 )
 # 1 -> 2 -> 3 raises (1, 3) in layer 2 in the chunk before (1, 3)'s own;
 # extending (1, 3) from its raised value would reach 4 at 1.0, a 3-link walk
@@ -182,20 +213,31 @@ def forced_layers(modes):
          2, LAYER_MODES[0], 1)
 def test_every_layer_mode_gives_the_dense_bits(graph, max_hops, modes, chunk):
     best, hops = reference_arrays(graph, max_hops)
-    with mock.patch.object(propagation, "DELTA_CHUNK", chunk):
-        with mock.patch.object(propagation, "_delta_layer_wins", forced_layers(modes)):
+    with mock.patch.object(oniontrust.graph, "DELTA_CHUNK", chunk):
+        with mock.patch.object(oniontrust.graph, "_delta_layer_wins", forced_layers(modes)):
             arrays = propagate_arrays(graph, max_hops)
         assert arrays.best.view(np.int64).tolist() == best.view(np.int64).tolist()
         assert arrays.hops.tolist() == hops.tolist()
         # each source's row, as propagate runs it, under the same layer modes
         for row, source in enumerate(arrays.ids):
-            with mock.patch.object(propagation, "_delta_layer_wins", forced_layers(modes)):
+            with mock.patch.object(oniontrust.graph, "_delta_layer_wins", forced_layers(modes)):
                 table = propagate(graph, source, max_hops)
             cols = np.flatnonzero(hops[row])
             assert table.targets() == [arrays.ids[t] for t in cols]
             for t in cols.tolist():
                 assert table.get(arrays.ids[t]).value == best[row, t]
                 assert table.get(arrays.ids[t]).hops == hops[row, t]
+        # the same layers in the bottleneck semiring, as calibration runs them
+        ids, src, tgt, tv = graph.pair_arrays(trust=True)
+        with mock.patch.object(oniontrust.graph, "_delta_layer_wins", forced_layers(modes)):
+            for widths, width_hops in _kernel(
+                len(ids), src, tgt, tv, np.arange(len(ids)), max_hops, np.minimum
+            ):
+                pass
+        best, hops = reference_arrays(graph, max_hops, np.minimum)
+        np.maximum(widths, 0.0, out=widths)
+        assert widths.view(np.int64).tolist() == best.view(np.int64).tolist()
+        assert width_hops.tolist() == hops.tolist()
 
 
 def test_an_all_sources_pass_holds_its_result_and_one_square_buffer():

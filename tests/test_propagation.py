@@ -209,9 +209,9 @@ def test_propagate_makes_one_kernel_pass(monkeypatch):
 
     kernel = propagation._kernel
 
-    def counted(n, src, tgt, tv, rows, max_hops):
+    def counted(n, src, tgt, tv, rows, max_hops, combine):
         calls.append(max_hops)
-        return kernel(n, src, tgt, tv, rows, max_hops)
+        return kernel(n, src, tgt, tv, rows, max_hops, combine)
 
     monkeypatch.setattr(propagation, "_kernel", counted)
     g = graph_from_trust_links([(1, 2, 0.9), (2, 3, 0.8), (3, 4, 0.7), (4, 5, 0.6)])
