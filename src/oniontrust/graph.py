@@ -578,6 +578,8 @@ def _delta_layer(best, hops, r, rows, out_lo, tgt, tv, combine):
         old = flat[cell]
         np.maximum.at(flat, cell, cand)
         hop_flat[cell[flat[cell] > old]] = r
+        # Free this chunk's arrays before the next chunk builds its own.
+        del link, s, j, cand, keep, cell, old
         lo = hi
 
 

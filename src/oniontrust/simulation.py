@@ -17,20 +17,24 @@ weighs flags by the column means and THEORETICAL_STOR flags entities
 outside the source's circle, the row's cells with hops 0.
 
 Flags and the bandwidth shape are per-scenario state and live only here:
-`_Prepared` permutes one bandwidth vector (`_correlated`) and each round
-draws one flag mask through the strategy's `_flag_drawer`. Every random
-placement is one keyed draw, `_weighted_draw`; the strategies differ only
-in its weights. The graph itself is never copied or changed.
+`_Prepared` permutes one bandwidth vector (`_correlated`) and plans the
+strategy's flags (`_flag_plan`). ORIGINAL_TOR's flags are fixed; every
+random placement is one keyed draw, `_weighted_draw` of `_flag_keys`, and
+the strategies differ only in its weights. The graph itself is never copied
+or changed.
 
 All randomness is derived from the scenario seed through fixed stream keys,
 so a scenario replays byte for byte. Round r has its own pair of streams:
 a flag stream for that round's mask and a draw stream for its uniforms.
-One runner, `_run_rounds`, takes the rounds in blocks: it draws each
-round's mask and uniforms once, then samples the whole block in one
-`weighted_picks` call. A sweep runs the values on each graph as one batch,
-since the flags never read omega or ts_threshold: every value reads round
-r's uniforms, and the values with one fraction its one flag mask. Each
-value's reports are still those of its scenario run alone.
+They are numpy's `default_rng(SeedSequence(seed, spawn_key=(_ROUND_KEY, r,
+child)))`, but `streams.spawned_states` derives their PCG64 states
+itself, many rounds per vectorized pass of SeedSequence's hash. One runner, `_run_rounds`, takes the
+rounds in blocks: it draws each round's flag uniforms and pick uniforms
+once, keys the block's flags in one pass, then samples the whole block in
+one `weighted_picks` call. A sweep runs the values on each graph as one
+batch, since the flags never read omega or ts_threshold: every value reads
+round r's uniforms, and the values with one fraction its one flag mask.
+Each value's reports are still those of its scenario run alone.
 """
 
 from __future__ import annotations
@@ -65,15 +69,17 @@ from .selection import (
     row_candidates,
     weighted_picks,
 )
+from .streams import spawned_states
 
 # Stream keys under the scenario seed. The graph generator owns spawn keys
 # (0,), (1,), (2,); these must not collide with them.
 _SETUP_KEY = 10
 _ROUND_KEY = 11
 
-#: Picks (rounds x draws x picks per draw) that one weighted_picks call
-#: samples; it keeps a block's uniforms, picks and gathers at a few hundred
-#: KB whatever the round layout. A round larger than this is a block alone.
+#: Cells that one block of rounds holds: picks (rounds x draws x picks per
+#: draw) or flag keys (rounds x routers), whichever a round has more of. It
+#: keeps a block's uniforms, picks, gathers and keys at a few hundred KB
+#: whatever the round layout. A round larger than this is a block alone.
 BLOCK_PICKS = 1 << 14
 
 
@@ -211,18 +217,6 @@ class SimulationResult:
         return float(np.mean([r.avg_bandwidth for r in self.reports]))
 
 
-def _round_streams(seed: int, index: int):
-    """(flag, draw) generators of round index: the two children that
-    SeedSequence(seed, spawn_key=(_ROUND_KEY, index)).spawn(2) would make,
-    built directly."""
-    return tuple(
-        np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(_ROUND_KEY, index, child))
-        )
-        for child in (0, 1)
-    )
-
-
 def _setup_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_SETUP_KEY,))
@@ -265,10 +259,21 @@ def _mean_trust(ids: List[int], best: np.ndarray) -> np.ndarray:
     return best.sum(axis=0) / max(1, len(ids) - 1)
 
 
-def _flag_drawer(ids: List[int], bandwidth: np.ndarray, scenario: SimScenario,
-                 arrays: TrustArrays, row: int,
-                 mean_trust: Optional[Dict[int, float]]):
-    """The strategy's per-round flag draw: a function rng -> flagged rows.
+@dataclass(frozen=True)
+class _FlagPlan:
+    """Where a scenario's flags go each round: the m rows of a
+    _weighted_draw over weights, or, when weights is None, the rows in
+    fixed, the same every round, which draw nothing."""
+
+    m: int
+    weights: Optional[np.ndarray] = None
+    fixed: Optional[np.ndarray] = None
+
+
+def _flag_plan(ids: List[int], bandwidth: np.ndarray, scenario: SimScenario,
+               arrays: TrustArrays, row: int,
+               mean_trust: Optional[Dict[int, float]]) -> _FlagPlan:
+    """The strategy's per-round flags.
 
     bandwidth is over the arrays' ids and row is the source's. ORIGINAL_TOR
     flags the top-bandwidth rows and never draws. The others draw through
@@ -280,10 +285,9 @@ def _flag_drawer(ids: List[int], bandwidth: np.ndarray, scenario: SimScenario,
     """
     m = _flag_count(scenario.fraction, len(ids))
     if scenario.strategy is Strategy.ORIGINAL_TOR:
-        top = np.lexsort((np.array(ids), -bandwidth))[:m]
-        return lambda rng: top
+        return _FlagPlan(m, fixed=np.lexsort((np.array(ids), -bandwidth))[:m])
     if m == 0:
-        return lambda rng: np.empty(0, dtype=int)
+        return _FlagPlan(0, fixed=np.empty(0, dtype=int))
     if scenario.strategy is Strategy.PRACTICAL_STOR:
         if mean_trust is None:
             weights = 1.0 - _mean_trust(ids, arrays.best)
@@ -300,7 +304,7 @@ def _flag_drawer(ids: List[int], bandwidth: np.ndarray, scenario: SimScenario,
         weights = outside.astype(float)
     else:
         weights = np.ones(len(ids))
-    return lambda rng: _weighted_draw(weights, m, rng)
+    return _FlagPlan(m, weights=weights)
 
 
 def _check_mean_trust(ids: List[int], mean_trust: Dict[int, float]):
@@ -320,16 +324,25 @@ def _check_mean_trust(ids: List[int], mean_trust: Dict[int, float]):
             )
 
 
-def _weighted_draw(weights: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m distinct rows drawn one by one with probability proportional to
-    weights >= 0, the zero-weight rows uniformly once the others run out:
-    the top m keys of u = 1 - rng.random(n) in (0, 1] (Efraimidis and
-    Spirakis), u ** (1 / w) for a positive weight, u - 1 <= 0 for a zero."""
-    u = 1.0 - rng.random(len(weights))
-    keys = u - 1.0
+def _flag_keys(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Efraimidis and Spirakis' keys of a (rounds, n) block of uniforms
+    u in [0, 1), negated: with v = 1 - u in (0, 1], -(v ** (1 / w)) for a
+    positive weight w and -(v - 1) >= 0 for a zero. 1 / w overflows to inf
+    for a subnormal w, and v ** inf is the key's limit, 0 (1 at v = 1)."""
+    v = 1.0 - u
+    keys = v - 1.0
     positive = weights > 0.0
-    keys[positive] = u[positive] ** (1.0 / weights[positive])
-    return np.argpartition(-keys, m - 1)[:m]
+    with np.errstate(over="ignore"):
+        keys[:, positive] = v[:, positive] ** (1.0 / weights[positive])
+    return np.negative(keys, out=keys)
+
+
+def _weighted_draw(keys: np.ndarray, m: int) -> np.ndarray:
+    """(rounds, m): in each row of _flag_keys, m distinct columns drawn one
+    by one with probability proportional to weights >= 0, the zero-weight
+    columns uniformly once the others run out. They are the row's m
+    smallest keys, found by one argpartition for the block."""
+    return np.argpartition(keys, m - 1, axis=1)[:, :m]
 
 
 def _correlated(bandwidth, trust, reached, case, rng) -> np.ndarray:
@@ -402,9 +415,7 @@ class _Prepared:
             else None
         )
         self.weights = candidates.weights(policy)
-        self.draw_flags = _flag_drawer(
-            self.ids, self.bw, scenario, arrays, row, mean_trust
-        )
+        self.flags = _flag_plan(self.ids, self.bw, scenario, arrays, row, mean_trust)
 
 
 def _run_rounds(
@@ -417,13 +428,18 @@ def _run_rounds(
     """The rounds of scenarios that differ at most in omega, ts_threshold
     and fraction, one result per scenario.
 
-    Rounds run in blocks of at most BLOCK_PICKS picks. Round r's streams
-    are drawn once for all scenarios: one flag mask per distinct fraction,
-    each from the round's fresh flag stream, and one array of uniforms.
-    Each scenario then samples the block in one weighted_picks call and
-    reduces it per round; rows are independent and a row's mean sums in the
-    same order as a single round's, so the reports are those of running
-    each scenario alone, round by round.
+    Rounds run in blocks of at most BLOCK_PICKS picks or flag keys, and
+    spawned_states gives each round's pair of stream states once for all
+    scenarios, set in turn on two reused generators. Each round draws its
+    n flag uniforms from its flag stream into the block, unless no
+    scenario's flags are random, and its picks' uniforms from its draw
+    stream. The block's flag keys are computed once: the scenarios share
+    their flag weights (flags never read omega or ts_threshold), so each
+    distinct fraction takes one _weighted_draw of its m rows off them, and
+    fixed flags are set once. Each scenario then samples the block in one
+    weighted_picks call and reduces it per round; rows are independent and
+    a row's mean sums in the same order as a single round's, so the
+    reports are those of running each scenario alone, round by round.
     """
     if mean_trust is not None:
         _check_mean_trust(graph.entity_ids(), mean_trust)
@@ -435,25 +451,37 @@ def _run_rounds(
         # The sampler's input checks, before any rounds, so that a batch
         # fails on its first bad scenario as one run at a time would.
         weighted_picks(preps[-1].weights, np.empty((0, length)))
-    # Flags never read omega or ts_threshold: one drawer per fraction.
-    drawers = {}
+    plans = {}
     for sc, prep in zip(scenarios, preps):
-        drawers.setdefault(sc.fraction, prep.draw_flags)
-    block = max(1, BLOCK_PICKS // (first.draws * length))
+        plans.setdefault(sc.fraction, prep.flags)
+    n = len(preps[0].ids)
+    block = max(1, BLOCK_PICKS // max(first.draws * length, n))
     u = np.empty((block, first.draws, length))
-    masks = {f: np.empty((block, len(preps[0].ids)), dtype=bool) for f in drawers}
+    masks = {f: np.zeros((block, n), dtype=bool) for f in plans}
+    keyed = {f: plan for f, plan in plans.items() if plan.weights is not None}
+    for f, plan in plans.items():
+        if plan.weights is None:
+            masks[f][:, plan.fixed] = True
+    if keyed:
+        weights = next(iter(keyed.values())).weights
+        flag_u = np.empty((block, n))
+    flag_rng, draw_rng = (np.random.Generator(np.random.PCG64(0)) for _ in range(2))
+    states = spawned_states(first.seed, _ROUND_KEY, range(first.rounds))
     reports: List[List[RoundReport]] = [[] for _ in scenarios]
     for start in range(0, first.rounds, block):
         indices = range(start, min(start + block, first.rounds))
         b = len(indices)
-        for i, r in enumerate(indices):
-            flag_rng, draw_rng = _round_streams(first.seed, r)
-            fresh = flag_rng.bit_generator.state
-            for fraction, draw_flags in drawers.items():
-                flag_rng.bit_generator.state = fresh
-                masks[fraction][i] = False
-                masks[fraction][i, draw_flags(flag_rng)] = True
+        for i, (flag_state, draw_state) in zip(range(b), states):
+            if keyed:
+                flag_rng.bit_generator.state = flag_state
+                flag_rng.random(out=flag_u[i])
+            draw_rng.bit_generator.state = draw_state
             draw_rng.random(out=u[i])
+        if keyed:
+            keys = _flag_keys(weights, flag_u[:b])
+            for f, plan in keyed.items():
+                masks[f][:b] = False
+                np.put_along_axis(masks[f][:b], _weighted_draw(keys, plan.m), True, axis=1)
         for sc, prep, out in zip(scenarios, preps, reports):
             members = weighted_picks(prep.weights, u[:b].reshape(-1, length))
             picked = prep.cand_idx[members].reshape(b, first.draws, length)

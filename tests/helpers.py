@@ -4,8 +4,9 @@ The oracles deliberately re-derive results from first principles (numeric
 quadrature, exhaustive path and draw-order enumeration) instead of reusing
 package code. The heap search, the dense propagation loop, the matmul
 circle sizes and calibration loop, the CSV reference writer, the per-group scoring loop, the dict-based candidate and
-correlation references, the binary-search sampler and the round-by-round
-simulation loop are the exception: they are the slow paths the current
+correlation references, the binary-search sampler, the round-by-round
+simulation loop with numpy's own round streams and the 1-D keyed flag
+draw are the exception: they are the slow paths the current
 code replaced, kept to pin its bits. The graph-file parser keeps its own
 slow path, the per-line loop, in the package as its error reporter.
 """
@@ -37,7 +38,7 @@ import oniontrust.graph
 from oniontrust.errors import DomainError, EmptyCandidateSetError, GeneratorParamsError
 from oniontrust.graph import _sample_rows
 from oniontrust.selection import weighted_picks
-from oniontrust.simulation import RoundReport, _Prepared, _round_streams
+from oniontrust.simulation import RoundReport, _Prepared, _ROUND_KEY
 
 # -- rule sets ----------------------------------------------------------------
 
@@ -604,19 +605,49 @@ def reference_picks(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 # -- round-by-round reference ---------------------------------------------------
 
 
+def reference_round_streams(seed: int, index: int):
+    """(flag, draw) generators of round index: the two children that
+    SeedSequence(seed, spawn_key=(_ROUND_KEY, index)).spawn(2) would make,
+    built directly by numpy, one round at a time."""
+    return tuple(
+        np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(_ROUND_KEY, index, child))
+        )
+        for child in (0, 1)
+    )
+
+
+def reference_weighted_draw(weights: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m distinct rows drawn one by one with probability proportional to
+    weights >= 0, the zero-weight rows uniformly once the others run out:
+    the top m keys of u = 1 - rng.random(n) in (0, 1] (Efraimidis and
+    Spirakis), u ** (1 / w) for a positive weight, u - 1 <= 0 for a zero.
+    One round, one 1-D draw."""
+    u = 1.0 - rng.random(len(weights))
+    keys = u - 1.0
+    positive = weights > 0.0
+    keys[positive] = u[positive] ** (1.0 / weights[positive])
+    return np.argpartition(-keys, m - 1)[:m]
+
+
 def reference_rounds(graph: SocialGraph, scenario, circuits: bool, mean_trust=None, arrays=None):
     """(reports, circle size, trustworthy size) as the per-round loop made them.
 
     One scenario, one round at a time: the round's flag mask from its own
-    flag stream, then `draws` rows of picks from its draw stream.
+    flag stream, then `draws` rows of picks from its draw stream, both
+    built by numpy's SeedSequence.
     """
     prep = _Prepared(graph, scenario, mean_trust, arrays)
+    plan = prep.flags
     length = scenario.circuit_length if circuits else 1
     reports = []
     for r in range(scenario.rounds):
-        flag_rng, draw_rng = _round_streams(scenario.seed, r)
+        flag_rng, draw_rng = reference_round_streams(scenario.seed, r)
         flag_mask = np.zeros(len(prep.ids), dtype=bool)
-        flag_mask[prep.draw_flags(flag_rng)] = True
+        if plan.weights is None:
+            flag_mask[plan.fixed] = True
+        else:
+            flag_mask[reference_weighted_draw(plan.weights, plan.m, flag_rng)] = True
         u = draw_rng.random((scenario.draws, length))
         picked = prep.cand_idx[weighted_picks(prep.weights, u)]
         hit = flag_mask[picked]

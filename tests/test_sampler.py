@@ -4,8 +4,9 @@ Every router, circuit and round of circuits is drawn by `weighted_picks`, so
 its law is checked here against exhaustive enumeration, its guards (no
 zero-weight pick, no repeat) against random and adversarial weights, and its
 indexed search index for index against the binary search it replaced. Every
-random flag placement is the keyed draw `_weighted_draw`, whose subset law
-is checked the same way.
+random flag placement is the keyed draw `_weighted_draw` of a block of
+rounds, whose subset law is checked the same way and whose rows are checked
+against the 1-D draw of one round.
 """
 
 import itertools
@@ -33,13 +34,15 @@ from oniontrust.errors import (
     ZeroDenominatorError,
 )
 from oniontrust.selection import weighted_picks
-from oniontrust.simulation import _Prepared, _round_streams, _weighted_draw
+from oniontrust.simulation import _flag_keys, _Prepared, _ROUND_KEY, _weighted_draw
+from oniontrust.streams import spawned_states
 
 from helpers import (
     exact_order_probability,
     exact_subset_probability,
     graph_from_trust_links,
     reference_picks,
+    reference_weighted_draw,
 )
 
 PROPERTY = settings(max_examples=300)
@@ -271,8 +274,9 @@ def test_keyed_draw_follows_the_exact_subset_law(weights, m):
     draws = 20_000
     counts = dict.fromkeys(law, 0)
     w = np.array(weights)
-    for _ in range(draws):
-        counts[tuple(sorted(_weighted_draw(w, m, rng).tolist()))] += 1
+    # one block of 20,000 rounds, each keyed off its own row of uniforms
+    for rows in _weighted_draw(_flag_keys(w, rng.random((draws, len(w)))), m).tolist():
+        counts[tuple(sorted(rows))] += 1
     support = [s for s, p in law.items() if p > 0.0]
     assert sum(counts[s] for s in support) == draws  # nothing off the support
     obs = [counts[s] for s in support]
@@ -280,6 +284,39 @@ def test_keyed_draw_follows_the_exact_subset_law(weights, m):
     if len(support) > 1:
         _, pvalue = stats.chisquare(obs, exp)
         assert pvalue > 0.001
+
+
+@st.composite
+def flag_draw_cases(draw):
+    """(weights, m, seed): weights with zeros, subnormals, huge values or
+    none positive at all, and any m from 1 to n."""
+    n = draw(st.integers(1, 12))
+    value = st.one_of(
+        st.just(0.0), st.just(5e-324), st.just(1e-310),
+        st.floats(1e-300, 1e300), st.floats(0.0, 1.0),
+    )
+    weights = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    return weights, draw(st.integers(1, n)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=400)
+@given(case=flag_draw_cases(), rounds=st.integers(1, 6))
+@example(case=(np.zeros(4), 2, 3), rounds=3)
+@example(case=(np.array([5e-324, 0.0, 5e-324, 1.0, 0.0]), 4, 9), rounds=4)
+@example(case=(np.array([0.5, 2.0, 0.0]), 3, 1), rounds=2)
+@example(case=(np.array([0.0, 1.0]), 1, 5), rounds=5)
+def test_block_draw_flags_each_round_as_the_one_round_draw(case, rounds):
+    # Each row of a block draw flags the set the 1-D draw flags from the
+    # same stream, so the rounds of a block keep their masks.
+    weights, m, seed = case
+    rng = np.random.default_rng(seed)
+    block = _weighted_draw(_flag_keys(weights, rng.random((rounds, len(weights)))), m)
+    assert block.shape == (rounds, m)
+    want = np.random.default_rng(seed)
+    for row in block.tolist():
+        with np.errstate(over="ignore"):  # 1 / w of a subnormal w
+            one = reference_weighted_draw(weights, m, want)
+        assert sorted(row) == sorted(one.tolist())
 
 
 # -- select-mode bytes ------------------------------------------------------------
@@ -332,10 +369,13 @@ def test_selection_rounds_match_the_cumsum_formula_bit_for_bit(strategy):
     prep = _Prepared(g, scenario)
     w = prep.weights
     cum, total = np.cumsum(w), w.sum()
-    for r, report in enumerate(result.reports):
-        flag_rng, draw_rng = _round_streams(scenario.seed, r)
+    flag_rng, draw_rng = (np.random.Generator(np.random.PCG64()) for _ in range(2))
+    states = spawned_states(scenario.seed, _ROUND_KEY, range(scenario.rounds))
+    for report, (flag_state, draw_state) in zip(result.reports, states, strict=True):
+        flag_rng.bit_generator.state, draw_rng.bit_generator.state = flag_state, draw_state
+        u = flag_rng.random((1, len(prep.ids)))
         flags = np.zeros(len(prep.ids), dtype=bool)
-        flags[prep.draw_flags(flag_rng)] = True
+        flags[_weighted_draw(_flag_keys(prep.flags.weights, u), prep.flags.m)] = True
         sel = np.searchsorted(cum, draw_rng.random(scenario.draws) * total, side="right")
         np.clip(sel, 0, len(cum) - 1, out=sel)
         picked = prep.cand_idx[sel]

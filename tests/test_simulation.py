@@ -39,13 +39,15 @@ from oniontrust.propagation import TrustArrays, TrustScore, TrustScoreTable, pro
 from oniontrust.simulation import (
     _correlated,
     _flag_count,
-    _flag_drawer,
+    _flag_keys,
+    _flag_plan,
     _Prepared,
     _ROUND_KEY,
-    _round_streams,
     _run_rounds,
     _setup_rng,
+    _weighted_draw,
 )
+from oniontrust.streams import STATE_CHUNK, spawned_states
 
 from helpers import (
     TRUST,
@@ -55,6 +57,7 @@ from helpers import (
     heap_search,
     reference_candidates,
     reference_correlation,
+    reference_round_streams,
     reference_rounds,
     scored_graphs,
 )
@@ -70,18 +73,23 @@ def star(n, bandwidths=None, tv=0.5):
 
 
 def flag_plan(graph, scenario):
-    """The ids and the scenario's _flag_drawer over propagate_arrays(graph)
+    """The ids and the scenario's _flag_plan over propagate_arrays(graph)
     and the graph's bandwidths."""
     arrays = propagate_arrays(graph)
     bandwidth = np.array([graph.bandwidth(eid) for eid in arrays.ids])
     row = arrays.ids.index(scenario.source)
-    return arrays.ids, _flag_drawer(arrays.ids, bandwidth, scenario, arrays, row, None)
+    return arrays.ids, _flag_plan(arrays.ids, bandwidth, scenario, arrays, row, None)
 
 
 def flagged_ids(plan, rng):
-    """Entity ids of one round's flags."""
-    ids, draw = plan
-    return {ids[k] for k in draw(rng).tolist()}
+    """Entity ids of one round's flags, keyed off a one-round block of
+    rng's uniforms when the plan draws."""
+    ids, flags = plan
+    if flags.weights is None:
+        rows = flags.fixed
+    else:
+        rows = _weighted_draw(_flag_keys(flags.weights, rng.random((1, len(ids)))), flags.m)[0]
+    return {ids[k] for k in rows.tolist()}
 
 
 def test_flag_count_rounding():
@@ -205,16 +213,28 @@ def test_every_random_placement_is_one_keyed_draw_of_the_rounds_uniforms(case):
         assert flagged_ids(plan, np.random.default_rng(seed)) == want
 
 
-def test_flag_draws_leave_the_stream_alone_when_nothing_is_random():
-    # no routers to flag, or ORIGINAL_TOR's fixed top-bandwidth flags
+def test_flag_draws_leave_the_stream_alone_when_nothing_is_random(monkeypatch):
+    # no routers to flag, or ORIGINAL_TOR's fixed top-bandwidth flags: the
+    # plan draws nothing, and the runner never sets a round's flag stream
+    # (a None state would fail) nor keys a block
+    import oniontrust.simulation
+
+    def draw_states_only(seed, key, indices):
+        for _, draw in spawned_states(seed, key, indices):
+            yield None, draw
+
+    def forbidden(*args):
+        raise AssertionError("keyed fixed flags")
+
+    monkeypatch.setattr(oniontrust.simulation, "spawned_states", draw_states_only)
+    monkeypatch.setattr(oniontrust.simulation, "_flag_keys", forbidden)
     g = star(6)
     cases = [(strategy, 0.0) for strategy in Strategy] + [(Strategy.ORIGINAL_TOR, 0.5)]
     for strategy, fraction in cases:
-        plan = flag_plan(g, SimScenario(strategy=strategy, fraction=fraction))
-        rng = np.random.default_rng(1)
-        before = rng.bit_generator.state
-        flagged_ids(plan, rng)
-        assert rng.bit_generator.state == before, strategy
+        scenario = SimScenario(strategy=strategy, fraction=fraction, rounds=3, draws=5)
+        assert flag_plan(g, scenario)[1].weights is None, strategy
+        want, _, _ = reference_rounds(g, scenario, circuits=False)
+        assert run_simulation(g, scenario).reports == want, strategy
 
 
 def correlation_fixture():
@@ -380,12 +400,44 @@ def test_simulation_is_reproducible():
     assert [r.r_mr for r in a.reports] != [r.r_mr for r in c.reports]
 
 
-@pytest.mark.parametrize("seed", [0, 11, 2**40])
+@pytest.mark.parametrize("seed", [0, 11, 2**40, 2**64 + 3, 2**128 - 1, 2**160 + 7])
 def test_round_streams_are_the_round_seed_sequences_spawned_children(seed):
-    for index in (0, 1, 7, 10**6):
+    # The derived states against numpy's: entropy of one to six words (past
+    # the pool of four, which numpy does not pad), spawn keys of one and two
+    # round words, and a chunk that straddles 2**32.
+    def assert_numpy_streams(index, states):
         parent = np.random.SeedSequence(entropy=seed, spawn_key=(_ROUND_KEY, index))
-        for got, child in zip(_round_streams(seed, index), parent.spawn(2)):
-            assert got.random(5).tolist() == np.random.default_rng(child).random(5).tolist()
+        for state, child in zip(states, parent.spawn(2)):
+            want = np.random.default_rng(child)
+            got = np.random.Generator(np.random.PCG64(0))
+            got.bit_generator.state = state
+            assert state == want.bit_generator.state
+            assert got.random(5).tolist() == want.random(5).tolist()
+
+    for index in (0, 1, 7, 10**6, 2**32 - 1, 2**32):
+        (states,) = spawned_states(seed, _ROUND_KEY, range(index, index + 1))
+        assert_numpy_streams(index, states)
+    straddle = range(2**32 - 3, 2**32 + 3)
+    for index, states in zip(straddle, spawned_states(seed, _ROUND_KEY, straddle), strict=True):
+        assert_numpy_streams(index, states)
+
+
+def test_spawned_states_run_across_chunks():
+    rounds = range(5, 5 + 2 * STATE_CHUNK + 3)
+    got = list(spawned_states(11, _ROUND_KEY, rounds))
+    assert len(got) == len(rounds)
+    for index in (5, 4 + STATE_CHUNK, 5 + STATE_CHUNK, 5 + 2 * STATE_CHUNK, rounds[-1]):
+        want = [rng.bit_generator.state for rng in reference_round_streams(11, index)]
+        assert list(got[index - 5]) == want
+
+
+def test_spawned_states_fail_when_numpy_derives_other_streams(monkeypatch):
+    import oniontrust.streams
+
+    # a hash that no longer matches numpy's, as a changed numpy would
+    monkeypatch.setattr(oniontrust.streams, "_MULT_B", oniontrust.streams._MULT_B ^ 2)
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        next(spawned_states(0, _ROUND_KEY, range(3)))
 
 
 def test_dispatch_and_result_shape():
@@ -513,34 +565,45 @@ def test_sweep_reads_the_source_table_from_its_arrays(monkeypatch, strategy, cas
 def test_a_sweep_draws_each_rounds_streams_once_and_a_mask_per_fraction(monkeypatch):
     import oniontrust.simulation
 
-    streams, masks = [], []
+    streams, keys, masks = [], [], []
 
-    def counted_streams(seed, index):
-        streams.append(index)
-        return _round_streams(seed, index)
+    def counted_states(seed, key, indices):
+        for index, states in zip(indices, spawned_states(seed, key, indices)):
+            streams.append(index)
+            yield states
 
-    def counted_drawer(ids, bandwidth, scenario, *rest):
-        draw = _flag_drawer(ids, bandwidth, scenario, *rest)
+    def counted_keys(weights, u):
+        keys.append(len(u))
+        return _flag_keys(weights, u)
 
-        def counted(rng):
-            masks.append(scenario.fraction)
-            return draw(rng)
+    def counted_draw(block_keys, m):
+        masks.append((m, len(block_keys)))
+        return _weighted_draw(block_keys, m)
 
-        return counted
-
-    monkeypatch.setattr(oniontrust.simulation, "_round_streams", counted_streams)
-    monkeypatch.setattr(oniontrust.simulation, "_flag_drawer", counted_drawer)
+    monkeypatch.setattr(oniontrust.simulation, "spawned_states", counted_states)
+    monkeypatch.setattr(oniontrust.simulation, "_flag_keys", counted_keys)
+    monkeypatch.setattr(oniontrust.simulation, "_weighted_draw", counted_draw)
     scenario = SimScenario(
         strategy=Strategy.PRACTICAL_STOR, fraction=0.1, n=40, generator_kind="er",
         generator_value=0.08, rounds=10, draws=40, source=5,
     )
+    # one block of all ten rounds: each round's states once, one set of
+    # keys, and one draw of the ten rounds' masks per distinct fraction
+    # (m = 4, 8 and 12 of 40)
     sweep(scenario, "ts_h", [0.0, 0.01, 0.02, 0.03], default_rules())
     assert streams == list(range(10))
-    assert masks == [0.1] * 10
-    del streams[:], masks[:]
+    assert (keys, masks) == ([10], [(4, 10)])
+    del streams[:], keys[:], masks[:]
     sweep(scenario, "fraction", [0.1, 0.2, 0.1, 0.3], default_rules())
     assert streams == list(range(10))
-    assert masks == [0.1, 0.2, 0.3] * 10
+    assert (keys, masks) == ([10], [(4, 10), (8, 10), (12, 10)])
+    # blocks of 4, 4 and 2 rounds: 40 picks and 40 keys a round
+    del streams[:], keys[:], masks[:]
+    monkeypatch.setattr(oniontrust.simulation, "BLOCK_PICKS", 4 * 40 + 39)
+    sweep(scenario, "fraction", [0.1, 0.2], default_rules())
+    assert streams == list(range(10))
+    assert keys == [4, 4, 2]
+    assert masks == [(4, 4), (8, 4), (4, 4), (8, 4), (4, 2), (8, 2)]
 
 
 def test_a_batch_fails_on_its_first_bad_scenario():
@@ -565,11 +628,12 @@ def test_batched_rounds_equal_the_round_by_round_loop(monkeypatch, strategy):
     )
     graph = build_scenario_graph(base, default_rules())
     arrays = propagate_arrays(graph, base.max_hops)
-    # A select round is 30 picks and a circuit round 90: the default holds
-    # all seven rounds in one block, 100 picks make blocks of 3, 3 and 1
-    # select rounds, and 64 make blocks of 2, 2, 2 and 1 select rounds and
-    # one-round blocks of circuits, which alone pass the cap.
-    for block_picks in (oniontrust.simulation.BLOCK_PICKS, 100, 64):
+    # A select round holds 40 cells (30 picks, 40 flag keys) and a circuit
+    # round 90 (90 picks): the default holds all seven rounds in one block,
+    # 120 cells make blocks of 3, 3 and 1 select rounds, and 80 make blocks
+    # of 2, 2, 2 and 1 select rounds and one-round blocks of circuits,
+    # which alone pass the cap.
+    for block_picks in (oniontrust.simulation.BLOCK_PICKS, 120, 80):
         monkeypatch.setattr(oniontrust.simulation, "BLOCK_PICKS", block_picks)
         for case, circuits in itertools.product(CorrelationCase, (False, True)):
             sc = dataclasses.replace(base, case=case)
@@ -910,8 +974,8 @@ def test_prepared_rows_match_the_dict_based_references(graph, max_hops, seed, da
         if strategy is Strategy.ORIGINAL_TOR:
             top = sorted(ids, key=lambda eid: (-bandwidth[eid], eid))
             m = _flag_count(fraction, len(ids))
-            flags = prep.draw_flags(np.random.default_rng(seed))
-            assert [ids[k] for k in flags] == top[:m]
+            assert prep.flags.weights is None
+            assert [ids[k] for k in prep.flags.fixed] == top[:m]
         trust_aware = strategy.selection_mode is SelectionMode.TRUST_AWARE
         assert prep.trustworthy_size == (len(want_ids) if trust_aware else None)
 
