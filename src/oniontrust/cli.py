@@ -102,6 +102,9 @@ def cmd_simulate(args) -> int:
     rules = read_rules(args.rules)
     graph = build_scenario_graph(scenario, rules)
     result = run_simulation(graph, scenario)
+    # The rounds set the command's peak memory; freeing the graph first
+    # lets the writers run below it.
+    del graph
     rounds_path = _out_path(args, "rounds.csv")
     write_round_reports(rounds_path, result.reports)
     write_cdf(_out_path(args, "cdf_r_mr.csv"), [r.r_mr for r in result.reports])

@@ -11,12 +11,11 @@ same link columns. The graph text and the link CSV are written from those
 columns, which are already in (source, target, network) order, so no link
 record is built.
 
-Every CSV goes through one column-wise writer: a table arrives as blocks of
-text columns and is joined row by row per block. Cells follow one rule
-(None -> empty, float -> shortest repr, anything else -> str). The trust
-score table is written straight from TrustArrays in blocks of source rows,
-so no per-pair object is built and the whole table's text is never held at
-once.
+Every CSV goes through cells.write_csv, which assembles a block's bytes
+from column matrices of NUL-padded cells. Cells follow one rule (None ->
+empty, float -> shortest repr, anything else -> str); the float cells of
+the link and score tables come from an exact uint64 shortest-digit
+kernel. The writers import cells only when they run.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import math
 import operator
 import re
 from importlib import resources
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -698,68 +697,44 @@ def read_scenario(path) -> SimScenario:
 
 # -- CSV output ----------------------------------------------------------------
 
-#: Sources per write in write_trust_scores: each block joins a few tens of
-#: thousands of rows at n = 1000, while the text of the whole table is never
-#: held at once.
-_SCORE_BLOCK_ROWS = 64
+#: Sources per write in write_trust_scores: a block assembles at most
+#: 32 * n rows, about 10,000 on the benchmark's n = 1000 graph, so the
+#: whole table is never held at once.
+_SCORE_BLOCK_ROWS = 32
 
 #: Links per write in write_link_trust, for the same reason.
 _LINK_BLOCK_ROWS = 1 << 13
 
 
-def _fmt(value) -> str:
-    """One CSV cell: None -> empty, float -> shortest repr, else str.
-
-    float.__repr__ also prints numpy floats (a float subclass) as plain
-    numbers, where numpy's own repr would write np.float64(0.1).
-    """
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return float.__repr__(value)
-    return str(value)
-
-
-def _columns(rows: Iterable[Sequence]) -> List[List[str]]:
-    """Row tuples as columns of formatted cells; no rows gives no columns."""
-    return [list(map(_fmt, column)) for column in zip(*rows)]
-
-
-def _write_csv(path, header: Sequence[str], blocks: Iterable[Sequence[Sequence[str]]]):
-    """Write the header, then each block of equal-length text columns as rows.
-
-    Blocks are written as they come, so a caller can stream a large table
-    without holding all of its text at once.
-    """
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for columns in blocks:
-            if columns and len(columns[0]):
-                handle.write("\n".join(map(",".join, zip(*columns))))
-                handle.write("\n")
-
-
 def write_round_reports(path, reports: Sequence[RoundReport]):
-    _write_csv(
+    from . import cells
+
+    cells.write_csv(
         path,
         ("round", "r_mr", "r_mc", "avg_bandwidth", "draws"),
-        [_columns((r.index, r.r_mr, r.r_mc, r.avg_bandwidth, r.draws) for r in reports)],
+        [cells.record_columns((r.index, r.r_mr, r.r_mc, r.avg_bandwidth, r.draws) for r in reports)],
     )
 
 
 def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """(value, fraction of samples <= value) at each distinct sample value."""
-    ordered = sorted(values)
-    total = len(ordered)
-    points = []
-    for k, value in enumerate(ordered, start=1):
-        if k == total or ordered[k] != value:
-            points.append((value, k / total))
-    return points
+    """(value, fraction of samples <= value) at each distinct sample value.
+
+    Each value is the last of its run of equal samples in sorted(values),
+    so 0.0 and -0.0 come out as they went in; k / total is one correctly
+    rounded division, taken in Python: an int-to-float cast would load
+    numpy code at the end of a simulation, at its peak memory.
+    """
+    ordered = np.array(sorted(values), dtype=float)
+    ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], len(ordered) > 0)).tolist()
+    return [(value, (k + 1) / len(ordered)) for value, k in zip(ordered[ends].tolist(), ends)]
 
 
 def write_cdf(path, values: Sequence[float]):
-    _write_csv(path, ("value", "cumulative_fraction"), [_columns(cdf_points(values))])
+    from . import cells
+
+    cells.write_csv(
+        path, ("value", "cumulative_fraction"), [cells.record_columns(cdf_points(values))]
+    )
 
 
 def _trust_cells(trust: np.ndarray, prefix: str = "") -> List[str]:
@@ -770,51 +745,56 @@ def _trust_cells(trust: np.ndarray, prefix: str = "") -> List[str]:
 def write_link_trust(path, graph: SocialGraph):
     """One (source, target, network, trust_value) row per link, written
     from the link columns in their (source, target, network) order,
-    _LINK_BLOCK_ROWS links at a time."""
+    _LINK_BLOCK_ROWS links at a time; an unscored link's trust is empty."""
+    from . import cells
+
     links = graph.link_columns()
 
     def blocks():
         for lo in range(0, len(links), _LINK_BLOCK_ROWS):
             rows = slice(lo, lo + _LINK_BLOCK_ROWS)
             yield (
-                list(map(str, links.source[rows].tolist())),
-                list(map(str, links.target[rows].tolist())),
-                list(map(str, links.network[rows].tolist())),
-                _trust_cells(links.trust[rows]),
+                cells.int_cells(links.source[rows]),
+                cells.int_cells(links.target[rows]),
+                cells.int_cells(links.network[rows]),
+                cells.float_cells(links.trust[rows]),
             )
 
-    _write_csv(path, ("source", "target", "network", "trust_value"), blocks())
+    cells.write_csv(path, ("source", "target", "network", "trust_value"), blocks())
 
 
 def write_trust_scores(path, arrays: TrustArrays):
     """One (source, target, ts, hops) row per scored pair (hops > 0).
 
     Rows run source-major over the sorted ids, the order of the per-source
-    tables' sorted targets. Id and hop cells come from small tables of
-    preformatted strings, scores from float.__repr__, and the rows are
-    formatted and written _SCORE_BLOCK_ROWS sources at a time.
+    tables' sorted targets. Id and hop cells are gathered from small tables
+    of each id's and hop count's text, scores come from float_cells, and
+    the rows are assembled and written _SCORE_BLOCK_ROWS sources at a time.
     """
-    id_text = np.array([str(eid) for eid in arrays.ids], dtype=object)
-    hop_text = np.array(
-        [str(h) for h in range(int(arrays.hops.max(initial=0)) + 1)], dtype=object
-    )
+    from . import cells
+
+    id_cells = cells.text_cells(list(map(str, arrays.ids)))
+    hop_cells = cells.text_cells(list(map(str, range(int(arrays.hops.max(initial=0)) + 1))))
 
     def blocks():
-        for lo in range(0, len(id_text), _SCORE_BLOCK_ROWS):
-            hi = lo + _SCORE_BLOCK_ROWS
-            scored = arrays.hops[lo:hi] > 0
-            rows, cols = np.nonzero(scored)
+        for lo in range(0, len(id_cells), _SCORE_BLOCK_ROWS):
+            block = slice(lo, lo + _SCORE_BLOCK_ROWS)
+            hops = arrays.hops[block]
+            scored = np.flatnonzero(hops)
+            rows, cols = np.unravel_index(scored, hops.shape)
             yield (
-                id_text[rows + lo].tolist(),
-                id_text[cols].tolist(),
-                list(map(float.__repr__, arrays.best[lo:hi][scored].tolist())),
-                hop_text[arrays.hops[lo:hi][scored]].tolist(),
+                np.take(id_cells, rows + lo, axis=0),
+                np.take(id_cells, cols, axis=0),
+                cells.float_cells(arrays.best[block].ravel()[scored]),
+                np.take(hop_cells, hops.ravel()[scored], axis=0),
             )
 
-    _write_csv(path, ("source", "target", "ts", "hops"), blocks())
+    cells.write_csv(path, ("source", "target", "ts", "hops"), blocks())
 
 
 def write_sweep_rows(path, rows: Sequence[SweepRow]):
     """One row per SweepRow, its fields as the columns in declaration order."""
+    from . import cells
+
     names = [field.name for field in dataclasses.fields(SweepRow)]
-    _write_csv(path, names, [_columns(map(operator.attrgetter(*names), rows))])
+    cells.write_csv(path, names, [cells.record_columns(map(operator.attrgetter(*names), rows))])

@@ -499,6 +499,17 @@ def reference_cell(value) -> str:
     return str(value)
 
 
+def reference_cdf_points(values):
+    """cdf_points as a walk over sorted(values) took them."""
+    ordered = sorted(values)
+    total = len(ordered)
+    points = []
+    for k, value in enumerate(ordered, start=1):
+        if k == total or ordered[k] != value:
+            points.append((value, k / total))
+    return points
+
+
 def reference_trust_scores_csv(graph: SocialGraph, max_hops: int) -> bytes:
     """trust_scores.csv row by row over per-source heap_search tables."""
     lines = ["source,target,ts,hops"]
