@@ -4,10 +4,12 @@ The text formats are line based; blank lines and lines starting with '#' are
 skipped everywhere. Serialization orders everything (entities, links, keys)
 so the same object always produces the same bytes. A graph file is read by
 columns: its link lines are split a chunk at a time, grouped by their keys,
-and each group's tokens become arrays at once, checked over arrays. A file
-that fails any check is read again by the per-line loop, which raises the
-error naming its first bad line; the two accept the same files and give the
-same link columns. The graph text and the link CSV are written from those
+and each group's tokens become arrays at once. The parse checks the tokens
+and the order of declaration itself and leaves self links, trust values
+outside [0, 1] and duplicate links to SocialGraph.add_links. A file that
+fails any check is read again by the per-line loop, which raises the error
+naming its first bad line; the two accept the same files and give the same
+link columns. The graph text and the link CSV are written from those
 columns, which are already in (source, target, network) order, so no link
 record is built.
 
@@ -52,6 +54,25 @@ def _content_lines(text: str) -> List[Tuple[int, str]]:
         if line and not line.startswith("#"):
             out.append((number, line))
     return out
+
+
+def _read_text(path) -> str:
+    """The text of a UTF-8 file, read in text mode. Only a file with a byte
+    that does not decode is read again, as bytes, to name that byte's line
+    as str.splitlines() counts lines."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(
+            "byte 0x%02x is not UTF-8 (%s)" % (data[exc.start], exc.reason), line=line
+        ) from None
 
 
 def _split_kv(token: str, number: int) -> Tuple[str, str]:
@@ -146,11 +167,7 @@ def _parse_graph_lines(text: str) -> SocialGraph:
         raise ParseError("empty graph file", line=1)
     declared = _graph_header(lines[0][0], lines[0][1].split())
     graph = SocialGraph()
-    # Link lines fill rows column by column; the attribute columns are
-    # keyed by their full token key ("q:freq") until the last line.
     rows = LinkRows()
-    quant: Dict[str, Tuple[List[int], List[float]]] = {}
-    qual: Dict[str, Tuple[List[int], List[int]]] = {}
     keys = set()
     seen_entities = 0
     for number, line in lines[1:]:
@@ -174,9 +191,9 @@ def _parse_graph_lines(text: str) -> SocialGraph:
                 if key in seen:
                     raise ParseError("repeated key %r" % key, line=number)
                 seen.add(key)
-                prefix = key[:2]
+                prefix, name = key[:2], key[2:]
                 if prefix == "q:":
-                    at, values = quant.get(key) or quant.setdefault(key, ([], []))
+                    at, values = rows.quant.get(name) or rows.quant.setdefault(name, ([], []))
                     at.append(row)
                     values.append(_parse_float(value, "attribute %s" % key, number))
                 elif prefix == "c:":
@@ -186,7 +203,7 @@ def _parse_graph_lines(text: str) -> SocialGraph:
                             "bad class %r (want POSITIVE/NEUTRAL/NEGATIVE)" % value,
                             line=number,
                         )
-                    at, codes = qual.get(key) or qual.setdefault(key, ([], []))
+                    at, codes = rows.qual.get(name) or rows.qual.setdefault(name, ([], []))
                     at.append(row)
                     codes.append(code)
                 elif key == "network":
@@ -223,8 +240,6 @@ def _parse_graph_lines(text: str) -> SocialGraph:
         raise ParseError(
             "header declares %d entities, file has %d" % (declared, seen_entities)
         )
-    rows.quant = {key[2:]: column for key, column in quant.items()}
-    rows.qual = {key[2:]: column for key, column in qual.items()}
     graph.add_links(rows.columns())
     return graph
 
@@ -311,21 +326,15 @@ def _value_columns(signature: Tuple[str, ...], values: List[List[str]]) -> Dict[
     per-line loop does it."""
     columns = {}
     for key, tokens in zip(signature, values):
-        prefix = key[:2]
-        if prefix == "q:":
-            columns[key] = _finite_column(tokens)
-        elif prefix == "c:":
+        if key[:2] == "c:":
             codes = list(map(_CLASS_CODES.get, tokens))
             if None in codes:
                 raise _Irregular
             columns[key] = np.array(codes, dtype=np.int8)
         elif key == "network":
             columns[key] = _int64_column(tokens)
-        else:  # tv, the one key left that _check_signature lets through
-            tv = _finite_column(tokens)
-            if not ((tv >= 0.0) & (tv <= 1.0)).all():
-                raise _Irregular
-            columns[key] = tv
+        else:  # q: keys and tv, the keys left that _check_signature lets through
+            columns[key] = _finite_column(tokens)
     return columns
 
 
@@ -400,16 +409,16 @@ class _ColumnParse:
 
     def finish(self) -> SocialGraph:
         """The graph with its links, once the checks that span lines pass:
-        the header count, self links, ends that no earlier entity line
-        declared, and duplicate links."""
+        the header count and ends that no earlier entity line declared.
+        add_links then rejects self links and trust values outside [0, 1];
+        a duplicate link shows as a link count short of the rows, since the
+        merge keeps one link per (source, target, network) key."""
         if self.header is None or len(self.entity_ids) != _graph_header(*self.header):
             raise _Irregular
         empty = np.zeros(0, dtype=np.int64)
         at, source, target = (
             np.concatenate(pieces + [empty]) for pieces in (self.link_at, self.source, self.target)
         )
-        if (source == target).any():
-            raise _Irregular
         ids = np.array(self.entity_ids, dtype=np.int64)
         order = np.argsort(ids)
         for ends in (source, target):
@@ -428,11 +437,9 @@ class _ColumnParse:
                 rows.quant[key[2:]] = (have, got)
             else:
                 rows.qual[key[2:]] = (have, got)
-        order = np.lexsort((rows.network, target, source))
-        keys = np.stack([source[order], target[order], rows.network[order]])
-        if (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
-            raise _Irregular
         self.graph.add_links(rows.columns())
+        if self.graph.link_count() != self.rows:
+            raise _Irregular
         return self.graph
 
 
@@ -453,16 +460,17 @@ def _parse_graph_columns(text: str) -> Optional[SocialGraph]:
     The text is split _PARSE_CHUNK lines at a time. Entity lines go through
     the per-line loop's own code; link lines are grouped by key signature
     and each group's token columns are converted and checked at once; the
-    checks that span lines then run over arrays. Every text
-    _parse_graph_lines rejects fails a check here and no other text does,
-    so None means that loop will raise.
+    checks that span lines then run over arrays, and SocialGraph.add_links
+    runs the graph's own checks on the links. Every text _parse_graph_lines
+    rejects fails a check here and no other text does, so None means that
+    loop will raise.
     """
     parse = _ColumnParse()
     try:
         for first, lines in _numbered_pieces(text):
             parse.add(first, lines)
         return parse.finish()
-    except (ParseError, _Irregular):
+    except (OnionTrustError, _Irregular):
         return None
 
 
@@ -518,8 +526,7 @@ def serialize_graph(graph: SocialGraph) -> str:
 
 
 def read_graph(path) -> SocialGraph:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(handle.read())
+    return parse_graph(_read_text(path))
 
 
 def write_graph(path, graph: SocialGraph):
@@ -611,8 +618,7 @@ def read_rules(path=None) -> FuzzyRuleSet:
     if path is None:
         bundled = resources.files("oniontrust").joinpath("data/default_rules.txt")
         return parse_rules(bundled.read_text(encoding="utf-8"))
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_rules(handle.read())
+    return parse_rules(_read_text(path))
 
 
 # -- scenario files ------------------------------------------------------------
@@ -691,8 +697,7 @@ def parse_scenario(text: str) -> SimScenario:
 
 
 def read_scenario(path) -> SimScenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+    return parse_scenario(_read_text(path))
 
 
 # -- CSV output ----------------------------------------------------------------

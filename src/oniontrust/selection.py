@@ -126,9 +126,11 @@ def row_candidates(
     rows = np.flatnonzero(keep)
     source = int(ids[source_row])
     if not len(rows):
-        raise EmptyCandidateSetError(
-            "no candidates for entity %d at threshold %g" % (source, policy.ts_threshold)
-        )
+        if policy.mode is SelectionMode.BANDWIDTH_ONLY:
+            reason = ": it is the only router"
+        else:
+            reason = " at threshold %g" % policy.ts_threshold
+        raise EmptyCandidateSetError("no candidates for entity %d%s" % (source, reason))
     members = np.asarray(ids)[rows]
     return rows, CandidateSet(source, policy.mode, members, trust[rows], bandwidth[rows])
 

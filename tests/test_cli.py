@@ -2,6 +2,7 @@
 
 import argparse
 from collections import Counter
+from importlib import resources
 
 import pytest
 
@@ -276,6 +277,12 @@ def test_sweep_n_axis_names_a_bad_value(tmp_path, capsys, token):
         (["simulate", "{scenario}"], SCENARIO + "source = 31\n", "unknown source entity 31"),
         (["sweep", "{scenario}", "--axis", "n", "--values", "30,20"],
          SCENARIO + "source = 25\n", "unknown source entity 25"),
+        (["sweep", "{scenario}", "--axis", "omega", "--values", ","], SCENARIO,
+         "no sweep values given"),
+        # bandwidth-only selection applies no threshold
+        (["sweep", "{scenario}", "--axis", "n", "--values", "1"],
+         SCENARIO.replace("practical_stor", "original_tor"),
+         "no candidates for entity 1: it is the only router"),
     ],
 )
 def test_bad_numbers_give_one_error_line(tmp_path, capsys, argv, scenario, message):
@@ -284,6 +291,48 @@ def test_bad_numbers_give_one_error_line(tmp_path, capsys, argv, scenario, messa
         scenario_path.write_text(scenario)
     out = tmp_path / "out"
     argv = [arg.format(scenario=scenario_path) for arg in argv] + ["--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_rules_file_scores_as_the_bundled_rules(tmp_path):
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text(WORKED_GRAPH)
+    rules_path = tmp_path / "rules.txt"
+    bundled = resources.files("oniontrust").joinpath("data/default_rules.txt")
+    rules_path.write_bytes(bundled.read_bytes())
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["trust", str(graph_path), "--out", str(a), "--quiet"]) == 0
+    assert main(
+        ["trust", str(graph_path), "--rules", str(rules_path), "--out", str(b), "--quiet"]
+    ) == 0
+    for name in ("link_trust.csv", "trust_scores.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, bad, message",
+    [
+        (["trust", "{bad}"], WORKED_GRAPH.replace("entity 3", "entity \xff3"),
+         "line 4: byte 0xff is not UTF-8 (invalid start byte)"),
+        # a CRLF pair ends one line, as text mode reads it
+        (["trust", "{graph}", "--rules", "{bad}"],
+         "# comment\r\n\r\nquantitative caf\xe9 weight=1.0\n",
+         "line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+        (["simulate", "{bad}"], SCENARIO.replace("n = 30", "n = \xfe30"),
+         "line 3: byte 0xfe is not UTF-8 (invalid start byte)"),
+    ],
+)
+def test_a_byte_that_is_not_utf8_gives_one_error_line(tmp_path, capsys, argv, bad, message):
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text(WORKED_GRAPH)
+    bad_path = tmp_path / "bad.txt"
+    bad_path.write_bytes(bad.encode("latin-1"))
+    out = tmp_path / "out"
+    argv = [arg.format(graph=graph_path, bad=bad_path) for arg in argv] + ["--out", str(out)]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: %s\n" % message

@@ -155,6 +155,11 @@ def test_defuzzify_matches_quadrature_for_mixes():
         )
 
 
+def test_defuzzify_needs_a_rule():
+    with pytest.raises(EmptyAssignmentError):
+        defuzzify([], 0.5)
+
+
 def test_defuzzify_monotone_in_aggregate():
     rng = np.random.default_rng(3)
     rules_pool = list(Rule)

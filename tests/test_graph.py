@@ -162,6 +162,8 @@ def test_freeze_blocks_structure():
         g.add_entity(2, 1.0)
     with pytest.raises(FrozenGraphError):
         g.add_link(scored_link(1, 2, 0.5))
+    with pytest.raises(FrozenGraphError):
+        g.add_links(oniontrust.graph.LinkRows().columns())
 
 
 def test_friendship_circle_star():
@@ -198,6 +200,8 @@ def test_mean_circle_size_matches_circles():
                 [friendship_circle(g, i, hops).size for i in g.entity_ids()]
             )
             assert mean_circle_size(g, hops) == pytest.approx(exact)
+    with pytest.raises(DomainError, match="graph has no entities"):
+        mean_circle_size(SocialGraph())
 
 
 @settings(max_examples=150)

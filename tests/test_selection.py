@@ -9,6 +9,7 @@ from scipy import stats
 from oniontrust import (
     SelectionMode,
     SelectionPolicy,
+    SocialGraph,
     TrustScore,
     TrustScoreTable,
     build_candidates,
@@ -100,6 +101,22 @@ def test_source_is_never_a_candidate():
     only_bw = SelectionPolicy(mode=SelectionMode.BANDWIDTH_ONLY)
     baseline = build_candidates(g, None, 1, only_bw)
     assert 1 not in baseline.ids()
+
+
+def test_trust_aware_selection_needs_the_sources_table():
+    g, _ = fixture({2: 0.5}, {1: 1.0, 2: 1.0})
+    with pytest.raises(DomainError, match="score table"):
+        build_candidates(g, None, 1, SelectionPolicy())
+
+
+def test_an_empty_candidate_set_names_its_cause():
+    g, table = fixture({2: 0.5}, {1: 1.0, 2: 1.0})
+    with pytest.raises(EmptyCandidateSetError, match="^no candidates for entity 1 at threshold 0.6$"):
+        build_candidates(g, table, 1, SelectionPolicy(ts_threshold=0.6))
+    alone = SocialGraph()
+    alone.add_entity(1, 1.0)
+    with pytest.raises(EmptyCandidateSetError, match="^no candidates for entity 1: it is the only router$"):
+        build_candidates(alone, None, 1, SelectionPolicy(mode=SelectionMode.BANDWIDTH_ONLY))
 
 
 def test_a_table_that_lists_the_source_does_not_make_it_a_candidate():
