@@ -2,13 +2,14 @@
 
 The text formats are line based; blank lines and lines starting with '#' are
 skipped everywhere. Serialization orders everything (entities, links, keys)
-so the same object always produces the same bytes. A graph file is read by
-columns: its link lines are split a chunk at a time, grouped by their keys,
-and each group's tokens become arrays at once. The parse checks the tokens
-and the order of declaration itself and leaves self links, trust values
-outside [0, 1] and duplicate links to SocialGraph.add_links. A file that
-fails any check is read again by the per-line loop, which raises the error
-naming its first bad line; the two accept the same files and give the same
+so the same object always produces the same bytes. A graph is read by
+columns: its lines come a piece at a time, read from the file or cut from
+the text, and each piece's link lines are grouped by their keys, each
+group's tokens becoming arrays at once. The parse checks the tokens and the
+order of declaration itself and leaves self links, trust values outside
+[0, 1] and duplicate links to SocialGraph.add_links. A text that fails any
+check is read again whole by the per-line loop, which raises the error
+naming its first bad line; the two accept the same texts and give the same
 link columns. The graph text and the link CSV are written from those
 columns, which are already in (source, target, network) order, so no link
 record is built.
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, OnionTrustError, ParseError
 from .fuzzy import VALUE_CLASSES, FuzzyRuleSet, Rule, ValueClass
-from .graph import GENERATOR_KINDS, LinkRows, SocialGraph, _require_id
+from .graph import GENERATOR_KINDS, LinkColumns, LinkRows, SocialGraph, _require_id
 from .propagation import TrustArrays
 from .simulation import (
     CorrelationCase,
@@ -106,19 +107,20 @@ def _parse_int(value: str, what: str, number: int) -> int:
 #: Class name in a link line -> its code in VALUE_CLASSES.
 _CLASS_CODES = {value_class.name: code for code, value_class in enumerate(VALUE_CLASSES)}
 
-#: Lines per step of the column parse, counted by their newlines. A step's
-#: lines and tokens are dropped before the next step splits its text, so
-#: neither the lines nor the tokens of a whole file are held at once.
-_PARSE_CHUNK = 8192
+#: Lines per step of the column parse, counted by their newlines. At most
+#: two steps' text and lines and one step's tokens are held at a time,
+#: never those of a whole file.
+_PARSE_CHUNK = 1024
 
 
 def parse_graph(text: str) -> SocialGraph:
     """Graph from its text form; strict about counts and references.
 
     A key repeated on one link line and a second line on the same (source,
-    target, network) are errors. The text is parsed by columns; a text that
-    fails any check goes to the per-line loop, which accepts exactly the
-    same texts and raises the ParseError that names the first bad line.
+    target, network) are errors. The text is parsed by columns, cut into
+    pieces by slicing; a text that fails any check goes to the per-line
+    loop, which accepts exactly the same texts and raises the ParseError
+    that names the first bad line.
     """
     graph = _parse_graph_columns(text)
     return _parse_graph_lines(text) if graph is None else graph
@@ -338,18 +340,38 @@ def _value_columns(signature: Tuple[str, ...], values: List[List[str]]) -> Dict[
     return columns
 
 
-def _numbered_pieces(text: str):
-    """(number of the first line, lines) of each piece of text, cut after
-    every _PARSE_CHUNK-th newline. A piece ends with a line break, so in
-    order the pieces' str.splitlines() lines are the text's."""
+def _text_pieces(text: str):
+    """text cut by slicing after every _PARSE_CHUNK-th newline, so each
+    piece but the last ends with a line break."""
     newlines = re.finditer("\n", text)
-    start, first = 0, 1
+    start = 0
     while start < len(text):
         cut = next(itertools.islice(newlines, _PARSE_CHUNK - 1, None), None)
         stop = len(text) if cut is None else cut.end()
-        lines = text[start:stop].splitlines()
+        yield text[start:stop]
+        start = stop
+
+
+def _file_pieces(handle):
+    """The lines of a text-mode handle, _PARSE_CHUNK of them joined per
+    piece. Universal newlines have turned every line end into a newline,
+    so each piece but the last ends with a line break."""
+    while True:
+        piece = "".join(itertools.islice(handle, _PARSE_CHUNK))
+        if not piece:
+            return
+        yield piece
+
+
+def _numbered(pieces):
+    """(number of the first line, lines) of each piece. Each piece but the
+    last ends with a line break, so in order the pieces' str.splitlines()
+    lines are those of their whole text."""
+    first = 1
+    for piece in pieces:
+        lines = piece.splitlines()
         yield first, lines
-        start, first = stop, first + len(lines)
+        first += len(lines)
 
 
 class _ColumnParse:
@@ -415,10 +437,21 @@ class _ColumnParse:
         merge keeps one link per (source, target, network) key."""
         if self.header is None or len(self.entity_ids) != _graph_header(*self.header):
             raise _Irregular
+        self.graph.add_links(self._link_columns())
+        if self.graph.link_count() != self.rows:
+            raise _Irregular
+        return self.graph
+
+    def _link_columns(self) -> LinkColumns:
+        """The links as columns, once every end is an entity declared on an
+        earlier line. The per-piece arrays are dropped as they are joined
+        and the LinkRows when this returns, so neither is alive during the
+        merge into the graph."""
         empty = np.zeros(0, dtype=np.int64)
         at, source, target = (
             np.concatenate(pieces + [empty]) for pieces in (self.link_at, self.source, self.target)
         )
+        del self.link_at[:], self.source[:], self.target[:]
         ids = np.array(self.entity_ids, dtype=np.int64)
         order = np.argsort(ids)
         for ends in (source, target):
@@ -427,7 +460,8 @@ class _ColumnParse:
         rows.source, rows.target = source, target
         rows.network = np.empty(self.rows, dtype=np.int64)
         rows.trust = np.full(self.rows, math.nan)
-        for key, (have, got) in self.keyed.items():
+        while self.keyed:
+            key, (have, got) = self.keyed.popitem()
             have, got = np.concatenate(have), np.concatenate(got)
             if key == "network":
                 rows.network[have] = got
@@ -437,10 +471,7 @@ class _ColumnParse:
                 rows.quant[key[2:]] = (have, got)
             else:
                 rows.qual[key[2:]] = (have, got)
-        self.graph.add_links(rows.columns())
-        if self.graph.link_count() != self.rows:
-            raise _Irregular
-        return self.graph
+        return rows.columns()
 
 
 def _require_declared_before(ends, at, ids, declared_at):
@@ -457,20 +488,26 @@ def _require_declared_before(ends, at, ids, declared_at):
 def _parse_graph_columns(text: str) -> Optional[SocialGraph]:
     """The graph of text parsed by columns, or None where any check fails.
 
-    The text is split _PARSE_CHUNK lines at a time. Entity lines go through
-    the per-line loop's own code; link lines are grouped by key signature
-    and each group's token columns are converted and checked at once; the
-    checks that span lines then run over arrays, and SocialGraph.add_links
-    runs the graph's own checks on the links. Every text _parse_graph_lines
-    rejects fails a check here and no other text does, so None means that
-    loop will raise.
+    The text is cut by slicing, _PARSE_CHUNK lines at a time. Entity lines
+    go through the per-line loop's own code; link lines are grouped by key
+    signature and each group's token columns are converted and checked at
+    once; the checks that span lines then run over arrays, and
+    SocialGraph.add_links runs the graph's own checks on the links. Every
+    text _parse_graph_lines rejects fails a check here and no other text
+    does, so None means that loop will raise.
     """
+    return _column_graph(_text_pieces(text))
+
+
+def _column_graph(pieces) -> Optional[SocialGraph]:
+    """The graph of the text that pieces cut in order, parsed by columns, or
+    None where any check fails or a piece does not decode."""
     parse = _ColumnParse()
     try:
-        for first, lines in _numbered_pieces(text):
+        for first, lines in _numbered(pieces):
             parse.add(first, lines)
         return parse.finish()
-    except (OnionTrustError, _Irregular):
+    except (OnionTrustError, _Irregular, UnicodeDecodeError):
         return None
 
 
@@ -526,7 +563,16 @@ def serialize_graph(graph: SocialGraph) -> str:
 
 
 def read_graph(path) -> SocialGraph:
-    return parse_graph(_read_text(path))
+    """Graph from a UTF-8 file, as parse_graph reads its text.
+
+    The column parse reads the file _PARSE_CHUNK lines at a time, so its
+    whole text is never held. A file that fails any check, or holds a byte
+    that does not decode, is read again whole for the per-line loop, which
+    raises the ParseError that names the first bad line.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        graph = _column_graph(_file_pieces(handle))
+    return _parse_graph_lines(_read_text(path)) if graph is None else graph
 
 
 def write_graph(path, graph: SocialGraph):

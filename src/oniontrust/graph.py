@@ -224,17 +224,25 @@ class LinkRows:
 
 def _merged(old: LinkColumns, new: LinkColumns) -> LinkColumns:
     """old then new, sorted by (source, target, network); a later link on
-    the same key replaces the earlier one."""
+    the same key replaces the earlier one.
+
+    new is widened to the merged names. Into empty columns of the same
+    dtypes it is then sorted alone, so the result is its one copy.
+    """
     quant_names = tuple(sorted(set(old.quant_names) | set(new.quant_names)))
     qual_names = tuple(sorted(set(old.qual_names) | set(new.qual_names)))
-    old, new = old.widen(quant_names, qual_names), new.widen(quant_names, qual_names)
-    both = dataclasses.replace(
-        old,
-        **{
-            name: np.concatenate([getattr(old, name), getattr(new, name)])
-            for name in _LINK_ARRAYS
-        },
-    )
+    both = new.widen(quant_names, qual_names)
+    if len(old) or any(
+        getattr(old, name).dtype != getattr(both, name).dtype for name in _LINK_ARRAYS
+    ):
+        old = old.widen(quant_names, qual_names)
+        both = dataclasses.replace(
+            old,
+            **{
+                name: np.concatenate([getattr(old, name), getattr(both, name)])
+                for name in _LINK_ARRAYS
+            },
+        )
     # lexsort is stable, so the last row of each run of equal keys is the
     # latest one added.
     order = np.lexsort((both.network, both.target, both.source))

@@ -5,8 +5,8 @@ quadrature, exhaustive path and draw-order enumeration) instead of reusing
 package code. The heap search, the dense propagation loop, the matmul
 circle sizes and calibration loop, the CSV reference writer, the per-group scoring loop, the dict-based candidate and
 correlation references, the binary-search sampler, the round-by-round
-simulation loop with numpy's own round streams and the 1-D keyed flag
-draw are the exception: they are the slow paths the current
+simulation loop with numpy's own round streams, the 1-D keyed flag
+draw and the widen-and-concatenate link merge are the exception: they are the slow paths the current
 code replaced, kept to pin its bits. The graph-file parser keeps its own
 slow path, the per-line loop, in the package as its error reporter.
 """
@@ -420,11 +420,40 @@ def assert_same_graph_bits(got: SocialGraph, want: SocialGraph):
     """The same entities in the same order, and link columns equal bit for
     bit (NaN and -0.0 included), names and dtypes too."""
     assert list(got._entities.values()) == list(want._entities.values())
-    a, b = got.link_columns(), want.link_columns()
+    assert_same_column_bits(got.link_columns(), want.link_columns())
+
+
+def assert_same_column_bits(a, b):
+    """LinkColumns equal bit for bit (NaN and -0.0 included), names and
+    dtypes too."""
     assert (a.quant_names, a.qual_names) == (b.quant_names, b.qual_names)
     for name in ("source", "target", "network", "quant", "present", "qual", "trust"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+def reference_merged(old, new):
+    """old then new as LinkColumns sorted by (source, target, network), a
+    later link on a key replacing the earlier one: both batches widened to
+    the merged names, concatenated, stably sorted, the last row of each key
+    kept. The slow path graph._merged replaced for an empty old."""
+    quant_names = tuple(sorted(set(old.quant_names) | set(new.quant_names)))
+    qual_names = tuple(sorted(set(old.qual_names) | set(new.qual_names)))
+    old, new = old.widen(quant_names, qual_names), new.widen(quant_names, qual_names)
+    both = dataclasses.replace(
+        old,
+        **{
+            name: np.concatenate([getattr(old, name), getattr(new, name)])
+            for name in oniontrust.graph._LINK_ARRAYS
+        },
+    )
+    order = np.lexsort((both.network, both.target, both.source))
+    source, target, network = both.source[order], both.target[order], both.network[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = (
+        (source[1:] != source[:-1]) | (target[1:] != target[:-1]) | (network[1:] != network[:-1])
+    )
+    return both.take(order[last])
 
 
 # -- scoring reference ------------------------------------------------------------

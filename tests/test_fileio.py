@@ -259,6 +259,123 @@ def test_the_column_parse_takes_written_graphs_without_handing_over(chunk, monke
         assert_same_graph_bits(graph, _parse_graph_lines(text))
 
 
+#: A small graph file with three key signatures, one line per item.
+SMALL_GRAPH_LINES = [
+    "entities 3",
+    "entity 1 bandwidth=1.0 malicious=0",
+    "entity 2 bandwidth=2.0 malicious=1",
+    "entity 3 bandwidth=3.0 malicious=0",
+    "link 1 2 network=1 q:freq=0.5 c:Major=POSITIVE tv=0.25",
+    "link 2 3 network=2 q:freq=1.5 c:Major=NEGATIVE",
+    "link 3 1 network=1 q:time=2.0",
+]
+
+
+def _lines_with_blanks_on_piece_ends() -> list:
+    """A multi-network graph longer than one default step, with blank,
+    whitespace or comment lines as the last line of the first piece and
+    the first line of the second, for 1,024-line and for 3-line steps."""
+    lines = multinet_text(5, 200).splitlines()
+    lines[2:2] = ["", "   # a comment opening a step"]
+    lines[1023:1023] = ["# the last line of a step", "\t "]
+    return lines
+
+
+def _file_sources():
+    small = "\n".join(SMALL_GRAPH_LINES)
+    bad_line = SMALL_GRAPH_LINES[:6] + ["link 1 3 network=x"] + SMALL_GRAPH_LINES[6:]
+    comment = "# café — naïve ✓ \U0001d11e"
+    return {
+        "crlf": (small + "\n").replace("\n", "\r\n").encode(),
+        "lone cr": (small + "\n").replace("\n", "\r").encode(),
+        "crlf, bad line": ("\r\n".join(bad_line) + "\r\n").encode(),
+        "lone cr, bad line": "\r".join(bad_line).encode(),
+        # the form feed is a line break to str.splitlines(), so it cuts the
+        # link line in two, and the line after is numbered one further on
+        "form feed in a link line": small.replace(" q:freq=0.5", "\x0cq:freq=0.5").encode(),
+        "form feed ending a link line": (
+            "\n".join(SMALL_GRAPH_LINES[:5]) + "\x0c\nlink 2 2 network=1\n"
+        ).encode(),
+        "no final newline": small.encode(),
+        "no final newline, bad last line": "\n".join(bad_line[:7]).encode(),
+        "blank and comment lines on piece ends": "\n".join(_lines_with_blanks_on_piece_ends()).encode(),
+        # 5,000 two-byte characters span the text reader's 8 KiB decode steps
+        "multi-byte comments": "\n".join(
+            SMALL_GRAPH_LINES[:2] + [comment, "# " + "é" * 5000] + SMALL_GRAPH_LINES[2:] + [comment]
+        ).encode(),
+        # U+2028 is a line break to str.splitlines(), not to the file reader
+        "line separator in a comment": "\n".join(
+            SMALL_GRAPH_LINES[:3] + ["# one\u2028two"] + SMALL_GRAPH_LINES[3:]
+        ).encode(),
+        "not UTF-8 in the last piece": (small + "\n# \xff\n").encode("latin-1"),
+        "not UTF-8 in a long file": (
+            "\n".join(_lines_with_blanks_on_piece_ends()) + "\nlink 1 2 network=1 c:Major=\xe9\n"
+        ).encode("latin-1"),
+    }
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path)
+    except ParseError as exc:
+        return exc
+
+
+def _loop_on_file(path):
+    return _parse_graph_lines(fileio._read_text(path))
+
+
+@pytest.mark.parametrize("chunk", [fileio._PARSE_CHUNK, 3, 1])
+@pytest.mark.parametrize("name", sorted(_file_sources()))
+def test_read_graph_streams_to_the_loops_outcome(tmp_path, monkeypatch, name, chunk):
+    """read_graph(path) gives what the per-line loop gives on the whole text:
+    the same graph bit for bit, or the same ParseError message and line. A
+    file the loop accepts is taken by the streamed column parse itself."""
+    path = tmp_path / "graph.txt"
+    path.write_bytes(_file_sources()[name])
+    want = _read_outcome(_loop_on_file, path)
+    monkeypatch.setattr(fileio, "_PARSE_CHUNK", chunk)
+    got = _read_outcome(read_graph, path)
+    if isinstance(want, ParseError):
+        assert (type(got), str(got), got.line) == (type(want), str(want), want.line)
+        return
+    assert_same_graph_bits(got, want)
+    with open(path, encoding="utf-8") as handle:
+        assert_same_graph_bits(fileio._column_graph(fileio._file_pieces(handle)), want)
+
+
+def test_the_file_sources_cover_both_outcomes(tmp_path):
+    path = tmp_path / "graph.txt"
+    failed = {}
+    for name, data in _file_sources().items():
+        path.write_bytes(data)
+        outcome = _read_outcome(_loop_on_file, path)
+        if isinstance(outcome, ParseError):
+            failed[name] = outcome.line
+    assert failed == {
+        "crlf, bad line": 7,
+        "lone cr, bad line": 7,
+        "form feed in a link line": 6,
+        "form feed ending a link line": 7,
+        "no final newline, bad last line": 7,
+        "line separator in a comment": 5,
+        "not UTF-8 in the last piece": 8,
+        "not UTF-8 in a long file": 1409,
+    }
+
+
+def test_read_graph_holds_a_small_share_of_the_file(tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text(multinet_text(5, 1000), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        read_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_parse_errors_carry_line_numbers():
     text = "entities 2\nentity 1 bandwidth=1.0 malicious=0\nentity 1 bandwidth=1.0 malicious=0"
     with pytest.raises(ParseError) as err:

@@ -27,11 +27,13 @@ from oniontrust.errors import (
 import oniontrust.graph
 
 from helpers import (
+    assert_same_column_bits,
     friendship_circle,
     graph_from_trust_links,
     profiled_graphs,
     random_trust_graph,
     reference_calibration,
+    reference_merged,
     scored_link,
 )
 
@@ -127,6 +129,86 @@ def test_links_reject_trust_outside_the_unit_interval(trust):
     rows.append(2, 1, 1, {}, {}, 1.0)
     g.add_links(rows.columns())
     assert g.merge_trust(1, 2) == 0.0 and g.merge_trust(2, 1) == 1.0
+
+
+def _link_batch(rng, size, quant=("freq", "time"), qual=("Major", "Relationship"), ids=12):
+    """size links in random order between ids 1..ids on networks 1-3, each
+    with a random share of the attributes and a trust value or none; with
+    these sizes some (source, target, network) keys repeat."""
+    rows = oniontrust.graph.LinkRows()
+    for _ in range(size):
+        source, target = (rng.choice(ids, size=2, replace=False) + 1).tolist()
+        rows.append(
+            source,
+            target,
+            int(rng.integers(1, 4)),
+            {name: float(rng.lognormal()) for name in quant if rng.random() < 0.7},
+            {name: list(ValueClass)[rng.integers(3)] for name in qual if rng.random() < 0.7},
+            None if rng.random() < 0.4 else float(rng.random()),
+        )
+    return rows.columns()
+
+
+def _entities(count=12) -> SocialGraph:
+    g = SocialGraph()
+    for eid in range(1, count + 1):
+        g.add_entity(eid, float(eid))
+    return g
+
+
+def test_add_links_into_an_empty_graph_matches_the_widening_merge():
+    rng = np.random.default_rng(3)
+    batch = _link_batch(rng, 300)
+    keys = list(zip(batch.source.tolist(), batch.target.tolist(), batch.network.tolist()))
+    assert keys != sorted(keys) and len(set(keys)) < len(keys)
+    g = _entities()
+    g.add_links(batch)
+    assert_same_column_bits(g.link_columns(), reference_merged(oniontrust.graph.LinkRows().columns(), batch))
+    assert g.link_count() == len(set(keys))
+
+
+def test_add_links_keeps_the_last_row_of_a_key_repeated_in_one_batch():
+    rows = oniontrust.graph.LinkRows()
+    rows.append(2, 1, 1, {"freq": 1.0}, {}, 0.25)
+    rows.append(1, 2, 1, {"freq": 2.0}, {}, 0.5)
+    rows.append(2, 1, 1, {"time": 3.0}, {"Major": ValueClass.NEGATIVE}, None)
+    batch = rows.columns()
+    g = _entities(2)
+    g.add_links(batch)
+    assert_same_column_bits(g.link_columns(), reference_merged(oniontrust.graph.LinkRows().columns(), batch))
+    assert g.link_count() == 2
+    link = g.link(2, 1, 1)
+    assert link.profile == AttributeProfile({"time": 3.0}, {"Major": ValueClass.NEGATIVE})
+    assert link.trust_value is None
+
+
+def test_a_second_batch_of_links_matches_the_widening_merge():
+    rng = np.random.default_rng(5)
+    first = _link_batch(rng, 200, quant=("freq",), qual=("Major",))
+    second = _link_batch(rng, 200, quant=("time",), qual=("Major", "Relationship"))
+    g = _entities()
+    g.add_links(first)
+    g.add_links(second)
+    empty = oniontrust.graph.LinkRows().columns()
+    assert_same_column_bits(g.link_columns(), reference_merged(reference_merged(empty, first), second))
+
+
+@pytest.mark.parametrize("layout", ["names out of order", "int32 ends", "float32 trust"])
+def test_add_links_widens_a_batch_not_in_the_graphs_layout(layout):
+    batch = _link_batch(np.random.default_rng(7), 100)
+    batch = {
+        "names out of order": lambda: dataclasses.replace(
+            batch, quant_names=batch.quant_names[::-1], quant=batch.quant[:, ::-1],
+            present=batch.present[:, ::-1],
+        ),
+        "int32 ends": lambda: dataclasses.replace(
+            batch, source=batch.source.astype(np.int32), target=batch.target.astype(np.int32)
+        ),
+        "float32 trust": lambda: dataclasses.replace(batch, trust=batch.trust.astype(np.float32)),
+    }[layout]()
+    g = _entities()
+    g.add_links(batch)
+    assert_same_column_bits(g.link_columns(), reference_merged(oniontrust.graph.LinkRows().columns(), batch))
 
 
 def test_link_replacement_and_networks():
