@@ -248,7 +248,8 @@ def multinet_text(seed: int = 5, n: int = 40) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("chunk", [fileio._PARSE_CHUNK, 7])
+# 8192 lines, the former default step, takes each of these files in one piece
+@pytest.mark.parametrize("chunk", [8192, fileio._PARSE_CHUNK, 7])
 def test_the_column_parse_takes_written_graphs_without_handing_over(chunk, monkeypatch):
     generated = generate_graph(GeneratorParams(60, "er", 0.2), 3)
     compute_trust_values(generated, default_rules())
