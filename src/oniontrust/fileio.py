@@ -12,7 +12,9 @@ check is read again whole by the per-line loop, which raises the error
 naming its first bad line; the two accept the same texts and give the same
 link columns. The graph text and the link CSV are written from those
 columns, which are already in (source, target, network) order, so no link
-record is built.
+record is built. A line ends with any break that str.splitlines() takes,
+and error messages count lines the same way. Files are read as bytes and
+decoded whole; only read_graph streams its file to the column parse first.
 
 Every CSV goes through cells.write_csv, which assembles a block's bytes
 from column matrices of NUL-padded cells. Cells follow one rule (None ->
@@ -58,15 +60,10 @@ def _content_lines(text: str) -> List[Tuple[int, str]]:
 
 
 def _read_text(path) -> str:
-    """The text of a UTF-8 file, read in text mode. Only a file with a byte
-    that does not decode is read again, as bytes, to name that byte's line
-    as str.splitlines() counts lines."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except UnicodeDecodeError:
-        with open(path, "rb") as handle:
-            data = handle.read()
+    """The text of a UTF-8 file, its line ends kept for str.splitlines(). A
+    byte that does not decode fails naming its line, counted the same way."""
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -363,17 +360,6 @@ def _file_pieces(handle):
         yield piece
 
 
-def _numbered(pieces):
-    """(number of the first line, lines) of each piece. Each piece but the
-    last ends with a line break, so in order the pieces' str.splitlines()
-    lines are those of their whole text."""
-    first = 1
-    for piece in pieces:
-        lines = piece.splitlines()
-        yield first, lines
-        first += len(lines)
-
-
 class _ColumnParse:
     """One column parse of a graph text, fed a piece of lines at a time.
 
@@ -503,9 +489,14 @@ def _column_graph(pieces) -> Optional[SocialGraph]:
     """The graph of the text that pieces cut in order, parsed by columns, or
     None where any check fails or a piece does not decode."""
     parse = _ColumnParse()
+    first = 1
     try:
-        for first, lines in _numbered(pieces):
+        # Each piece but the last ends with a line break, so in order the
+        # pieces' str.splitlines() lines are those of their whole text.
+        for piece in pieces:
+            lines = piece.splitlines()
             parse.add(first, lines)
+            first += len(lines)
         return parse.finish()
     except (OnionTrustError, _Irregular, UnicodeDecodeError):
         return None
@@ -567,8 +558,9 @@ def read_graph(path) -> SocialGraph:
 
     The column parse reads the file _PARSE_CHUNK lines at a time, so its
     whole text is never held. A file that fails any check, or holds a byte
-    that does not decode, is read again whole for the per-line loop, which
-    raises the ParseError that names the first bad line.
+    that does not decode, is read again whole by _read_text for the
+    per-line loop, which raises the ParseError that names the first bad
+    line.
     """
     with open(path, "r", encoding="utf-8") as handle:
         graph = _column_graph(_file_pieces(handle))

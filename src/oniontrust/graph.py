@@ -288,9 +288,8 @@ class SocialGraph:
         """Raise the error add_link gives a link between these two ids, if any."""
         if source == target:
             raise SelfLinkError("entity %s cannot link to itself" % (source,))
-        for end in (source, target):
-            if end not in self._entities:
-                raise UnknownEntityError("unknown entity %s" % (end,))
+        self._require_entity(source)
+        self._require_entity(target)
 
     def add_link(self, link: FriendLink):
         """Insert a link; a link on the same (source, target, network) is replaced.
@@ -629,9 +628,15 @@ def _sample_rows(n: int) -> np.ndarray:
     return np.linspace(0, n - 1, min(n, CIRCLE_SAMPLE)).astype(int)
 
 
+def _is_integer(value) -> bool:
+    """value is an integer, numpy's included; a bool is not one, though
+    Python counts it as Integral."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _require_integer(field: str, value, error: type) -> None:
     """Fail with error naming field unless value is an integer."""
-    if not isinstance(value, numbers.Integral):
+    if not _is_integer(value):
         raise error("%s must be an integer, got %r" % (field, value))
 
 
@@ -661,7 +666,7 @@ def _require_id(what: str, value) -> None:
 
 def check_max_hops(max_hops) -> None:
     """Fail naming max_hops unless it is an integer hop budget of at least 1."""
-    if not isinstance(max_hops, numbers.Integral) or max_hops < 1:
+    if not _is_integer(max_hops) or max_hops < 1:
         raise DomainError("max_hops must be an integer >= 1, got %r" % (max_hops,))
 
 

@@ -31,6 +31,8 @@ from oniontrust import (
     parse_rules,
     parse_scenario,
     read_graph,
+    read_rules,
+    read_scenario,
     serialize_graph,
     serialize_rules,
     write_cdf,
@@ -375,6 +377,55 @@ def test_read_graph_holds_a_small_share_of_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+#: Line breaks that str.splitlines() counts as LF does. A file written with
+#: any of them in place of LF reads as the LF file does.
+LINE_BREAKS = {"crlf": "\r\n", "lone cr": "\r", "form feed": "\x0c", "nel": "\x85"}
+
+#: Blank and comment lines first, so a line number counts them.
+LINE_BREAK_GRAPH = "\n".join(["# a graph", ""] + SMALL_GRAPH_LINES) + "\n"
+LINE_BREAK_SCENARIO = (
+    "# a scenario\n\nstrategy = practical_stor\nfraction = 0.2\ncase = worst\n"
+    "generator = er:0.4\nrounds = 12\nmax_hops = 3\n"
+)
+
+
+@pytest.mark.parametrize("name", sorted(LINE_BREAKS))
+def test_files_read_the_same_with_any_line_break(tmp_path, name):
+    def broken(text: str) -> str:
+        return text.replace("\n", LINE_BREAKS[name])
+
+    def written(text: str):
+        path = tmp_path / "input.txt"
+        path.write_bytes(broken(text).encode("utf-8"))
+        return path
+
+    want = parse_graph(LINE_BREAK_GRAPH)
+    assert_same_graph_bits(read_graph(written(LINE_BREAK_GRAPH)), want)
+    assert_same_graph_bits(parse_graph(broken(LINE_BREAK_GRAPH)), want)
+    rules_text = "# rules\n\n" + serialize_rules(default_rules())
+    rules = read_rules(written(rules_text))
+    want_rules = parse_rules(rules_text)
+    assert (rules.qualitative, rules.weights) == (want_rules.qualitative, want_rules.weights)
+    assert read_scenario(written(LINE_BREAK_SCENARIO)) == parse_scenario(LINE_BREAK_SCENARIO)
+
+
+@pytest.mark.parametrize("name", sorted(LINE_BREAKS))
+def test_a_bad_line_has_the_same_number_with_any_line_break(tmp_path, name):
+    path = tmp_path / "input.txt"
+    for parse, read, text, line in (
+        (parse_graph, read_graph, LINE_BREAK_GRAPH.replace("network=2", "network=x"), 8),
+        (parse_graph, read_graph, LINE_BREAK_GRAPH.replace("link 3 1", "link 3 3"), 9),
+        (parse_rules, read_rules, "# rules\n\nquantitative freq mass=0.5\n", 3),
+        (parse_scenario, read_scenario, LINE_BREAK_SCENARIO + "budget = 3\n", 9),
+    ):
+        want = _read_outcome(parse, text)
+        assert want.line == line
+        broken = text.replace("\n", LINE_BREAKS[name])
+        path.write_bytes(broken.encode("utf-8"))
+        for got in (_read_outcome(read, path), _read_outcome(parse, broken)):
+            assert (type(got), str(got), got.line) == (type(want), str(want), want.line)
 
 
 def test_parse_errors_carry_line_numbers():

@@ -160,6 +160,12 @@ def test_defuzzify_needs_a_rule():
         defuzzify([], 0.5)
 
 
+def test_defuzzify_names_what_is_not_a_rule():
+    # a rule's code is not the rule itself
+    with pytest.raises(UnknownRuleError, match=re.escape("not a rule: '1i'")):
+        defuzzify(["1i"], 0.5)
+
+
 def test_defuzzify_monotone_in_aggregate():
     rng = np.random.default_rng(3)
     rules_pool = list(Rule)

@@ -71,6 +71,7 @@ def test_add_entity_rejects_non_finite_bandwidth(bandwidth):
 BAD_IDS = [
     (1.5, "must be an integer, got 1.5"),
     ("3", "must be an integer, got '3'"),
+    (True, "must be an integer, got True"),
     (2**63, "%d is outside int64" % 2**63),
     (-(2**63) - 1, "%d is outside int64" % (-(2**63) - 1)),
 ]
@@ -106,6 +107,12 @@ def test_unknown_entity_messages_name_the_id_as_given():
             call()
     with pytest.raises(SelfLinkError, match=r"^entity 1\.5 cannot link to itself$"):
         g.add_link(scored_link(1.5, 1.5, 0.5))
+
+
+def test_a_graph_equals_no_other_type():
+    # __eq__ hands other types back to Python, which compares identities
+    assert (SocialGraph() == 1) is False
+    assert (SocialGraph() != "x") is True
 
 
 @pytest.mark.parametrize("trust", [1.5, -0.5, float("inf")])
@@ -431,6 +438,7 @@ def test_generator_params_validation():
         ((50, "calibrated", 0.5), {"max_hops": 2.5}, "max_hops must be an integer, got 2.5"),
         ((50.5, "er", 0.1), {}, "n must be an integer, got 50.5"),
         ((30.0, "er", 0.1), {}, "n must be an integer, got 30.0"),
+        ((True, "er", 0.1), {}, "n must be an integer, got True"),
     ):
         with pytest.raises(GeneratorParamsError, match=re.escape(message)):
             GeneratorParams(*args, **kwargs)

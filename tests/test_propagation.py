@@ -192,6 +192,7 @@ def test_propagate_rejects_bad_inputs():
         (lambda h: mean_circle_size(g, h), -2),
         (lambda h: propagate(g, 1, h), 2.5),
         (lambda h: propagate_all(g, h), 2.5),
+        (lambda h: propagate_all(g, h), True),
     ]:
         message = "max_hops must be an integer >= 1, got %r" % bad
         with pytest.raises(DomainError, match=re.escape(message)):
