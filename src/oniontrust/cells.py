@@ -233,3 +233,5 @@ def write_csv(path, header: Sequence[str], blocks: Iterable[Sequence[np.ndarray]
                 pieces[-1] = np.full((rows, 1), ord("\n"), dtype=np.uint8)
                 flat = np.concatenate(pieces, axis=1).ravel()
                 handle.write(flat[flat != 0])
+                # Free this block's bytes before the next block is made.
+                del columns, pieces, flat

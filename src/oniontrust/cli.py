@@ -7,7 +7,7 @@ import dataclasses
 import os
 import sys
 
-from .errors import OnionTrustError, ParseError
+from .errors import DomainError, OnionTrustError, ParseError
 from .fileio import (
     _parse_generator,
     read_graph,
@@ -25,10 +25,11 @@ from .graph import (
     DEFAULT_BANDWIDTH_MAX,
     DEFAULT_MAX_HOPS,
     GeneratorParams,
+    _sample_rows,
     generate_graph,
     mean_circle_size,
 )
-from .propagation import propagate_arrays
+from .propagation import propagate_blocks
 from .simulation import (
     SWEEP_AXES,
     DrawMode,
@@ -69,13 +70,25 @@ def cmd_trust(args) -> int:
     graph = read_graph(args.graph)
     rules = read_rules(args.rules)
     compute_trust_values(graph, rules)
-    arrays = propagate_arrays(graph, args.max_hops)
-    # Read before any write: a graph with no entities fails here, unwritten.
-    circle = arrays.mean_circle_size()
+    blocks = propagate_blocks(graph, args.max_hops)
+    # Fail before any write: the scores stream into their file below.
+    if not len(graph):
+        raise DomainError("graph has no entities")
+    circles = []
+
+    def counted():
+        # The mean circle size, counted as the blocks pass; each block is
+        # let go before the next is computed.
+        for block in blocks:
+            circles.append(block.sampled_circles())
+            yield block
+            del block
+
     link_path = _out_path(args, "link_trust.csv")
     score_path = _out_path(args, "trust_scores.csv")
     write_link_trust(link_path, graph)
-    write_trust_scores(score_path, arrays)
+    write_trust_scores(score_path, counted())
+    circle = sum(circles) / len(_sample_rows(len(graph)))
     _say(
         args,
         "scored %d links across %d entities; mean circle size %.1f; wrote %s, %s"

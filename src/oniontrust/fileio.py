@@ -32,7 +32,7 @@ import math
 import operator
 import re
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,7 +127,10 @@ def _graph_header(number: int, parts: List[str]) -> int:
     """The entity count that the header line's tokens declare."""
     if len(parts) != 2 or parts[0] != "entities":
         raise ParseError("expected 'entities <count>' header", line=number)
-    return _parse_int(parts[1], "entity count", number)
+    count = _parse_int(parts[1], "entity count", number)
+    if count < 0:
+        raise ParseError("entity count must be >= 0, got %d" % count, line=number)
+    return count
 
 
 def _add_entity_line(graph: SocialGraph, parts: List[str], number: int) -> int:
@@ -740,10 +743,18 @@ def read_scenario(path) -> SimScenario:
 
 # -- CSV output ----------------------------------------------------------------
 
-#: Sources per write in write_trust_scores: a block assembles at most
-#: 32 * n rows, about 10,000 on the benchmark's n = 1000 graph, so the
+#: Sources per write in write_trust_scores, at most: a write assembles at
+#: most 32 * n rows, about 10,000 on the benchmark's n = 1000 graph, so the
 #: whole table is never held at once.
 _SCORE_BLOCK_ROWS = 32
+
+#: Scored pairs that end a write early. A write then holds at most this
+#: many plus one source's, so at n = 1000 the float kernel's uint64
+#: temporaries stay under 128 KB, the size from which glibc's malloc maps
+#: fresh pages for a buffer. With 32 whole sources at hop budget 3, about
+#: 25,000 pairs, they did not, and once the trust arrays came in 1 MB
+#: blocks `trust --max-hops 3` paged them in anew on most writes.
+_SCORE_WRITE_PAIRS = 12_288
 
 #: Links per write in write_link_trust, for the same reason.
 _LINK_BLOCK_ROWS = 1 << 13
@@ -806,33 +817,54 @@ def write_link_trust(path, graph: SocialGraph):
     cells.write_csv(path, ("source", "target", "network", "trust_value"), blocks())
 
 
-def write_trust_scores(path, arrays: TrustArrays):
-    """One (source, target, ts, hops) row per scored pair (hops > 0).
-
-    Rows run source-major over the sorted ids, the order of the per-source
-    tables' sorted targets. Id and hop cells are gathered from small tables
-    of each id's and hop count's text, scores come from float_cells, and
-    the rows are assembled and written _SCORE_BLOCK_ROWS sources at a time.
-    """
+def _score_writes(arrays: TrustArrays, id_cells: np.ndarray, hop_cells: np.ndarray):
+    """The cell columns of one block's scored pairs, a tuple per write: up
+    to _SCORE_BLOCK_ROWS sources, ending early at the source that brings
+    their scored pairs to _SCORE_WRITE_PAIRS."""
     from . import cells
 
-    id_cells = cells.text_cells(list(map(str, arrays.ids)))
-    hop_cells = cells.text_cells(list(map(str, range(int(arrays.hops.max(initial=0)) + 1))))
-
-    def blocks():
-        for lo in range(0, len(id_cells), _SCORE_BLOCK_ROWS):
-            block = slice(lo, lo + _SCORE_BLOCK_ROWS)
-            hops = arrays.hops[block]
+    counts = np.count_nonzero(arrays.hops, axis=1).tolist()
+    lo = pairs = 0
+    for row, count in enumerate(counts, 1):
+        pairs += count
+        if pairs >= _SCORE_WRITE_PAIRS or row - lo == _SCORE_BLOCK_ROWS or row == len(counts):
+            hops = arrays.hops[lo:row]
             scored = np.flatnonzero(hops)
             rows, cols = np.unravel_index(scored, hops.shape)
             yield (
-                np.take(id_cells, rows + lo, axis=0),
+                np.take(id_cells, rows + (arrays.first + lo), axis=0),
                 np.take(id_cells, cols, axis=0),
-                cells.float_cells(arrays.best[block].ravel()[scored]),
+                cells.float_cells(arrays.best[lo:row].ravel()[scored]),
                 np.take(hop_cells, hops.ravel()[scored], axis=0),
             )
+            lo, pairs = row, 0
 
-    cells.write_csv(path, ("source", "target", "ts", "hops"), blocks())
+
+def write_trust_scores(path, blocks: Iterable[TrustArrays]):
+    """One (source, target, ts, hops) row per scored pair (hops > 0), from
+    blocks of consecutive sources in order: propagate_blocks' stream, or
+    [arrays] for whole arrays.
+
+    Rows run source-major over the sorted ids, the order of the per-source
+    tables' sorted targets. Id and hop cells are gathered from small tables
+    of each id's text and of each hop count's up to min(max_hops, n - 1),
+    the longest a path can be; scores come from float_cells. Each block is
+    written as it comes, a few sources at a time (_score_writes), and let
+    go before the next is asked for, so a stream is held a block at a time.
+    """
+    from . import cells
+
+    def rows():
+        id_cells = hop_cells = None
+        for arrays in blocks:
+            if id_cells is None:
+                id_cells = cells.text_cells(list(map(str, arrays.ids)))
+                longest = min(arrays.max_hops, len(arrays.ids) - 1)
+                hop_cells = cells.text_cells(list(map(str, range(longest + 1))))
+            yield from _score_writes(arrays, id_cells, hop_cells)
+            del arrays
+
+    cells.write_csv(path, ("source", "target", "ts", "hops"), rows())
 
 
 def write_sweep_rows(path, rows: Sequence[SweepRow]):

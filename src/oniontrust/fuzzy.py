@@ -394,6 +394,11 @@ def compute_trust_values(graph: "SocialGraph", rules: FuzzyRuleSet) -> None:
     )
 
 
+#: Links whose e**2 and e**3 _column_scores takes as Python floats at once,
+#: so that its float lists hold about half a megabyte at any link count.
+_POWER_CHUNK = 1 << 13
+
+
 def _column_scores(quant, top, codes, weighted, rule_of) -> np.ndarray:
     """link_trust of links that pass its checks, as columns.
 
@@ -401,14 +406,18 @@ def _column_scores(quant, top, codes, weighted, rule_of) -> np.ndarray:
     codes; weighted lists (weight, column) in sorted-name order and rule_of
     maps (class column, code) to the rule it fires. Every sum runs in the
     order link_trust adds, and e**2, e**3 are Python float powers, since
-    numpy's power differs from them in some bits.
+    numpy's power differs from them in some bits, taken _POWER_CHUNK links
+    at a time.
     """
     e = np.zeros(len(quant))
     for weight, a in weighted:
         e = e + weight * (quant[:, a] / top[:, a])
     e = np.minimum(1.0, np.maximum(0.0, e))
-    e2 = np.array([x**2 for x in e.tolist()])
-    e3 = np.array([x**3 for x in e.tolist()])
+    e2, e3 = np.empty(len(e)), np.empty(len(e))
+    for lo in range(0, len(e), _POWER_CHUNK):
+        part = e[lo : lo + _POWER_CHUNK].tolist()
+        e2[lo : lo + len(part)] = [x**2 for x in part]
+        e3[lo : lo + len(part)] = [x**3 for x in part]
     moment = np.zeros(len(e))
     mass = np.zeros(len(e))
     high = e > 0.5

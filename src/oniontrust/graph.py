@@ -27,6 +27,7 @@ mean friendship-circle size hits a target fraction of the graph.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -474,17 +475,23 @@ def _require_scored(links: LinkColumns, lo: int, hi: int):
 #: graph and however few its source rows.
 DELTA_CHUNK = 1 << 13
 
+#: Candidates (prefix row x in-link) that one chunk of a dense layer takes,
+#: about: a chunk's candidate matrix holds 256 KB whatever the pass's rows.
+DENSE_CHUNK = 1 << 15
 
-def _delta_layer_wins(work, n, links):
+
+def _delta_layer_wins(work, rows, links):
     """Whether a layer runs as a delta layer: its candidate count, work, is
-    below a quarter of the n * links products of a dense layer. (A delta
-    candidate costs several gathers and a scattered maximum, a dense
-    product one contiguous multiply.) A one-row pass has at most links
-    candidates, so its layers run as delta layers once n >= 4."""
-    return 4 * work < n * links
+    below a quarter of the rows * links products of a dense layer over the
+    pass's source rows. (A delta candidate costs several gathers and a
+    scattered maximum, a dense product one contiguous multiply.) Both
+    sides count the pass's own rows, so a block of sources weighs its
+    share of the work as the whole pass weighs all of it; a one-row pass
+    runs a layer dense once its candidates reach a quarter of the links."""
+    return 4 * work < rows * links
 
 
-def _kernel(n, src, tgt, tv, rows, max_hops, combine):
+def _kernel(n, src, tgt, tv, rows, max_hops, combine, in_links=None):
     """One pass for the source rows (ascending), layer by layer to max_hops.
 
     Yields (best, hops) after each layer: the same (len(rows), n) arrays
@@ -513,11 +520,15 @@ def _kernel(n, src, tgt, tv, rows, max_hops, combine):
     layer's mode from that count: a delta layer extends only the delta
     (_delta_layer), a dense layer every prefix (_dense_layer, on one
     target-major copy of best). Both give the same bits. Layer 2 extends
-    the linked pairs alone, about L^2 / n products against a dense layer's
-    n * L, so on sparse graphs a budget of 2 makes no copy; later layers on
-    calibrated graphs raise most of each circle and run dense. A pass ends
-    once a layer has no candidates, so a budget past the longest shortest
-    path costs nothing.
+    the linked pairs alone, about len(rows) * L^2 / n^2 products against a
+    dense layer's len(rows) * L, so on sparse graphs a budget of 2 makes no
+    copy; later layers on calibrated graphs raise most of each circle and
+    run dense. A pass ends once a layer has no candidates, so a budget past
+    the longest shortest path costs nothing.
+
+    A dense layer reads the links in target order, in_links() (by default
+    built at the first dense layer and kept for the pass); passes over
+    blocks of one graph's rows can share one cached builder.
     """
     rows = np.asarray(rows)
     best = np.full((len(rows), n), -np.inf)
@@ -529,20 +540,34 @@ def _kernel(n, src, tgt, tv, rows, max_hops, combine):
     yield best, hops
     out_lo = np.searchsorted(src, np.arange(n + 1))
     degree = np.diff(out_lo)
-    in_links = None
+    if in_links is None:
+        in_links = functools.cache(functools.partial(_in_links, n, src, tgt, tv))
     for r in range(2, max_hops + 1):
         work = int(np.count_nonzero(hops == r - 1, axis=0) @ degree)
         if work == 0:
             return
-        if _delta_layer_wins(work, n, len(src)):
+        if _delta_layer_wins(work, len(rows), len(src)):
             _delta_layer(best, hops, r, rows, out_lo, tgt, tv, combine)
         else:
-            if in_links is None:
-                order = np.argsort(tgt, kind="stable")
-                in_links = (np.searchsorted(tgt[order], np.arange(n + 1)).tolist(),
-                            src[order], tv[order])
-            _dense_layer(best, hops, r, rows, combine, *in_links)
+            _dense_layer(best, hops, r, rows, combine, *in_links())
         yield best, hops
+
+
+def _in_links(n, src, tgt, tv):
+    """(in_src, in_tv, groups) for _dense_layer: the links in target order,
+    and per in-degree d >= 1 (d, the targets with d in-links, the first
+    in-link of each)."""
+    order = np.argsort(tgt, kind="stable")
+    starts = np.searchsorted(tgt[order], np.arange(n + 1))
+    degree = np.diff(starts)
+    by_degree = np.argsort(degree, kind="stable")
+    ds, cuts = np.unique(degree[by_degree], return_index=True)
+    groups = [
+        (d, targets, starts[targets])
+        for d, targets in zip(ds.tolist(), np.split(by_degree, cuts[1:]))
+        if d
+    ]
+    return src[order], tv[order], groups
 
 
 def _delta_layer(best, hops, r, rows, out_lo, tgt, tv, combine):
@@ -590,24 +615,28 @@ def _delta_layer(best, hops, r, rows, out_lo, tgt, tv, combine):
         lo = hi
 
 
-def _dense_layer(best, hops, r, rows, combine, bounds, in_src, in_tv):
+def _dense_layer(best, hops, r, rows, combine, in_src, in_tv, groups):
     """Layer r over every prefix.
 
     It works on a target-major snapshot of best, where the in-neighbours
     of a target are whole contiguous rows: each target j takes the fmax
     over its in-neighbours k of combine(prefix[k], t[k, j]) into its
-    column of best. An unreached prefix gives -inf, or NaN when multiplied
-    through a zero-trust link; fmax skips both, so zero-trust paths still
-    reach.
+    column of best. groups holds, per in-degree d, the first in-link of
+    each target with d in-links; targets of one degree are taken together,
+    about DENSE_CHUNK candidates at a time, each one's in-links reduced in
+    order as for one target alone. An unreached prefix gives -inf, or NaN
+    when multiplied through a zero-trust link; fmax skips both, so
+    zero-trust paths still reach.
     """
     prefix = best.T.copy()
     with np.errstate(invalid="ignore"):  # -inf * 0.0 is NaN, skipped by fmax
-        for j in range(best.shape[1]):
-            lo, hi = bounds[j], bounds[j + 1]
-            if lo < hi:
-                col = best[:, j]
-                np.fmax(col, np.fmax.reduce(combine(prefix[in_src[lo:hi]], in_tv[lo:hi, None]),
-                                            axis=0), out=col)
+        for d, targets, starts in groups:
+            step = max(1, DENSE_CHUNK // (d * len(rows)))
+            for lo in range(0, len(targets), step):
+                js = targets[lo : lo + step]
+                links = starts[lo : lo + step, None] + np.arange(d)
+                cand = combine(prefix[in_src[links]], in_tv[links][..., None])
+                best[:, js] = np.fmax(prefix[js], np.fmax.reduce(cand, axis=1)).T
     # Walks back to the source: the loop above may write a source's own
     # cell, but the layer read its prefixes from the snapshot.
     best[np.arange(len(rows)), rows] = -np.inf

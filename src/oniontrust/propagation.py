@@ -15,8 +15,11 @@ link. Only a prefix that layer r - 1 raised can raise a cell in layer r
 extending just those cells chunk by chunk, or as a dense layer over every
 prefix, whichever its candidate count favours. That is all a layer
 computes; reach is read off the scores, with -inf for "no walk yet".
-propagate_arrays runs it over every row and keeps its arrays: 9 bytes per
-pair, a float64 score and a uint8 hop count for budgets up to 255. Its
+propagate_blocks runs it over consecutive blocks of source rows, BLOCK_BYTES
+of arrays at a time (9 bytes per pair, a float64 score and a uint8 hop
+count for budgets up to 255), so a caller that consumes each block as it
+comes, as `oniontrust trust` writes its score CSV, never holds the n x n
+arrays. propagate_arrays is its one-block case and keeps them whole. Their
 output, TrustArrays, is the one trust input of every pipeline path (score
 CSVs, mean trust, simulations, sweeps). propagate_all is its table view,
 TrustArrays.table the one place a row becomes a TrustScoreTable, and
@@ -27,13 +30,22 @@ rebuilds witness paths layer by layer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CyclicPathError, DisconnectedPathError, DomainError, UnknownEntityError
-from .graph import DEFAULT_MAX_HOPS, FriendLink, SocialGraph, _kernel, _sample_rows, check_max_hops
+from .graph import (
+    DEFAULT_MAX_HOPS,
+    FriendLink,
+    SocialGraph,
+    _in_links,
+    _kernel,
+    _sample_rows,
+    check_max_hops,
+)
 
 
 @dataclass(frozen=True)
@@ -153,28 +165,30 @@ def propagate(
 
 @dataclass(frozen=True)
 class TrustArrays:
-    """All-sources trust scores as (n, n) arrays over one id->row index.
+    """Trust scores from a block of consecutive sources, as (rows, n) arrays
+    over one id->row index; the whole table when first is 0 and rows is n.
 
-    Entry [s, t] is about target ids[t] as seen from source ids[s]. The
-    scored pairs are those with hops > 0, never on the diagonal: best holds
-    the score there and 0.0 everywhere else; hops holds the fewest links
-    among best-product paths there and 0 everywhere else. max_hops is the
-    hop budget they were propagated within. best is float64 and hops the
-    smallest unsigned integer dtype that holds min(max_hops, n), uint8 for
-    any budget up to 255: 9 bytes per pair, both C-ordered.
+    Entry [s, t] is about target ids[t] as seen from source ids[first + s].
+    The scored pairs are those with hops > 0, never a source's own cell:
+    best holds the score there and 0.0 everywhere else; hops holds the
+    fewest links among best-product paths there and 0 everywhere else.
+    max_hops is the hop budget they were propagated within. best is float64
+    and hops the smallest unsigned integer dtype that holds min(max_hops,
+    n), uint8 for any budget up to 255: 9 bytes per pair, both C-ordered.
     """
 
     ids: List[int]
     best: np.ndarray
     hops: np.ndarray
     max_hops: int
+    first: int = 0
 
     def table(self, row: int) -> TrustScoreTable:
-        """The score table of source ids[row], without witness paths."""
+        """The score table of source ids[first + row], without witness paths."""
         cols = np.flatnonzero(self.hops[row])
         ids = self.ids
         return TrustScoreTable(
-            ids[row],
+            ids[self.first + row],
             {
                 ids[t]: TrustScore(value, hop)
                 for t, value, hop in zip(
@@ -185,23 +199,65 @@ class TrustArrays:
             },
         )
 
+    def sampled_circles(self) -> int:
+        """The scored pairs of this block's sources that _sample_rows picks.
+
+        Summed over a pass's blocks and divided by the sample's size, that
+        is graph.mean_circle_size, read off hops with no reachability pass.
+        """
+        rows = _sample_rows(len(self.ids)) - self.first
+        rows = rows[(rows >= 0) & (rows < len(self.hops))]
+        return int(np.count_nonzero(self.hops[rows]))
+
     def mean_circle_size(self) -> float:
-        """graph.mean_circle_size read off hops, with no reachability pass."""
+        """graph.mean_circle_size of whole arrays."""
         if not self.ids:
             raise DomainError("graph has no entities")
-        rows = _sample_rows(len(self.ids))
-        return np.count_nonzero(self.hops[rows]) / len(rows)
+        return self.sampled_circles() / len(_sample_rows(len(self.ids)))
+
+
+#: Bytes of trust arrays one block of propagate_blocks holds: at 9 bytes per
+#: pair, 116 sources of the n = 1000 benchmark graphs and 38 at n = 3000.
+BLOCK_BYTES = 1 << 20
+
+
+def propagate_blocks(
+    graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS, block_rows: Optional[int] = None
+) -> Iterator[TrustArrays]:
+    """Trust scores from every source, as TrustArrays over consecutive
+    blocks of block_rows sources (by default as many as fit BLOCK_BYTES,
+    at least one), each one kernel pass over its rows.
+
+    The hop budget and the link trusts are checked here, before the first
+    block is asked for. Each block is computed when it is taken, into
+    arrays of its own, so a caller that drops a block once it has read it
+    holds one block at a time.
+    """
+    check_max_hops(max_hops)
+    ids, src, tgt, tv = graph.pair_arrays(trust=True)
+    n = len(ids)
+    if block_rows is None:
+        block_rows = max(1, BLOCK_BYTES // (9 * max(n, 1)))
+
+    # The blocks' dense layers share one target-major copy of the links.
+    in_links = functools.cache(functools.partial(_in_links, n, src, tgt, tv))
+
+    def block(first: int) -> TrustArrays:
+        rows = np.arange(first, min(first + block_rows, n))
+        for best, hops in _kernel(n, src, tgt, tv, rows, max_hops, np.multiply, in_links):
+            pass
+        np.maximum(best, 0.0, out=best)
+        return TrustArrays(ids=ids, best=best, hops=hops, max_hops=max_hops, first=first)
+
+    # A graph without entities gives one block of no rows.
+    return map(block, range(0, max(n, 1), block_rows))
 
 
 def propagate_arrays(graph: SocialGraph, max_hops: int = DEFAULT_MAX_HOPS) -> TrustArrays:
-    """Trust scores from every source at once, as arrays: one kernel pass
-    over all source rows, whose arrays it returns in place."""
-    check_max_hops(max_hops)
-    ids, src, tgt, tv = graph.pair_arrays(trust=True)
-    for best, hops in _kernel(len(ids), src, tgt, tv, np.arange(len(ids)), max_hops, np.multiply):
-        pass
-    np.maximum(best, 0.0, out=best)
-    return TrustArrays(ids=ids, best=best, hops=hops, max_hops=max_hops)
+    """Trust scores from every source at once: propagate_blocks' one-block
+    case, one kernel pass over all source rows, whose arrays it returns."""
+    (arrays,) = propagate_blocks(graph, max_hops, block_rows=max(len(graph), 1))
+    return arrays
 
 
 def propagate_all(

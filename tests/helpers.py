@@ -3,12 +3,14 @@
 The oracles deliberately re-derive results from first principles (numeric
 quadrature, exhaustive path and draw-order enumeration) instead of reusing
 package code. The heap search, the dense propagation loop, the matmul
-circle sizes and calibration loop, the CSV reference writer, the per-group scoring loop, the dict-based candidate and
-correlation references, the binary-search sampler, the round-by-round
-simulation loop with numpy's own round streams, the 1-D keyed flag
-draw and the widen-and-concatenate link merge are the exception: they are the slow paths the current
-code replaced, kept to pin its bits. The graph-file parser keeps its own
-slow path, the per-line loop, in the package as its error reporter.
+circle sizes and calibration loop, the CSV reference writer, the
+whole-array score writer, the per-group scoring loop, the dict-based
+candidate and correlation references, the binary-search sampler, the
+round-by-round simulation loop with numpy's own round streams, the 1-D
+keyed flag draw and the widen-and-concatenate link merge are the
+exception: they are the slow paths the current code replaced, kept to pin
+its bits. The graph-file parser keeps its own slow path, the per-line
+loop, in the package as its error reporter.
 """
 
 import dataclasses
@@ -537,6 +539,36 @@ def reference_cdf_points(values):
         if k == total or ordered[k] != value:
             points.append((value, k / total))
     return points
+
+
+def reference_write_trust_scores(path, arrays) -> None:
+    """write_trust_scores as it wrote whole TrustArrays: 32 sources per
+    write, the hop-cell table sized by hops.max()."""
+    from oniontrust import cells
+
+    id_cells = cells.text_cells(list(map(str, arrays.ids)))
+    hop_cells = cells.text_cells(list(map(str, range(int(arrays.hops.max(initial=0)) + 1))))
+
+    def blocks():
+        for lo in range(0, len(id_cells), 32):
+            block = slice(lo, lo + 32)
+            hops = arrays.hops[block]
+            scored = np.flatnonzero(hops)
+            rows, cols = np.unravel_index(scored, hops.shape)
+            yield (
+                np.take(id_cells, rows + lo, axis=0),
+                np.take(id_cells, cols, axis=0),
+                cells.float_cells(arrays.best[block].ravel()[scored]),
+                np.take(hop_cells, hops.ravel()[scored], axis=0),
+            )
+
+    cells.write_csv(path, ("source", "target", "ts", "hops"), blocks())
+
+
+def reference_circle(arrays) -> float:
+    """TrustArrays.mean_circle_size as it read whole arrays."""
+    rows = _sample_rows(len(arrays.ids))
+    return np.count_nonzero(arrays.hops[rows]) / len(rows)
 
 
 def reference_trust_scores_csv(graph: SocialGraph, max_hops: int) -> bytes:

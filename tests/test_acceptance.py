@@ -299,7 +299,8 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
         scenario_path.write_text(
             "strategy = practical_stor\nfraction = 0.2\nn = 80\n"
             "generator = er:0.1\nrounds = 50\ndraws = 100\n"
-            "draw_mode = circuit\nomega = 0.3\n"
+            "draw_mode = circuit\nomega = 0.3\n",
+            encoding="utf-8",
         )
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -1,22 +1,35 @@
 """End-to-end command line runs, in process."""
 
 import argparse
+import tracemalloc
+import weakref
 from collections import Counter
 from importlib import resources
 
 import pytest
 
+import oniontrust.cli
 from oniontrust import (
     AttributeProfile,
     FriendLink,
+    GeneratorParams,
     SocialGraph,
     compute_trust_values,
+    generate_graph,
+    propagation,
     read_graph,
     read_rules,
+    write_graph,
 )
 from oniontrust.cli import build_parser, main
+from oniontrust.propagation import TrustArrays
 
-from helpers import reference_trust_scores_csv
+from helpers import (
+    reference_arrays,
+    reference_circle,
+    reference_trust_scores_csv,
+    reference_write_trust_scores,
+)
 
 
 WORKED_GRAPH = """\
@@ -36,6 +49,13 @@ generator = er:0.3
 rounds = 20
 draws = 30
 """
+
+
+def csv_lines(path):
+    """A CSV's lines, read as bytes: each ends in a bare newline."""
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and b"\r" not in data
+    return data.decode("utf-8").split("\n")[:-1]
 
 
 def test_generate_writes_a_parseable_graph(tmp_path, capsys):
@@ -64,14 +84,14 @@ def test_generate_quiet_and_deterministic(tmp_path, capsys):
 
 def test_trust_scores_a_known_graph(tmp_path):
     graph_path = tmp_path / "graph.txt"
-    graph_path.write_text(WORKED_GRAPH)
+    graph_path.write_text(WORKED_GRAPH, encoding="utf-8")
     rc = main(["trust", str(graph_path), "--out", str(tmp_path), "--quiet"])
     assert rc == 0
-    link_rows = (tmp_path / "link_trust.csv").read_text().splitlines()
+    link_rows = csv_lines(tmp_path / "link_trust.csv")
     assert link_rows[0] == "source,target,network,trust_value"
     assert link_rows[1] == "1,2,1,0.83125"
     assert link_rows[2] == "1,3,1,0.8333333333333333"
-    score_rows = (tmp_path / "trust_scores.csv").read_text().splitlines()
+    score_rows = csv_lines(tmp_path / "trust_scores.csv")
     assert score_rows[1] == "1,2,0.83125,1"
     assert score_rows[2] == "1,3,0.8333333333333333,1"
     assert len(score_rows) == 3
@@ -95,13 +115,98 @@ def test_trust_scores_equal_the_row_writer(tmp_path, max_hops):
     assert (tmp_path / "trust_scores.csv").read_bytes() == want
 
 
+def scored_with_zeros(graph, rules):
+    """compute_trust_values, then trust 0.0 on every third link."""
+    compute_trust_values(graph, rules)
+    graph.link_columns().trust[::3] = 0.0
+
+
+@pytest.mark.parametrize("max_hops", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "n,block_rows",
+    [(40, None), (40, 7), (400, None), (1, None)],
+    ids=["one-block", "short-last-block", "two-blocks-by-budget", "one-entity"],
+)
+def test_trust_streams_the_bytes_of_whole_arrays(
+    tmp_path, capsys, monkeypatch, n, block_rows, max_hops
+):
+    graph_path = tmp_path / "graph.txt"
+    if n == 1:
+        graph_path.write_text("entities 1\nentity 5 bandwidth=1.0 malicious=0\n", encoding="utf-8")
+    else:
+        write_graph(graph_path, generate_graph(GeneratorParams(n, "er", 4.0 / n), 3))
+    if block_rows is None:
+        block_rows = propagation.BLOCK_BYTES // (9 * n)
+    else:
+        monkeypatch.setattr(propagation, "BLOCK_BYTES", 9 * n * block_rows)
+    monkeypatch.setattr(oniontrust.cli, "compute_trust_values", scored_with_zeros)
+    passes = []
+    kernel = propagation._kernel
+
+    def counted(n, src, tgt, tv, rows, *args):
+        passes.append(len(rows))
+        return kernel(n, src, tgt, tv, rows, *args)
+
+    monkeypatch.setattr(propagation, "_kernel", counted)
+    out = tmp_path / "out"
+    assert main(["trust", str(graph_path), "--max-hops", str(max_hops), "--out", str(out)]) == 0
+    assert passes == [min(block_rows, n - lo) for lo in range(0, n, block_rows)]
+
+    graph = read_graph(graph_path)
+    scored_with_zeros(graph, read_rules())
+    arrays = TrustArrays(graph.entity_ids(), *reference_arrays(graph, max_hops), max_hops)
+    reference_write_trust_scores(tmp_path / "want.csv", arrays)
+    assert (out / "trust_scores.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert capsys.readouterr().out == (
+        "scored %d links across %d entities; mean circle size %.1f; wrote %s, %s\n"
+        % (graph.link_count(), n, reference_circle(arrays),
+           out / "link_trust.csv", out / "trust_scores.csv")
+    )
+
+
+def test_trust_holds_less_than_one_square_array(tmp_path):
+    # Whole trust arrays took 4.0 MB traced here; streamed, the graph read's
+    # 1.7 MB sets the peak.
+    n = 600
+    graph_path = tmp_path / "graph.txt"
+    write_graph(graph_path, generate_graph(GeneratorParams(n, "er", 0.01), 5))
+    argv = ["trust", str(graph_path), "--out", str(tmp_path / "out"), "--quiet"]
+    assert main(argv) == 0  # imports the writers' modules before the traced run
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
+def test_trust_holds_one_block_at_a_time(tmp_path, monkeypatch):
+    graph_path = tmp_path / "graph.txt"
+    write_graph(graph_path, generate_graph(GeneratorParams(60, "er", 0.1), 2))
+    monkeypatch.setattr(propagation, "BLOCK_BYTES", 9 * 60 * 7)
+    kernel = propagation._kernel
+    last = []
+
+    def checked(*args):
+        # the previous block's arrays are gone before the next is computed
+        assert all(ref() is None for ref in last)
+        for best, hops in kernel(*args):
+            yield best, hops
+        last[:] = [weakref.ref(best), weakref.ref(hops)]
+
+    monkeypatch.setattr(propagation, "_kernel", checked)
+    assert main(["trust", str(graph_path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert last
+
+
 def test_simulate_writes_rounds_and_cdf(tmp_path, capsys):
     scenario_path = tmp_path / "scenario.txt"
-    scenario_path.write_text(SCENARIO)
+    scenario_path.write_text(SCENARIO, encoding="utf-8")
     out = tmp_path / "out"
     rc = main(["simulate", str(scenario_path), "--out", str(out)])
     assert rc == 0
-    rounds = (out / "rounds.csv").read_text().splitlines()
+    rounds = csv_lines(out / "rounds.csv")
     assert rounds[0] == "round,r_mr,r_mc,avg_bandwidth,draws"
     assert len(rounds) == 21
     assert (out / "cdf_r_mr.csv").exists()
@@ -111,7 +216,7 @@ def test_simulate_writes_rounds_and_cdf(tmp_path, capsys):
 
 def test_simulate_reruns_identically(tmp_path):
     scenario_path = tmp_path / "scenario.txt"
-    scenario_path.write_text(SCENARIO)
+    scenario_path.write_text(SCENARIO, encoding="utf-8")
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert main(["simulate", str(scenario_path), "--out", str(a), "--quiet"]) == 0
     assert main(["simulate", str(scenario_path), "--out", str(b), "--quiet"]) == 0
@@ -128,23 +233,24 @@ def test_simulate_circuit_mode_reports_compromise_cdf(tmp_path):
     scenario_path = tmp_path / "scenario.txt"
     scenario_path.write_text(
         "strategy = theoretical_stor\nfraction = 0.1\nn = 30\n"
-        "generator = er:0.05\nrounds = 15\ndraws = 25\ndraw_mode = circuit\n"
+        "generator = er:0.05\nrounds = 15\ndraws = 25\ndraw_mode = circuit\n",
+        encoding="utf-8",
     )
     out = tmp_path / "out"
     rc = main(["simulate", str(scenario_path), "--out", str(out), "--quiet"])
     assert rc == 0
     # flags never enter the circle, so both rates are exactly zero
-    assert (out / "cdf_r_mr.csv").read_text() == (
-        "value,cumulative_fraction\n0.0,1.0\n"
+    assert (out / "cdf_r_mr.csv").read_bytes() == (
+        b"value,cumulative_fraction\n0.0,1.0\n"
     )
-    assert (out / "cdf_r_mc.csv").read_text() == (
-        "value,cumulative_fraction\n0.0,1.0\n"
+    assert (out / "cdf_r_mc.csv").read_bytes() == (
+        b"value,cumulative_fraction\n0.0,1.0\n"
     )
 
 
 def test_sweep_writes_per_value_rounds(tmp_path, capsys):
     scenario_path = tmp_path / "scenario.txt"
-    scenario_path.write_text(SCENARIO)
+    scenario_path.write_text(SCENARIO, encoding="utf-8")
     out = tmp_path / "out"
     rc = main(
         ["sweep", str(scenario_path), "--axis", "omega", "--values", "0.0,0.5",
@@ -154,7 +260,7 @@ def test_sweep_writes_per_value_rounds(tmp_path, capsys):
     assert (out / "sweep.csv").exists()
     assert (out / "rounds_omega_0.0.csv").exists()
     assert (out / "rounds_omega_0.5.csv").exists()
-    sweep_rows = (out / "sweep.csv").read_text().splitlines()
+    sweep_rows = csv_lines(out / "sweep.csv")
     assert len(sweep_rows) == 3
     assert sweep_rows[1].startswith("omega,0.0,")
     stdout = capsys.readouterr().out
@@ -163,7 +269,7 @@ def test_sweep_writes_per_value_rounds(tmp_path, capsys):
 
 def test_errors_exit_with_code_one(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
-    bad.write_text("strategy = original_tor\nfraction = 0.1\nbudget = 3\n")
+    bad.write_text("strategy = original_tor\nfraction = 0.1\nbudget = 3\n", encoding="utf-8")
     assert main(["simulate", str(bad), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -172,7 +278,7 @@ def test_errors_exit_with_code_one(tmp_path, capsys):
     assert main(["simulate", str(missing), "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
     scenario_path = tmp_path / "scenario.txt"
-    scenario_path.write_text(SCENARIO)
+    scenario_path.write_text(SCENARIO, encoding="utf-8")
     assert main(
         ["sweep", str(scenario_path), "--axis", "omega", "--values", "a,b",
          "--out", str(tmp_path)]
@@ -186,7 +292,8 @@ def test_an_all_zero_attribute_gives_one_error_line(tmp_path, capsys):
         "entities 2\n"
         "entity 1 bandwidth=1.0 malicious=0\n"
         "entity 2 bandwidth=1.0 malicious=0\n"
-        "link 1 2 network=1 q:freq=0.0 q:time=1.0 c:Major=POSITIVE c:Relationship=POSITIVE\n"
+        "link 1 2 network=1 q:freq=0.0 q:time=1.0 c:Major=POSITIVE c:Relationship=POSITIVE\n",
+        encoding="utf-8",
     )
     out = tmp_path / "out"
     assert main(["trust", str(graph_path), "--out", str(out)]) == 1
@@ -204,7 +311,8 @@ def test_an_id_outside_int64_gives_one_error_line(tmp_path, capsys):
     graph_path.write_text(
         "entities 2\n"
         "entity 1 bandwidth=1 malicious=0\n"
-        "entity 99999999999999999999 bandwidth=1 malicious=0\n"
+        "entity 99999999999999999999 bandwidth=1 malicious=0\n",
+        encoding="utf-8",
     )
     assert main(["trust", str(graph_path), "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
@@ -220,7 +328,8 @@ def test_a_link_without_qualitative_attributes_is_named(tmp_path, capsys):
         "entity 2 bandwidth=1.0 malicious=0\n"
         "entity 3 bandwidth=1.0 malicious=0\n"
         "link 1 2 network=1 q:freq=1.0 q:time=1.0 c:Major=POSITIVE\n"
-        "link 1 3 network=1 q:freq=1.0 q:time=1.0\n"
+        "link 1 3 network=1 q:freq=1.0 q:time=1.0\n",
+        encoding="utf-8",
     )
     out = tmp_path / "out"
     assert main(["trust", str(graph_path), "--out", str(out)]) == 1
@@ -235,7 +344,7 @@ def test_a_link_without_qualitative_attributes_is_named(tmp_path, capsys):
 @pytest.mark.parametrize("token", ["nan", "inf", "40.7"])
 def test_sweep_n_axis_names_a_bad_value(tmp_path, capsys, token):
     scenario_path = tmp_path / "scenario.txt"
-    scenario_path.write_text(SCENARIO)
+    scenario_path.write_text(SCENARIO, encoding="utf-8")
     rc = main(
         ["sweep", str(scenario_path), "--axis", "n", "--values", "30," + token,
          "--out", str(tmp_path / "out")]
@@ -288,7 +397,7 @@ def test_sweep_n_axis_names_a_bad_value(tmp_path, capsys, token):
 def test_bad_numbers_give_one_error_line(tmp_path, capsys, argv, scenario, message):
     scenario_path = tmp_path / "scenario.txt"
     if scenario is not None:
-        scenario_path.write_text(scenario)
+        scenario_path.write_text(scenario, encoding="utf-8")
     out = tmp_path / "out"
     argv = [arg.format(scenario=scenario_path) for arg in argv] + ["--out", str(out)]
     assert main(argv) == 1
@@ -300,7 +409,7 @@ def test_bad_numbers_give_one_error_line(tmp_path, capsys, argv, scenario, messa
 
 def test_a_rules_file_scores_as_the_bundled_rules(tmp_path):
     graph_path = tmp_path / "graph.txt"
-    graph_path.write_text(WORKED_GRAPH)
+    graph_path.write_text(WORKED_GRAPH, encoding="utf-8")
     rules_path = tmp_path / "rules.txt"
     bundled = resources.files("oniontrust").joinpath("data/default_rules.txt")
     rules_path.write_bytes(bundled.read_bytes())
@@ -328,7 +437,7 @@ def test_a_rules_file_scores_as_the_bundled_rules(tmp_path):
 )
 def test_a_byte_that_is_not_utf8_gives_one_error_line(tmp_path, capsys, argv, bad, message):
     graph_path = tmp_path / "graph.txt"
-    graph_path.write_text(WORKED_GRAPH)
+    graph_path.write_text(WORKED_GRAPH, encoding="utf-8")
     bad_path = tmp_path / "bad.txt"
     bad_path.write_bytes(bad.encode("latin-1"))
     out = tmp_path / "out"
@@ -342,7 +451,7 @@ def test_a_byte_that_is_not_utf8_gives_one_error_line(tmp_path, capsys, argv, ba
 
 def test_trust_on_a_graph_without_entities_writes_nothing(tmp_path, capsys):
     graph_path = tmp_path / "graph.txt"
-    graph_path.write_text("entities 0\n")
+    graph_path.write_text("entities 0\n", encoding="utf-8")
     out = tmp_path / "out"
     assert main(["trust", str(graph_path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
@@ -381,9 +490,9 @@ def test_the_pipeline_builds_no_link_records(tmp_path, monkeypatch):
          "--out", str(tmp_path), "--quiet"]
     ) == 0
     scenario = tmp_path / "scenario.txt"
-    scenario.write_text(SCENARIO)
+    scenario.write_text(SCENARIO, encoding="utf-8")
     circuit = tmp_path / "circuit.txt"
-    circuit.write_text(SCENARIO + "draw_mode = circuit\ncase = best\n")
+    circuit.write_text(SCENARIO + "draw_mode = circuit\ncase = best\n", encoding="utf-8")
     counts = Counter()
 
     def counting(name, original):

@@ -126,6 +126,7 @@ entity 2 bandwidth=20.0 malicious=1   # trailing words are fine on their own lin
         ("", "empty graph file"),
         ("nodes 3", "entities <count>"),
         ("entities x", "entity count"),
+        ("entities -1", "line 1: entity count must be >= 0, got -1"),
         ("entities 1\nentity 1 bandwidth=1.0", "entity <id>"),
         (
             "entities 2\nentity 1 bandwidth=1.0 malicious=0\nentity 1 bandwidth=2.0 malicious=0",
@@ -643,7 +644,7 @@ def test_write_trust_scores_holds_less_than_the_row_text(tmp_path):
     arrays = propagate_arrays(graph, 2)
     tracemalloc.start()
     try:
-        write_trust_scores(tmp_path / "ts.csv", arrays)
+        write_trust_scores(tmp_path / "ts.csv", [arrays])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -657,10 +658,10 @@ def test_write_round_reports(tmp_path):
     ]
     path = tmp_path / "rounds.csv"
     write_round_reports(path, reports)
-    assert path.read_text() == (
-        "round,r_mr,r_mc,avg_bandwidth,draws\n"
-        "0,0.25,,12.5,100\n"
-        "1,0.5,0.75,3.0,100\n"
+    assert path.read_bytes() == (
+        b"round,r_mr,r_mc,avg_bandwidth,draws\n"
+        b"0,0.25,,12.5,100\n"
+        b"1,0.5,0.75,3.0,100\n"
     )
 
 
@@ -673,18 +674,18 @@ def test_record_writers_keep_the_cell_rule(tmp_path):
     ]
     path = tmp_path / "rounds.csv"
     write_round_reports(path, reports)
-    assert path.read_text() == (
-        "round,r_mr,r_mc,avg_bandwidth,draws\n"
-        "1180591620717411303424,nan,,0.1,True\n"
-        "-1,0.5,0.75,1e+300,7\n"
+    assert path.read_bytes() == (
+        b"round,r_mr,r_mc,avg_bandwidth,draws\n"
+        b"1180591620717411303424,nan,,0.1,True\n"
+        b"-1,0.5,0.75,1e+300,7\n"
     )
 
 
 def test_write_cdf(tmp_path):
     path = tmp_path / "cdf.csv"
     write_cdf(path, [0.5, 0.5, 0.0, 1.0])
-    assert path.read_text() == (
-        "value,cumulative_fraction\n0.0,0.25\n0.5,0.75\n1.0,1.0\n"
+    assert path.read_bytes() == (
+        b"value,cumulative_fraction\n0.0,0.25\n0.5,0.75\n1.0,1.0\n"
     )
 
 
@@ -692,10 +693,10 @@ def test_write_link_trust(tmp_path):
     g = sample_graph()
     path = tmp_path / "lt.csv"
     write_link_trust(path, g)
-    assert path.read_text() == (
-        "source,target,network,trust_value\n"
-        "1,2,1,0.8312\n"
-        "2,3,2,\n"
+    assert path.read_bytes() == (
+        b"source,target,network,trust_value\n"
+        b"1,2,1,0.8312\n"
+        b"2,3,2,\n"
     )
 
 
@@ -713,7 +714,8 @@ def test_write_link_trust_streams_several_blocks(tmp_path, monkeypatch):
         for l in graph.links()
     ]
     assert len(rows) == 7
-    assert path.read_text() == "source,target,network,trust_value\n" + "\n".join(rows) + "\n"
+    want = "source,target,network,trust_value\n" + "\n".join(rows) + "\n"
+    assert path.read_bytes() == want.encode()
 
 
 def test_write_trust_scores(tmp_path):
@@ -724,12 +726,12 @@ def test_write_trust_scores(tmp_path):
         max_hops=2,
     )
     path = tmp_path / "ts.csv"
-    write_trust_scores(path, arrays)
-    assert path.read_text() == (
-        "source,target,ts,hops\n"
-        "1,2,0.9,1\n"
-        "1,3,0.45,2\n"
-        "2,3,0.5,1\n"
+    write_trust_scores(path, [arrays])
+    assert path.read_bytes() == (
+        b"source,target,ts,hops\n"
+        b"1,2,0.9,1\n"
+        b"1,3,0.45,2\n"
+        b"2,3,0.5,1\n"
     )
 
 
@@ -737,7 +739,7 @@ def test_write_trust_scores(tmp_path):
 @given(scored_graphs(), st.integers(1, 3))
 def test_write_trust_scores_matches_the_row_writer(tmp_path_factory, graph, max_hops):
     path = tmp_path_factory.mktemp("scores") / "ts.csv"
-    write_trust_scores(path, propagate_arrays(graph, max_hops))
+    write_trust_scores(path, [propagate_arrays(graph, max_hops)])
     assert path.read_bytes() == reference_trust_scores_csv(graph, max_hops)
 
 
@@ -755,7 +757,7 @@ def test_write_trust_scores_streams_several_blocks(tmp_path, max_hops):
         tv = float(rng.choice([0.0, 1.0, rng.random(), rng.random()]))
         graph.add_link(scored_link(a, b, tv, network=int(rng.integers(1, 3))))
     path = tmp_path / "ts.csv"
-    write_trust_scores(path, propagate_arrays(graph, max_hops))
+    write_trust_scores(path, [propagate_arrays(graph, max_hops)])
     assert path.read_bytes() == reference_trust_scores_csv(graph, max_hops)
 
 
@@ -769,10 +771,10 @@ def test_numpy_scalars_are_written_as_plain_numbers(tmp_path):
         draws=np.int64(1),
     )
     write_round_reports(path, [report])
-    assert path.read_text() == "round,r_mr,r_mc,avg_bandwidth,draws\n1,0.1,,2.5,1\n"
+    assert path.read_bytes() == b"round,r_mr,r_mc,avg_bandwidth,draws\n1,0.1,,2.5,1\n"
     path = tmp_path / "cdf.csv"
     write_cdf(path, [np.float64(0.1)])
-    assert path.read_text() == "value,cumulative_fraction\n0.1,1.0\n"
+    assert path.read_bytes() == b"value,cumulative_fraction\n0.1,1.0\n"
 
 
 def test_write_sweep_rows(tmp_path):
@@ -789,10 +791,10 @@ def test_write_sweep_rows(tmp_path):
     ]
     path = tmp_path / "sweep.csv"
     write_sweep_rows(path, rows)
-    assert path.read_text() == (
-        "axis,value,mean_r_mr,mean_r_mc,mean_bandwidth,mean_circle_size,"
-        "mean_trustworthy_size\n"
-        "omega,0.5,0.125,,42.0,10.5,9.25\n"
+    assert path.read_bytes() == (
+        b"axis,value,mean_r_mr,mean_r_mc,mean_bandwidth,mean_circle_size,"
+        b"mean_trustworthy_size\n"
+        b"omega,0.5,0.125,,42.0,10.5,9.25\n"
     )
 
 

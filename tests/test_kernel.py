@@ -5,6 +5,7 @@ gapped ids and isolated entities; every fast result must equal its slow
 counterpart exactly, not approximately.
 """
 
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -21,8 +22,8 @@ from oniontrust import (
     mean_trust_scores,
 )
 from oniontrust.fileio import read_rules
-from oniontrust.graph import _circle_widths, _kernel, _mean_circle_size
-from oniontrust.propagation import propagate, propagate_arrays
+from oniontrust.graph import _circle_widths, _kernel, _mean_circle_size, _sample_rows
+from oniontrust.propagation import propagate, propagate_arrays, propagate_blocks
 
 from helpers import (
     default_rules,
@@ -238,6 +239,67 @@ def test_every_layer_mode_gives_the_dense_bits(graph, max_hops, modes, chunk):
         np.maximum(widths, 0.0, out=widths)
         assert widths.view(np.int64).tolist() == best.view(np.int64).tolist()
         assert width_hops.tolist() == hops.tolist()
+
+
+@PROPERTY
+@given(
+    graphs(trust=SIGNED_TRUST),
+    st.integers(1, 4),
+    st.sampled_from(LAYER_MODES),
+    st.integers(1, 4),
+    # one target per dense chunk, several, and the default
+    st.sampled_from([1, 5, oniontrust.graph.DENSE_CHUNK]),
+)
+def test_blocks_of_sources_stack_to_the_dense_bits(graph, max_hops, modes, block_rows, chunk):
+    best, hops = reference_arrays(graph, max_hops)
+    n = len(graph)
+    with mock.patch.object(oniontrust.graph, "DENSE_CHUNK", chunk):
+        layers = itertools.cycle(modes)
+        with mock.patch.object(oniontrust.graph, "_delta_layer_wins", lambda *_: next(layers)):
+            blocks = list(propagate_blocks(graph, max_hops, block_rows))
+    assert [block.first for block in blocks] == list(range(0, n, block_rows))
+    assert all(block.ids == graph.entity_ids() for block in blocks)
+    got = np.concatenate([block.best for block in blocks])
+    assert got.view(np.int64).tolist() == best.view(np.int64).tolist()
+    assert np.concatenate([block.hops for block in blocks]).tolist() == hops.tolist()
+    rows = _sample_rows(n)
+    assert sum(block.sampled_circles() for block in blocks) == np.count_nonzero(hops[rows])
+
+
+def test_blocks_keep_the_layer_modes_of_whole_passes(monkeypatch):
+    # A full pass, calibration's 300-source pass and a one-source pass at
+    # budget 2 choose every layer as the rule did when it weighed n * links,
+    # whatever its rows; a block of a full pass weighs its own rows.
+    calls = []
+    wins = oniontrust.graph._delta_layer_wins
+
+    def logged(work, rows, links):
+        calls.append((work, links, wins(work, rows, links)))
+        return calls[-1][2]
+
+    def modes(n):
+        got = [delta for _, _, delta in calls]
+        assert got == [4 * work < n * links for work, links, _ in calls]
+        calls.clear()
+        return got
+
+    monkeypatch.setattr(oniontrust.graph, "_delta_layer_wins", logged)
+    for n in (500, 1000):
+        graph = generate_graph(GeneratorParams(n=n, kind="calibrated", value=0.8), seed=11)
+        assert modes(n) == [True]
+        compute_trust_values(graph, read_rules())
+        propagate_arrays(graph, 3)
+        assert modes(n) == [True, False]
+        propagate(graph, graph.entity_ids()[0], 2)
+        assert modes(n) == [True]
+    # each block of the streamed pass keeps those modes, where weighing
+    # n * links would run its last layer as a delta layer
+    blocks = 0
+    for _ in propagate_blocks(graph, 3):
+        blocks += 1
+        assert [delta for _, _, delta in calls] == [True, False]
+        calls.clear()
+    assert blocks == 9
 
 
 def test_an_all_sources_pass_holds_its_result_and_one_square_buffer():
