@@ -427,9 +427,11 @@ def _column_scores(quant, top, codes, weighted, rule_of) -> np.ndarray:
         if rule is Rule.MEDIUM:
             pieces = [(rows & ~high, False), (rows & high, True)]
         for at, side in pieces:
-            mp, m = _closed_form(rule, side, e[at], e2[at], e3[at])
-            moment[at] += mp
-            mass[at] += m
+            # The closed form is elementwise, so taking it over every link
+            # and adding where the rule fires gives its rows' bits.
+            mp, m = _closed_form(rule, side, e, e2, e3)
+            np.add(moment, mp, out=moment, where=at)
+            np.add(mass, m, out=mass, where=at)
     scores = np.divide(moment, mass, out=np.zeros(len(e)), where=mass != 0.0)
     for k in np.flatnonzero(mass == 0.0).tolist():
         matched = [rule_of[c, code] for c, code in enumerate(codes[k].tolist()) if code >= 0]

@@ -30,6 +30,8 @@ import dataclasses
 import functools
 import math
 import numbers
+import os
+import resource
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -469,10 +471,8 @@ def _require_scored(links: LinkColumns, lo: int, hi: int):
 
 
 #: Candidates (prefix cell x out-link) that one chunk of a delta layer
-#: extends, at most; a pass over fewer than 64 * DELTA_CHUNK cells takes a
-#: 64th of its cells. That keeps a chunk's dozen index and value arrays at
-#: a few hundred KB and under a fifth of the pass's result, whatever the
-#: graph and however few its source rows.
+#: extends, at most, whatever the pass's rows: that keeps a chunk's index
+#: and value arrays at a few hundred KB.
 DELTA_CHUNK = 1 << 13
 
 #: Candidates (prefix row x in-link) that one chunk of a dense layer takes,
@@ -574,13 +574,15 @@ def _delta_layer(best, hops, r, rows, out_lo, tgt, tv, combine):
     """Layer r from its delta: the cells layer r - 1 raised, which are those
     whose hop count is r - 1.
 
-    A chunk of delta cells (s, k) expands by k's out-links (k, j) into the
-    candidates combine(prefix, t[k, j]), where prefix is the value of
-    (s, k) when the layer began, and folds them into best in place by
-    maximum.at. A cell is raised where that makes it strictly larger. The
-    prefixes come from that snapshot and never from best, so a cell raised
-    earlier in the layer cannot feed an (r + 1)-link walk into layer r.
-    Prefixes are reached, so no candidate is NaN or -inf.
+    A chunk of at most DELTA_CHUNK candidates expands delta cells (s, k)
+    by k's out-links (k, j) into combine(prefix, t[k, j]), where prefix is
+    the value of (s, k) when the layer began, and folds them into best in
+    place by maximum.at. A cell is raised where that makes it strictly
+    larger than before the chunk. The prefixes come from that snapshot and
+    never from best, so a cell raised earlier in the layer cannot feed an
+    (r + 1)-link walk into layer r. Prefixes are reached, so no candidate
+    is NaN or -inf. A walk back to its source may raise the source's own
+    cell; like _dense_layer, the layer resets those cells once at its end.
     """
     n = best.shape[1]
     flat, hop_flat = best.reshape(-1), hops.reshape(-1)
@@ -591,8 +593,7 @@ def _delta_layer(best, hops, r, rows, out_lo, tgt, tv, combine):
     ends = np.cumsum(count)
     # Chunk c holds the cells whose candidates end in ((c-1)C, cC], C the
     # chunk size: at most C candidates, plus one cell's out-links.
-    chunk = max(1, min(DELTA_CHUNK, flat.size // 64))
-    stops = np.searchsorted(ends, np.arange(chunk, ends[-1] + chunk, chunk),
+    stops = np.searchsorted(ends, np.arange(DELTA_CHUNK, ends[-1] + DELTA_CHUNK, DELTA_CHUNK),
                             side="right").tolist()
     lo = 0
     for hi in stops:
@@ -603,16 +604,18 @@ def _delta_layer(best, hops, r, rows, out_lo, tgt, tv, combine):
         # of that cell, where start is the cell's first candidate.
         start = ends[lo:hi] - c
         link = np.arange(start[0], ends[hi - 1]) + np.repeat(first[lo:hi] - start, c)
-        s, j = np.repeat(row[lo:hi], c), tgt[link]
+        cell = np.repeat(row[lo:hi] * n, c) + tgt[link]
         cand = combine(np.repeat(prefix[lo:hi], c), tv[link])
-        keep = j != rows[s]  # walks back to the source
-        cell, cand = s[keep] * n + j[keep], cand[keep]
         old = flat[cell]
         np.maximum.at(flat, cell, cand)
-        hop_flat[cell[flat[cell] > old]] = r
+        # A cell ends above old exactly where one of its candidates is.
+        hop_flat[cell[cand > old]] = r
         # Free this chunk's arrays before the next chunk builds its own.
-        del link, s, j, cand, keep, cell, old
+        del link, cell, cand, old
         lo = hi
+    own = np.arange(len(rows)) * n + rows
+    flat[own] = -np.inf
+    hop_flat[own] = 0
 
 
 def _dense_layer(best, hops, r, rows, combine, in_src, in_tv, groups):
@@ -766,18 +769,83 @@ class GeneratorParams:
             raise GeneratorParamsError("max_hops must be >= 1, got %r" % (self.max_hops,))
 
 
-def _circle_widths(u: np.ndarray, h: float, max_hops: int) -> np.ndarray:
-    """Bottleneck widths -D over the links u < h, from the _sample_rows
-    sources: D[s, j] is the smallest largest u over walks of at most
-    max_hops links from s to j, and the width is -inf where there is none.
-    At any p <= h, j is in s's circle exactly where the width is above -p."""
-    links = u < h
-    np.fill_diagonal(links, False)  # a self loop never widens a circle
-    src, tgt = np.nonzero(links)
-    rows = _sample_rows(len(u))
-    for widths, _ in _kernel(len(u), src, tgt, -u[src, tgt], rows, max_hops, np.minimum):
+#: Margin of the calibration's first bracket over its Erdos-Renyi estimate
+#: of p. The bisection's sizes at p <= h are exact whatever h is, so the
+#: margin sets the work, not p: a bracket whose circles do not clear the
+#: target by more than the tolerance is read again at twice its h.
+BRACKET_MARGIN = 1.25
+
+#: Uniforms one block of the edge draw holds, at most, in whole rows (at
+#: least one): 512 KiB of float64 at any n.
+DRAW_BLOCK = 1 << 16
+
+#: Bytes a link below the bracket takes while generation holds it: int64
+#: source and target rows and its float64 uniform.
+_LINK_BYTES = 24
+
+
+class _EdgeUniforms:
+    """The generator's n x n edge uniforms, never held whole.
+
+    u[lo:hi] draws rows lo..hi-1 from the seed's edge stream into one
+    reused buffer, and a read from row 0 starts the stream anew. Read in
+    order from row 0, as _links_below reads, the rows are those of one
+    rng.random((n, n)) draw. A block holds only until the next read.
+    """
+
+    def __init__(self, seed: np.random.SeedSequence, n: int):
+        self._seed, self._n = seed, n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi = rows.start, min(rows.stop, self._n)
+        if lo == 0:
+            self._rng = np.random.default_rng(self._seed)
+            self._buffer = np.empty((hi, self._n))
+        block = self._buffer[: hi - lo]
+        self._rng.random(out=block)
+        return block
+
+
+def _links_below(u, h: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The links u < h, self loops left out, as (src, tgt, w) columns in
+    row-major order: each link's source and target row and its u.
+
+    u is read DRAW_BLOCK uniforms of rows at a time, as u[lo:hi] in order
+    from row 0, which a square array and _EdgeUniforms both provide.
+    """
+    n = len(u)
+    step = max(1, DRAW_BLOCK // n)
+    src, tgt, w = [], [], []
+    for lo in range(0, n, step):
+        block = u[lo : lo + step]
+        below = block < h
+        np.fill_diagonal(below[:, lo:], False)  # a self loop never widens a circle
+        cells = np.flatnonzero(below)
+        rows, cols = np.divmod(cells, n)
+        src.append(rows + lo)
+        tgt.append(cols)
+        w.append(block.reshape(-1)[cells])
+    return np.concatenate(src), np.concatenate(tgt), np.concatenate(w)
+
+
+def _bottleneck_widths(n: int, links, max_hops: int) -> np.ndarray:
+    """Bottleneck widths -D over links (src, tgt, w) below some h, from the
+    _sample_rows sources: D[s, j] is the smallest largest w over walks of
+    at most max_hops links from s to j, and the width is -inf where there
+    is none. At any p <= h, j is in s's circle exactly where the width is
+    above -p."""
+    src, tgt, w = links
+    for widths, _ in _kernel(n, src, tgt, -w, _sample_rows(n), max_hops, np.minimum):
         pass
     return widths
+
+
+def _circle_widths(u, h: float, max_hops: int) -> np.ndarray:
+    """_bottleneck_widths over the links u < h of a u read in row blocks."""
+    return _bottleneck_widths(len(u), _links_below(u, h), max_hops)
 
 
 def _mean_circle_size(widths: np.ndarray, p: float) -> float:
@@ -785,27 +853,44 @@ def _mean_circle_size(widths: np.ndarray, p: float) -> float:
     return np.count_nonzero(widths > -p) / len(widths)
 
 
-def _calibrate_edge_prob(u: np.ndarray, params: GeneratorParams) -> float:
-    """Binary-search the edge probability hitting the target mean circle size.
-
-    The SAME uniform matrix u is thresholded at every candidate p, so the
-    edge set (and with it the mean circle size) grows monotonically in p and
-    the search is well behaved. Missing CALIBRATION_TOL within 60 steps
-    raises GeneratorParamsError naming the closest size reached.
-
-    One _circle_widths pass at h gives the size at every p <= h. h is the
-    smallest power of two at or above an Erdos-Renyi estimate of p, doubled
-    until its size clears the target by more than the tolerance; a step
-    with mid > h then goes down unread. Only a miss's closest size needs
-    those steps, so a miss replays the search over every link (h = 1).
-    """
-    target, max_hops = params.value * params.n, params.max_hops
+def _bracket(params: GeneratorParams) -> float:
+    """The edge probability below which generation first reads links: er's
+    own p, or BRACKET_MARGIN over an Erdos-Renyi estimate of the calibrated
+    p, at most 1."""
+    if params.kind == "er":
+        return params.value
+    max_hops = params.max_hops
     guess = (-math.log1p(-params.value)) ** (1 / max_hops) / params.n ** ((max_hops - 1) / max_hops)
-    h = min(1.0, 2.0 ** math.ceil(math.log2(guess)))
-    widths = _circle_widths(u, h, max_hops)
+    return min(1.0, BRACKET_MARGIN * guess)
+
+
+def _calibrated_links(u, params: GeneratorParams) -> Tuple[float, Tuple[np.ndarray, ...]]:
+    """(p, links): the edge probability hitting the target mean circle size,
+    and the links below the last bracket searched, which hold every link
+    below p, as _links_below gives them.
+
+    The SAME uniforms u are thresholded at every candidate p, so the edge
+    set (and with it the mean circle size) grows monotonically in p and the
+    search is well behaved. Missing CALIBRATION_TOL within 60 steps raises
+    GeneratorParamsError naming the closest size reached.
+
+    One _bottleneck_widths pass at h gives the size at every p <= h. h
+    starts at _bracket and doubles (up to 1) until its size clears the
+    target by more than the tolerance; a step with mid > h then goes down
+    unread. Only a miss's closest size needs those steps, so a miss replays
+    the search over every link (h = 1). Each new h reads u again.
+    """
+    n, target, max_hops = params.n, params.value * params.n, params.max_hops
+
+    def read(h):
+        links = _links_below(u, h)
+        return links, _bottleneck_widths(n, links, max_hops)
+
+    h = _bracket(params)
+    links, widths = read(h)
     while h < 1.0 and _mean_circle_size(widths, h) <= target + CALIBRATION_TOL:
-        h *= 2.0
-        widths = _circle_widths(u, h, max_hops)
+        h = min(1.0, 2.0 * h)
+        links, widths = read(h)
     while True:
         lo, hi = 0.0, 1.0
         best_p, best_size = 1.0, float("inf")
@@ -814,7 +899,7 @@ def _calibrate_edge_prob(u: np.ndarray, params: GeneratorParams) -> float:
             # past h the size is above target + tol, so the step goes down
             size = _mean_circle_size(widths, mid) if mid <= h else math.inf
             if abs(size - target) <= CALIBRATION_TOL:
-                return mid
+                return mid, links
             if abs(size - target) < abs(best_size - target):
                 best_p, best_size = mid, size
             if size < target:
@@ -823,11 +908,25 @@ def _calibrate_edge_prob(u: np.ndarray, params: GeneratorParams) -> float:
                 hi = mid
         if h == 1.0:
             break
-        h, widths = 1.0, _circle_widths(u, 1.0, max_hops)
+        h = 1.0
+        links, widths = read(h)
     raise GeneratorParamsError(
         "calibration missed mean circle size %g within %g: closest was %g at p = %r"
         % (target, CALIBRATION_TOL, best_size, best_p)
     )
+
+
+def _calibrate_edge_prob(u, params: GeneratorParams) -> float:
+    """The p of _calibrated_links, for a u read in row blocks."""
+    return _calibrated_links(u, params)[0]
+
+
+def _memory_bytes() -> int:
+    """The address-space limit when one is set, else physical memory."""
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        return soft
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def generate_graph(params: GeneratorParams, seed: int) -> SocialGraph:
@@ -835,20 +934,33 @@ def generate_graph(params: GeneratorParams, seed: int) -> SocialGraph:
 
     Edges, bandwidths and link attributes come from independent substreams
     of the seed, so calibration never perturbs bandwidths or attributes.
+    The edge uniforms u are drawn a block of rows at a time and only the
+    links below the bracket are kept, so no n x n array is held; the links
+    are those with u < p of one rng.random((n, n)) draw from the edge
+    stream. A graph whose bracket's links would not fit in memory (the
+    address-space limit, else physical memory) fails before any draw.
     """
     _require_integer("seed", seed, GeneratorParamsError)
     if seed < 0:
         raise GeneratorParamsError("seed must be >= 0, got %r" % (seed,))
     edge_ss, bw_ss, attr_ss = np.random.SeedSequence(seed).spawn(3)
     n = params.n
+    h = _bracket(params)
+    need, memory = int(h * n * n) * _LINK_BYTES, _memory_bytes()
+    if need > memory:
+        raise GeneratorParamsError(
+            "n = %d: the links below edge probability %.3g would take about "
+            "%d bytes, more than the %d bytes of memory" % (n, h, need, memory)
+        )
 
-    u = np.random.default_rng(edge_ss).random((n, n))
-    np.fill_diagonal(u, 1.0)  # diagonal never passes u < p, so no self links
+    u = _EdgeUniforms(edge_ss, n)
     if params.kind == "er":
-        p = params.value
+        p, (src, tgt, w) = h, _links_below(u, h)
     else:
-        p = _calibrate_edge_prob(u, params)
-    mask = u < p
+        p, (src, tgt, w) = _calibrated_links(u, params)
+    keep = w < p
+    rows, cols = src[keep], tgt[keep]
+    del src, tgt, w, keep  # the links below the bracket are no longer read
 
     graph = SocialGraph()
     bw_rng = np.random.default_rng(bw_ss)
@@ -856,7 +968,6 @@ def generate_graph(params: GeneratorParams, seed: int) -> SocialGraph:
     for i in range(n):
         graph.add_entity(i + 1, float(bandwidths[i]))
 
-    rows, cols = np.nonzero(mask)
     attr_rng = np.random.default_rng(attr_ss)
     n_links = len(rows)
     # Each entity gets a latent reputation in [0, 1] that biases the

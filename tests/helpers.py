@@ -3,14 +3,14 @@
 The oracles deliberately re-derive results from first principles (numeric
 quadrature, exhaustive path and draw-order enumeration) instead of reusing
 package code. The heap search, the dense propagation loop, the matmul
-circle sizes and calibration loop, the CSV reference writer, the
-whole-array score writer, the per-group scoring loop, the dict-based
-candidate and correlation references, the binary-search sampler, the
-round-by-round simulation loop with numpy's own round streams, the 1-D
-keyed flag draw and the widen-and-concatenate link merge are the
-exception: they are the slow paths the current code replaced, kept to pin
-its bits. The graph-file parser keeps its own slow path, the per-line
-loop, in the package as its error reporter.
+circle sizes and calibration loop, the dense edge generator, the CSV
+reference writer, the whole-array score writer, the per-group scoring
+loop, the dict-based candidate and correlation references, the
+binary-search sampler, the round-by-round simulation loop with numpy's
+own round streams, the 1-D keyed flag draw and the widen-and-concatenate
+link merge are the exception: they are the slow paths the current code
+replaced, kept to pin its bits. The graph-file parser keeps its own slow
+path, the per-line loop, in the package as its error reporter.
 """
 
 import dataclasses
@@ -823,3 +823,44 @@ def reference_calibration(u: np.ndarray, params) -> float:
         "calibration missed mean circle size %g within %g: closest was %g at p = %r"
         % (target, tol, best_size, best_p)
     )
+
+
+def reference_generate_graph(params, seed: int) -> SocialGraph:
+    """The generator as it was with one dense draw: the whole (n, n) u with
+    its diagonal at 1.0, p from reference_calibration, and the links u < p
+    taken by np.nonzero; bandwidths and attributes come from their own
+    substreams as before."""
+    graph_module = oniontrust.graph
+    edge_ss, bw_ss, attr_ss = np.random.SeedSequence(seed).spawn(3)
+    n = params.n
+    u = np.random.default_rng(edge_ss).random((n, n))
+    np.fill_diagonal(u, 1.0)
+    p = params.value if params.kind == "er" else reference_calibration(u, params)
+    rows, cols = np.nonzero(u < p)
+
+    graph = SocialGraph()
+    bandwidths = (1.0 - np.random.default_rng(bw_ss).random(n)) * params.bandwidth_max
+    for i in range(n):
+        graph.add_entity(i + 1, float(bandwidths[i]))
+    attr_rng = np.random.default_rng(attr_ss)
+    target_rep = attr_rng.random(n)[cols]
+    quant_names, qual_names = graph_module.QUANTITATIVE_NAMES, graph_module.QUALITATIVE_NAMES
+    raws = attr_rng.uniform(0.1, graph_module.RAW_HIGH, size=(len(rows), len(quant_names)))
+    raws *= (0.2 + 0.8 * target_rep)[:, None]
+    p_pos = (0.05 + 0.7 * target_rep)[:, None]
+    v = attr_rng.random((len(rows), len(qual_names)))
+    picks = np.where(v < p_pos, 0, np.where(v < p_pos + 0.2, 1, 2))
+    graph.add_links(
+        graph_module.LinkColumns(
+            source=rows.astype(np.int64) + 1,
+            target=cols.astype(np.int64) + 1,
+            network=np.ones(len(rows), dtype=np.int64),
+            quant_names=quant_names,
+            quant=raws,
+            present=np.ones(raws.shape, dtype=bool),
+            qual_names=qual_names,
+            qual=picks.astype(np.int8),
+            trust=np.full(len(rows), np.nan),
+        )
+    )
+    return graph

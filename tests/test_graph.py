@@ -2,10 +2,14 @@
 
 import dataclasses
 import re
+import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oniontrust import (
     AttributeProfile,
@@ -33,6 +37,7 @@ from helpers import (
     profiled_graphs,
     random_trust_graph,
     reference_calibration,
+    reference_generate_graph,
     reference_merged,
     scored_link,
 )
@@ -409,6 +414,86 @@ def test_calibration_replays_the_matmul_bisection(monkeypatch):
                     assert got == calibration_outcome(reference_calibration, u, params)
                     misses += got.startswith("calibration missed")
     assert misses > 0
+
+
+def generation_outcome(generate, params, seed):
+    """The generated graph, or the message of the calibration's miss."""
+    try:
+        return generate(params, seed)
+    except GeneratorParamsError as exc:
+        return str(exc)
+
+
+GENERATOR_SPECS = st.one_of(
+    st.tuples(st.just("er"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("calibrated"), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(1, 40),
+    GENERATOR_SPECS,
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    # rows per block of the draw: one, several (a last block cut short) and
+    # the default, which takes a small graph whole
+    st.sampled_from([1, 7, None]),
+)
+def test_the_blocked_draw_generates_the_dense_generators_graph(n, spec, max_hops, seed, rows):
+    params = GeneratorParams(n, *spec, max_hops=max_hops)
+    block = oniontrust.graph.DRAW_BLOCK if rows is None else rows * n
+    with mock.patch.object(oniontrust.graph, "DRAW_BLOCK", block):
+        got = generation_outcome(generate_graph, params, seed)
+    assert got == generation_outcome(reference_generate_graph, params, seed)
+
+
+def test_calibration_reads_the_uniforms_once():
+    # The bracket's margin over the Erdos-Renyi estimate clears the target
+    # on the first read at the sizes and budgets the scenarios use; a read
+    # at twice h, or the miss replay at h = 1, would draw u again.
+    links_below = oniontrust.graph._links_below
+    for n in (300, 500, 1000):
+        for max_hops in (2, 3):
+            for fraction in (0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95):
+                params = GeneratorParams(n, "calibrated", fraction, max_hops=max_hops)
+                u = oniontrust.graph._EdgeUniforms(np.random.SeedSequence(5), n)
+                with mock.patch.object(
+                    oniontrust.graph, "_links_below", wraps=links_below
+                ) as reads:
+                    oniontrust.graph._calibrated_links(u, params)
+                assert reads.call_count == 1, (n, max_hops, fraction)
+
+
+def test_generation_holds_no_square_array():
+    # The dense draw peaked at 59 MB here, against 32 MB for 8 * n^2 bytes.
+    n = 2000
+    tracemalloc.start()
+    try:
+        generate_graph(GeneratorParams(n, "calibrated", 0.8), seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        GeneratorParams(10**6, "er", 0.5),
+        GeneratorParams(10**6, "calibrated", 0.8, max_hops=1),
+    ],
+    ids=["er", "calibrated"],
+)
+def test_a_graph_too_large_for_memory_fails_before_drawing(params):
+    # Both brackets hold TBs of links (half and all of 10^12 pairs), more
+    # than any host has, so they fail here before a uniform is drawn.
+    start = time.perf_counter()
+    with pytest.raises(
+        GeneratorParamsError, match=r"^n = 1000000: .* about \d+ bytes, more than the \d+ bytes"
+    ):
+        generate_graph(params, seed=1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_generator_params_validation():

@@ -212,6 +212,10 @@ def forced_layers(modes):
 # extending (1, 3) from its raised value would reach 4 at 1.0, a 3-link walk
 @example(graph_from_trust_links([(1, 2, 1.0), (1, 3, 0.1), (2, 3, 1.0), (3, 4, 1.0)]),
          2, LAYER_MODES[0], 1)
+# 1 -> 2 -> 1 and 1 -> 3 -> 4 -> 1 walk back to source 1 at layers 2 and 3,
+# one candidate per chunk; its own cell must stay unreached, -inf and 0 hops
+@example(graph_from_trust_links([(1, 2, 1.0), (2, 1, 1.0), (1, 3, 0.5), (3, 4, 1.0), (4, 1, 1.0)]),
+         4, LAYER_MODES[0], 1)
 def test_every_layer_mode_gives_the_dense_bits(graph, max_hops, modes, chunk):
     best, hops = reference_arrays(graph, max_hops)
     with mock.patch.object(oniontrust.graph, "DELTA_CHUNK", chunk):
