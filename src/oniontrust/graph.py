@@ -843,11 +843,6 @@ def _bottleneck_widths(n: int, links, max_hops: int) -> np.ndarray:
     return widths
 
 
-def _circle_widths(u, h: float, max_hops: int) -> np.ndarray:
-    """_bottleneck_widths over the links u < h of a u read in row blocks."""
-    return _bottleneck_widths(len(u), _links_below(u, h), max_hops)
-
-
 def _mean_circle_size(widths: np.ndarray, p: float) -> float:
     """One calibration step: the mean circle size at edge probability p."""
     return np.count_nonzero(widths > -p) / len(widths)
@@ -914,11 +909,6 @@ def _calibrated_links(u, params: GeneratorParams) -> Tuple[float, Tuple[np.ndarr
         "calibration missed mean circle size %g within %g: closest was %g at p = %r"
         % (target, CALIBRATION_TOL, best_size, best_p)
     )
-
-
-def _calibrate_edge_prob(u, params: GeneratorParams) -> float:
-    """The p of _calibrated_links, for a u read in row blocks."""
-    return _calibrated_links(u, params)[0]
 
 
 def _memory_bytes() -> int:

@@ -16,12 +16,13 @@ the candidates and the BEST/WORST bandwidth permutation; PRACTICAL_STOR
 weighs flags by the column means and THEORETICAL_STOR flags entities
 outside the source's circle, the row's cells with hops 0.
 
-Flags and the bandwidth shape are per-scenario state and live only here:
-`_Prepared` permutes one bandwidth vector (`_correlated`) and plans the
-strategy's flags (`_flag_plan`). ORIGINAL_TOR's flags are fixed; every
-random placement is one keyed draw, `_weighted_draw` of `_flag_keys`, and
-the strategies differ only in its weights. The graph itself is never copied
-or changed.
+Flags and the bandwidth shape are simulation state and live only here:
+`_Prepared` reads them once for a batch of scenarios, one permuted
+bandwidth vector (`_correlated`) and one flag placement, and keeps only
+each scenario's candidates, pick weights and flag count apart.
+ORIGINAL_TOR's flags are the top-bandwidth rows; every random placement is
+one keyed draw, `_weighted_draw` of `_flag_keys`, and the strategies differ
+only in its weights. The graph itself is never copied or changed.
 
 All randomness is derived from the scenario seed through fixed stream keys,
 so a scenario replays byte for byte. Round r has its own pair of streams:
@@ -259,54 +260,6 @@ def _mean_trust(ids: List[int], best: np.ndarray) -> np.ndarray:
     return best.sum(axis=0) / max(1, len(ids) - 1)
 
 
-@dataclass(frozen=True)
-class _FlagPlan:
-    """Where a scenario's flags go each round: the m rows of a
-    _weighted_draw over weights, or, when weights is None, the rows in
-    fixed, the same every round, which draw nothing."""
-
-    m: int
-    weights: Optional[np.ndarray] = None
-    fixed: Optional[np.ndarray] = None
-
-
-def _flag_plan(ids: List[int], bandwidth: np.ndarray, scenario: SimScenario,
-               arrays: TrustArrays, row: int,
-               mean_trust: Optional[Dict[int, float]]) -> _FlagPlan:
-    """The strategy's per-round flags.
-
-    bandwidth is over the arrays' ids and row is the source's. ORIGINAL_TOR
-    flags the top-bandwidth rows and never draws. The others draw through
-    _weighted_draw: PRACTICAL_STOR weighs each row by 1 - its mean trust,
-    read off arrays unless mean_trust is given; THEORETICAL_STOR weighs 1
-    outside the source's circle (hops 0) and 0 inside it and at the source;
-    OPPORTUNISTIC_TOR weighs every row 1. With no routers to flag nothing
-    is drawn.
-    """
-    m = _flag_count(scenario.fraction, len(ids))
-    if scenario.strategy is Strategy.ORIGINAL_TOR:
-        return _FlagPlan(m, fixed=np.lexsort((np.array(ids), -bandwidth))[:m])
-    if m == 0:
-        return _FlagPlan(0, fixed=np.empty(0, dtype=int))
-    if scenario.strategy is Strategy.PRACTICAL_STOR:
-        if mean_trust is None:
-            weights = 1.0 - _mean_trust(ids, arrays.best)
-        else:
-            weights = 1.0 - np.array([mean_trust[eid] for eid in ids])
-    elif scenario.strategy is Strategy.THEORETICAL_STOR:
-        outside = arrays.hops[row] == 0
-        outside[row] = False
-        if outside.sum() < m:
-            raise InfeasibleAssignmentError(
-                "strategy needs %d routers outside the circle, only %d exist"
-                % (m, outside.sum())
-            )
-        weights = outside.astype(float)
-    else:
-        weights = np.ones(len(ids))
-    return _FlagPlan(m, weights=weights)
-
-
 def _check_mean_trust(ids: List[int], mean_trust: Dict[int, float]):
     """Fail naming a key of mean_trust outside ids, else the first of ids
     that mean_trust misses or maps outside [0, 1]."""
@@ -372,50 +325,101 @@ def _correlated(bandwidth, trust, reached, case, rng) -> np.ndarray:
     return out
 
 
-class _Prepared:
-    """Scenario state that is identical across rounds.
+@dataclass(frozen=True)
+class _Picks:
+    """One scenario's part of a batch: its candidate rows, their pick
+    weights, its trustworthy size and its flag count m."""
 
-    arrays are propagate_arrays(graph, scenario.max_hops); they are computed
-    when not given, rejected when over other ids or another hop budget, and
-    everything here reads the source's row of them.
+    cand_idx: np.ndarray
+    weights: np.ndarray
+    trustworthy_size: Optional[int]
+    m: int
+
+
+class _Prepared:
+    """Batch state that is identical across rounds.
+
+    The scenarios differ at most in omega, ts_threshold and fraction, so
+    they share the source's trust row, its circle, the correlated bandwidth
+    vector bw and the flag placement, read here once. ORIGINAL_TOR flags the
+    first m rows of order, the top bandwidths (lower id on ties), and never
+    draws. The others draw through _weighted_draw over flag_weights:
+    PRACTICAL_STOR weighs each row by 1 - its mean trust, read off arrays
+    unless mean_trust is given; THEORETICAL_STOR weighs 1 outside the
+    source's circle (hops 0) and 0 inside it and at the source;
+    OPPORTUNISTIC_TOR weighs every row 1. flag_weights is None when no
+    scenario flags a router.
+
+    arrays are propagate_arrays(graph, max_hops); they are computed when not
+    given, rejected when over other ids or another hop budget. mean_trust is
+    checked first, whatever the strategy. picks holds each scenario's own
+    part, checked in batch order (its candidates, its flags' feasibility,
+    then weighted_picks' input checks for picks of length), so a batch
+    fails on its first bad scenario with the error of that scenario alone.
     """
 
-    def __init__(self, graph: SocialGraph, scenario: SimScenario,
+    def __init__(self, graph: SocialGraph, scenarios: Sequence[SimScenario],
                  mean_trust: Optional[Dict[int, float]] = None,
-                 arrays: Optional[TrustArrays] = None):
+                 arrays: Optional[TrustArrays] = None, length: int = 1):
+        if mean_trust is not None:
+            _check_mean_trust(graph.entity_ids(), mean_trust)
+        first = scenarios[0]
         if not graph.frozen:
             raise DomainError("freeze the graph before simulating")
-        if not graph.has_entity(scenario.source):
-            raise UnknownEntityError("unknown source entity %s" % (scenario.source,))
+        if not graph.has_entity(first.source):
+            raise UnknownEntityError("unknown source entity %s" % (first.source,))
         if arrays is None:
-            arrays = propagate_arrays(graph, scenario.max_hops)
+            arrays = propagate_arrays(graph, first.max_hops)
         elif arrays.ids != graph.entity_ids():
             raise DomainError("trust arrays are not over this graph's entities")
-        elif arrays.max_hops != scenario.max_hops:
+        elif arrays.max_hops != first.max_hops:
             raise DomainError(
                 "trust arrays were propagated within %d hops, the scenario "
-                "asks for max_hops %d" % (arrays.max_hops, scenario.max_hops)
+                "asks for max_hops %d" % (arrays.max_hops, first.max_hops)
             )
-        self.ids = arrays.ids
-        row = self.ids.index(scenario.source)
+        self.ids = ids = arrays.ids
+        row = ids.index(first.source)
         trust, circle = arrays.best[row], arrays.hops[row] > 0
         self.circle_size = int(circle.sum())
-
         self.bw = _correlated(
-            np.array([graph.bandwidth(eid) for eid in self.ids]),
-            trust, circle, scenario.case, _setup_rng(scenario.seed),
+            np.array([graph.bandwidth(eid) for eid in ids]),
+            trust, circle, first.case, _setup_rng(first.seed),
         )
-        policy = scenario.policy
-        self.cand_idx, candidates = row_candidates(
-            self.ids, trust, circle, self.bw, row, policy
-        )
-        self.trustworthy_size = (
-            candidates.size
-            if policy.mode is SelectionMode.TRUST_AWARE
-            else None
-        )
-        self.weights = candidates.weights(policy)
-        self.flags = _flag_plan(self.ids, self.bw, scenario, arrays, row, mean_trust)
+
+        strategy = first.strategy
+        counts = [_flag_count(sc.fraction, len(ids)) for sc in scenarios]
+        self.order = self.flag_weights = None
+        if strategy is Strategy.ORIGINAL_TOR:
+            self.order = np.lexsort((np.array(ids), -self.bw))
+        elif max(counts) > 0:
+            if strategy is Strategy.PRACTICAL_STOR:
+                if mean_trust is None:
+                    self.flag_weights = 1.0 - _mean_trust(ids, arrays.best)
+                else:
+                    self.flag_weights = 1.0 - np.array([mean_trust[eid] for eid in ids])
+            elif strategy is Strategy.THEORETICAL_STOR:
+                outside = arrays.hops[row] == 0
+                outside[row] = False
+                self.flag_weights = outside.astype(float)
+            else:
+                self.flag_weights = np.ones(len(ids))
+
+        self.picks: List[_Picks] = []
+        for sc, m in zip(scenarios, counts):
+            cand_idx, candidates = row_candidates(ids, trust, circle, self.bw, row, sc.policy)
+            weights = candidates.weights(sc.policy)
+            if strategy is Strategy.THEORETICAL_STOR and m > 0:
+                outside = np.count_nonzero(self.flag_weights)
+                if outside < m:
+                    raise InfeasibleAssignmentError(
+                        "strategy needs %d routers outside the circle, only %d exist"
+                        % (m, outside)
+                    )
+            weighted_picks(weights, np.empty((0, length)))
+            trust_aware = sc.policy.mode is SelectionMode.TRUST_AWARE
+            self.picks.append(
+                _Picks(cand_idx, weights, candidates.size if trust_aware else None, m)
+            )
 
 
 def _run_rounds(
@@ -426,44 +430,33 @@ def _run_rounds(
     circuits: bool,
 ) -> List[SimulationResult]:
     """The rounds of scenarios that differ at most in omega, ts_threshold
-    and fraction, one result per scenario.
+    and fraction, one result per scenario, off one _Prepared.
 
     Rounds run in blocks of at most BLOCK_PICKS picks or flag keys, and
     spawned_states gives each round's pair of stream states once for all
     scenarios, set in turn on two reused generators. Each round draws its
     n flag uniforms from its flag stream into the block, unless no
     scenario's flags are random, and its picks' uniforms from its draw
-    stream. The block's flag keys are computed once: the scenarios share
-    their flag weights (flags never read omega or ts_threshold), so each
-    distinct fraction takes one _weighted_draw of its m rows off them, and
-    fixed flags are set once. Each scenario then samples the block in one
-    weighted_picks call and reduces it per round; rows are independent and
-    a row's mean sums in the same order as a single round's, so the
-    reports are those of running each scenario alone, round by round.
+    stream. The block's flag keys are computed once off the shared flag
+    weights, each distinct flag count m takes one _weighted_draw of its m
+    rows off them, and fixed flags are set once. Each scenario then samples
+    the block in one weighted_picks call and reduces it per round; rows are
+    independent and a row's mean sums in the same order as a single
+    round's, so the reports are those of running each scenario alone,
+    round by round.
     """
-    if mean_trust is not None:
-        _check_mean_trust(graph.entity_ids(), mean_trust)
     first = scenarios[0]
     length = first.circuit_length if circuits else 1
-    preps = []
-    for sc in scenarios:
-        preps.append(_Prepared(graph, sc, mean_trust, arrays))
-        # The sampler's input checks, before any rounds, so that a batch
-        # fails on its first bad scenario as one run at a time would.
-        weighted_picks(preps[-1].weights, np.empty((0, length)))
-    plans = {}
-    for sc, prep in zip(scenarios, preps):
-        plans.setdefault(sc.fraction, prep.flags)
-    n = len(preps[0].ids)
+    prep = _Prepared(graph, scenarios, mean_trust, arrays, length)
+    n = len(prep.ids)
     block = max(1, BLOCK_PICKS // max(first.draws * length, n))
     u = np.empty((block, first.draws, length))
-    masks = {f: np.zeros((block, n), dtype=bool) for f in plans}
-    keyed = {f: plan for f, plan in plans.items() if plan.weights is not None}
-    for f, plan in plans.items():
-        if plan.weights is None:
-            masks[f][:, plan.fixed] = True
+    masks = {p.m: np.zeros((block, n), dtype=bool) for p in prep.picks}
+    if prep.order is not None:
+        for m, mask in masks.items():
+            mask[:, prep.order[:m]] = True
+    keyed = prep.flag_weights is not None
     if keyed:
-        weights = next(iter(keyed.values())).weights
         flag_u = np.empty((block, n))
     flag_rng, draw_rng = (np.random.Generator(np.random.PCG64(0)) for _ in range(2))
     states = spawned_states(first.seed, _ROUND_KEY, range(first.rounds))
@@ -478,14 +471,15 @@ def _run_rounds(
             draw_rng.bit_generator.state = draw_state
             draw_rng.random(out=u[i])
         if keyed:
-            keys = _flag_keys(weights, flag_u[:b])
-            for f, plan in keyed.items():
-                masks[f][:b] = False
-                np.put_along_axis(masks[f][:b], _weighted_draw(keys, plan.m), True, axis=1)
-        for sc, prep, out in zip(scenarios, preps, reports):
-            members = weighted_picks(prep.weights, u[:b].reshape(-1, length))
-            picked = prep.cand_idx[members].reshape(b, first.draws, length)
-            hit = np.take_along_axis(masks[sc.fraction][:b], picked.reshape(b, -1), axis=1)
+            keys = _flag_keys(prep.flag_weights, flag_u[:b])
+            for m, mask in masks.items():
+                if m:
+                    mask[:b] = False
+                    np.put_along_axis(mask[:b], _weighted_draw(keys, m), True, axis=1)
+        for p, out in zip(prep.picks, reports):
+            members = weighted_picks(p.weights, u[:b].reshape(-1, length))
+            picked = p.cand_idx[members].reshape(b, first.draws, length)
+            hit = np.take_along_axis(masks[p.m][:b], picked.reshape(b, -1), axis=1)
             r_mr = hit.mean(axis=1).tolist()
             r_mc = (
                 hit.reshape(picked.shape).any(axis=2).mean(axis=1).tolist()
@@ -498,8 +492,8 @@ def _run_rounds(
                 for i, r in enumerate(indices)
             )
     return [
-        SimulationResult(sc, out, prep.circle_size, prep.trustworthy_size)
-        for sc, prep, out in zip(scenarios, preps, reports)
+        SimulationResult(sc, out, prep.circle_size, p.trustworthy_size)
+        for sc, p, out in zip(scenarios, prep.picks, reports)
     ]
 
 

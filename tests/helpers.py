@@ -709,19 +709,19 @@ def reference_rounds(graph: SocialGraph, scenario, circuits: bool, mean_trust=No
     flag stream, then `draws` rows of picks from its draw stream, both
     built by numpy's SeedSequence.
     """
-    prep = _Prepared(graph, scenario, mean_trust, arrays)
-    plan = prep.flags
     length = scenario.circuit_length if circuits else 1
+    prep = _Prepared(graph, [scenario], mean_trust, arrays, length)
+    (picks,) = prep.picks
     reports = []
     for r in range(scenario.rounds):
         flag_rng, draw_rng = reference_round_streams(scenario.seed, r)
         flag_mask = np.zeros(len(prep.ids), dtype=bool)
-        if plan.weights is None:
-            flag_mask[plan.fixed] = True
-        else:
-            flag_mask[reference_weighted_draw(plan.weights, plan.m, flag_rng)] = True
+        if prep.order is not None:
+            flag_mask[prep.order[: picks.m]] = True
+        elif picks.m:
+            flag_mask[reference_weighted_draw(prep.flag_weights, picks.m, flag_rng)] = True
         u = draw_rng.random((scenario.draws, length))
-        picked = prep.cand_idx[weighted_picks(prep.weights, u)]
+        picked = picks.cand_idx[weighted_picks(picks.weights, u)]
         hit = flag_mask[picked]
         reports.append(
             RoundReport(
@@ -732,7 +732,7 @@ def reference_rounds(graph: SocialGraph, scenario, circuits: bool, mean_trust=No
                 draws=scenario.draws,
             )
         )
-    return reports, prep.circle_size, prep.trustworthy_size
+    return reports, prep.circle_size, picks.trustworthy_size
 
 
 # -- dense propagation reference ------------------------------------------------

@@ -1,13 +1,17 @@
 """Every benchmark span still has a function of the package to time."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 from unittest import mock
 
 import oniontrust.cli
 import oniontrust.graph
-from oniontrust import GeneratorParams, generate_graph
+import oniontrust.simulation
+from oniontrust import DrawMode, GeneratorParams, SimScenario, Strategy, generate_graph
+
+from helpers import default_rules
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -50,3 +54,24 @@ def test_calibration_and_generate_call_the_hooked_circle_sizes(tmp_path, capsys)
         assert oniontrust.cli.main(["generate", "--n", "30", "--out", str(tmp_path)]) == 0
     assert size.called
     assert "mean circle size" in capsys.readouterr().out
+
+
+def test_run_simulation_calls_the_hooked_round_runners():
+    # simulation.run_circuit_rounds and simulation.run_selection_rounds time
+    # these two; a run_simulation that went straight to the shared runner
+    # would leave both spans at 0
+    scenario = SimScenario(
+        strategy=Strategy.OPPORTUNISTIC_TOR, fraction=0.1, n=30, generator_kind="er",
+        generator_value=0.2, rounds=2, draws=5,
+    )
+    graph = oniontrust.simulation.build_scenario_graph(scenario, default_rules())
+    for draw_mode, name in (
+        (DrawMode.CIRCUIT, "run_circuit_rounds"),
+        (DrawMode.SELECT, "run_selection_rounds"),
+    ):
+        runner = getattr(oniontrust.simulation, name)
+        with mock.patch.object(oniontrust.simulation, name, wraps=runner) as hooked:
+            oniontrust.simulation.run_simulation(
+                graph, dataclasses.replace(scenario, draw_mode=draw_mode)
+            )
+        assert hooked.call_count == 1, name

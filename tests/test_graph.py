@@ -390,6 +390,11 @@ def test_hop_budgets_past_the_longest_path_change_nothing():
     assert mean_circle_size(g, 10**6) == mean_circle_size(g, 99)
 
 
+def calibrated_p(u, params):
+    """The p of the calibration's search over the links of u."""
+    return oniontrust.graph._calibrated_links(u, params)[0]
+
+
 def calibration_outcome(calibrate, u, params):
     """The calibrated p's bits, or the message of the miss."""
     try:
@@ -410,7 +415,7 @@ def test_calibration_replays_the_matmul_bisection(monkeypatch):
             for max_hops in (1, 2, 3, 4):
                 for fraction in (0.01, 0.1, 0.3, 0.5, 0.65, 0.8, 0.95, 0.999):
                     params = GeneratorParams(n, "calibrated", fraction, max_hops=max_hops)
-                    got = calibration_outcome(oniontrust.graph._calibrate_edge_prob, u, params)
+                    got = calibration_outcome(calibrated_p, u, params)
                     assert got == calibration_outcome(reference_calibration, u, params)
                     misses += got.startswith("calibration missed")
     assert misses > 0

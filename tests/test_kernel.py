@@ -22,7 +22,13 @@ from oniontrust import (
     mean_trust_scores,
 )
 from oniontrust.fileio import read_rules
-from oniontrust.graph import _circle_widths, _kernel, _mean_circle_size, _sample_rows
+from oniontrust.graph import (
+    _bottleneck_widths,
+    _kernel,
+    _links_below,
+    _mean_circle_size,
+    _sample_rows,
+)
 from oniontrust.propagation import propagate, propagate_arrays, propagate_blocks
 
 from helpers import (
@@ -164,7 +170,7 @@ def test_bottleneck_widths_give_the_matmul_circle_sizes(cells, max_hops, h):
     n = int(round(len(cells) ** 0.5))
     # the diagonal is drawn too: a self loop below p must change nothing
     u = np.array(cells).reshape(n, n)
-    widths = _circle_widths(u, h, max_hops)
+    widths = _bottleneck_widths(n, _links_below(u, h), max_hops)
     for p in [k / 16 for k in range(1, 17) if k / 16 <= h]:
         want = reference_circle_sizes(u < p, np.arange(n), max_hops)
         assert np.count_nonzero(widths > -p, axis=1).tolist() == want.tolist()

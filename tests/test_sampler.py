@@ -366,8 +366,9 @@ def test_selection_rounds_match_the_cumsum_formula_bit_for_bit(strategy):
         strategy=strategy, fraction=0.25, rounds=30, draws=400, seed=3, omega=0.2
     )
     result = run_selection_rounds(g, scenario)
-    prep = _Prepared(g, scenario)
-    w = prep.weights
+    prep = _Prepared(g, [scenario])
+    (picks,) = prep.picks
+    w = picks.weights
     cum, total = np.cumsum(w), w.sum()
     flag_rng, draw_rng = (np.random.Generator(np.random.PCG64()) for _ in range(2))
     states = spawned_states(scenario.seed, _ROUND_KEY, range(scenario.rounds))
@@ -375,10 +376,10 @@ def test_selection_rounds_match_the_cumsum_formula_bit_for_bit(strategy):
         flag_rng.bit_generator.state, draw_rng.bit_generator.state = flag_state, draw_state
         u = flag_rng.random((1, len(prep.ids)))
         flags = np.zeros(len(prep.ids), dtype=bool)
-        flags[_weighted_draw(_flag_keys(prep.flags.weights, u), prep.flags.m)] = True
+        flags[_weighted_draw(_flag_keys(prep.flag_weights, u), picks.m)] = True
         sel = np.searchsorted(cum, draw_rng.random(scenario.draws) * total, side="right")
         np.clip(sel, 0, len(cum) - 1, out=sel)
-        picked = prep.cand_idx[sel]
+        picked = picks.cand_idx[sel]
         assert report.r_mr == float(flags[picked].mean())
         assert report.avg_bandwidth == float(prep.bw[picked].mean())
         assert report.r_mc is None

@@ -6,6 +6,7 @@ import itertools
 import math
 import re
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from oniontrust.errors import (
     GeneratorParamsError,
     InfeasibleAssignmentError,
     InsufficientCandidatesError,
+    OnionTrustError,
     UnknownEntityError,
     ZeroDenominatorError,
 )
@@ -40,7 +42,6 @@ from oniontrust.simulation import (
     _correlated,
     _flag_count,
     _flag_keys,
-    _flag_plan,
     _Prepared,
     _ROUND_KEY,
     _run_rounds,
@@ -73,23 +74,22 @@ def star(n, bandwidths=None, tv=0.5):
 
 
 def flag_plan(graph, scenario):
-    """The ids and the scenario's _flag_plan over propagate_arrays(graph)
-    and the graph's bandwidths."""
-    arrays = propagate_arrays(graph)
-    bandwidth = np.array([graph.bandwidth(eid) for eid in arrays.ids])
-    row = arrays.ids.index(scenario.source)
-    return arrays.ids, _flag_plan(arrays.ids, bandwidth, scenario, arrays, row, None)
+    """The scenario's _Prepared alone: its flag placement over
+    propagate_arrays(graph) and the graph's bandwidths."""
+    return _Prepared(graph, [scenario])
 
 
-def flagged_ids(plan, rng):
+def flagged_ids(prep, rng):
     """Entity ids of one round's flags, keyed off a one-round block of
-    rng's uniforms when the plan draws."""
-    ids, flags = plan
-    if flags.weights is None:
-        rows = flags.fixed
+    rng's uniforms when the placement draws."""
+    m = prep.picks[0].m
+    if prep.order is not None:
+        rows = prep.order[:m]
+    elif m:
+        rows = _weighted_draw(_flag_keys(prep.flag_weights, rng.random((1, len(prep.ids)))), m)[0]
     else:
-        rows = _weighted_draw(_flag_keys(flags.weights, rng.random((1, len(ids)))), flags.m)[0]
-    return {ids[k] for k in rows.tolist()}
+        rows = np.empty(0, dtype=int)
+    return {prep.ids[k] for k in rows.tolist()}
 
 
 def test_flag_count_rounding():
@@ -204,7 +204,7 @@ def test_every_random_placement_is_one_keyed_draw_of_the_rounds_uniforms(case):
     # may flag. A second draw from rng or a second sampler fails this.
     g, strategy, fraction, always, fill = case
     plan = flag_plan(g, SimScenario(strategy=strategy, fraction=fraction))
-    ids = plan[0]
+    ids = plan.ids
     m = _flag_count(fraction, len(ids))
     for seed in range(20):
         u = 1.0 - np.random.default_rng(seed).random(len(ids))
@@ -232,7 +232,7 @@ def test_flag_draws_leave_the_stream_alone_when_nothing_is_random(monkeypatch):
     cases = [(strategy, 0.0) for strategy in Strategy] + [(Strategy.ORIGINAL_TOR, 0.5)]
     for strategy, fraction in cases:
         scenario = SimScenario(strategy=strategy, fraction=fraction, rounds=3, draws=5)
-        assert flag_plan(g, scenario)[1].weights is None, strategy
+        assert flag_plan(g, scenario).flag_weights is None, strategy
         want, _, _ = reference_rounds(g, scenario, circuits=False)
         assert run_simulation(g, scenario).reports == want, strategy
 
@@ -606,6 +606,23 @@ def test_a_sweep_draws_each_rounds_streams_once_and_a_mask_per_fraction(monkeypa
     assert masks == [(4, 4), (8, 4), (4, 4), (8, 4), (4, 2), (8, 2)]
 
 
+def test_a_sweep_prepares_each_batch_once(monkeypatch):
+    import oniontrust.simulation
+
+    scenario = SimScenario(
+        strategy=Strategy.PRACTICAL_STOR, fraction=0.1, case=CorrelationCase.BEST,
+        n=40, generator_kind="er", generator_value=0.08, rounds=3, draws=10, source=5,
+    )
+    # one bandwidth permutation per graph: the ts_h values share one batch,
+    # the n values one batch per distinct n
+    for axis, values, batches in (("ts_h", [0.0, 0.01, 0.02, 0.03], 1), ("n", [40, 50, 40], 2)):
+        with mock.patch.object(
+            oniontrust.simulation, "_correlated", wraps=oniontrust.simulation._correlated
+        ) as correlated:
+            sweep(scenario, axis, values, default_rules())
+        assert correlated.call_count == batches, axis
+
+
 def test_a_batch_fails_on_its_first_bad_scenario():
     # at ts_h 0 every candidate weighs 0, at 0.5 there is none: the error is
     # the first scenario's, as when each runs alone, in either order
@@ -616,6 +633,38 @@ def test_a_batch_fails_on_its_first_bad_scenario():
         _run_rounds(zero, [weightless, empty], None, None, circuits=False)
     with pytest.raises(EmptyCandidateSetError):
         _run_rounds(zero, [empty, weightless], None, None, circuits=False)
+
+
+@pytest.mark.parametrize("draw_mode", list(DrawMode))
+def test_a_batch_raises_the_error_of_its_first_bad_scenario_alone(draw_mode):
+    # Source 1 trusts 2..5 and reaches nothing else; 6..8 lie outside its
+    # circle. The scenarios differ only in ts_h and fraction: a clean one,
+    # one with no candidates, one that flags more routers than lie outside
+    # the circle and, for circuits, one with two candidates for three hops.
+    g = graph_from_trust_links([(1, 2, 0.9), (1, 3, 0.8), (1, 4, 0.3), (1, 5, 0.2)])
+    for eid in (6, 7, 8):
+        g.add_entity(eid, 1000.0)
+    g.freeze()
+    clean = SimScenario(
+        strategy=Strategy.THEORETICAL_STOR, fraction=0.1, rounds=2, draws=3,
+        draw_mode=draw_mode,
+    )
+    bad = {
+        EmptyCandidateSetError: dataclasses.replace(clean, ts_threshold=0.95),
+        InfeasibleAssignmentError: dataclasses.replace(clean, fraction=0.9),
+    }
+    circuits = draw_mode is DrawMode.CIRCUIT
+    if circuits:
+        bad[InsufficientCandidatesError] = dataclasses.replace(clean, ts_threshold=0.5)
+    assert len(run_simulation(g, clean).reports) == 2
+    for first, second in itertools.permutations(bad, 2):
+        with pytest.raises(first) as alone:
+            run_simulation(g, bad[first])
+        batch = [clean, bad[first], clean, bad[second]]
+        with pytest.raises(OnionTrustError) as batched:
+            _run_rounds(g, batch, None, None, circuits)
+        assert type(batched.value) is first
+        assert str(batched.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
@@ -964,20 +1013,21 @@ def test_prepared_rows_match_the_dict_based_references(graph, max_hops, seed, da
             )
         except EmptyCandidateSetError:
             with pytest.raises(EmptyCandidateSetError):
-                _Prepared(graph, scenario, arrays=arrays)
+                _Prepared(graph, [scenario], arrays=arrays)
             continue
-        prep = _Prepared(graph, scenario, arrays=arrays)
-        assert [ids[k] for k in prep.cand_idx] == want_ids
-        assert prep.weights.tobytes() == want_weights.tobytes()
+        prep = _Prepared(graph, [scenario], arrays=arrays)
+        (picks,) = prep.picks
+        assert [ids[k] for k in picks.cand_idx] == want_ids
+        assert picks.weights.tobytes() == want_weights.tobytes()
         assert prep.bw.tobytes() == np.array([bandwidth[eid] for eid in ids]).tobytes()
         assert prep.circle_size == len(table.scores)
         if strategy is Strategy.ORIGINAL_TOR:
             top = sorted(ids, key=lambda eid: (-bandwidth[eid], eid))
             m = _flag_count(fraction, len(ids))
-            assert prep.flags.weights is None
-            assert [ids[k] for k in prep.flags.fixed] == top[:m]
+            assert prep.flag_weights is None and picks.m == m
+            assert [ids[k] for k in prep.order[:m]] == top[:m]
         trust_aware = strategy.selection_mode is SelectionMode.TRUST_AWARE
-        assert prep.trustworthy_size == (len(want_ids) if trust_aware else None)
+        assert picks.trustworthy_size == (len(want_ids) if trust_aware else None)
 
 
 def test_rounds_build_no_score_objects_and_no_graph_copy(monkeypatch):
