@@ -11,8 +11,10 @@ classes carrying double density so that every class holds the same mass.
 
 All the integrals have closed forms (the memberships are piecewise linear),
 so evaluation is a handful of polynomial terms per rule. link_trust scores
-one link; compute_trust_values scores a graph's link columns at once with
-the same closed forms and float operations, so both give the same bits.
+one link; compute_trust_values scores a graph's link columns in storage
+order, a chunk of links at a time, with the same closed forms and float
+operations, so both give the same bits. One sort index puts the links in
+(source, network) groups, for the maxima and to name the first bad link.
 """
 
 from __future__ import annotations
@@ -333,26 +335,26 @@ def compute_trust_values(graph: "SocialGraph", rules: FuzzyRuleSet) -> None:
 
     Normalizers are the per-attribute maxima over the source's out-links on
     the same network, zero included, so an entity's links are scored
-    relative to its own strongest interaction there. The links are scored
-    as whole columns in (source, network, target) order, with the same
-    float operations as link_trust, so every value is bit for bit the one
-    link_trust gives. On the first link in that order that link_trust would
-    reject, the links before it keep their new scores and link_trust raises
-    its error, naming it.
+    relative to its own strongest interaction there. Only the maxima group
+    the links; they are scored where they lie, with the same float
+    operations as link_trust, so every value is bit for bit the one
+    link_trust gives. On the first link in (source, network, target) order
+    that link_trust would reject, the links before it keep their new scores
+    and link_trust raises its error, naming it.
     """
     links = graph.link_columns()
     size = len(links)
     if not size:
         return
-    order = np.lexsort((links.target, links.network, links.source))
-    source, network = links.source[order], links.network[order]
-    first = np.ones(size, dtype=bool)
-    first[1:] = (source[1:] != source[:-1]) | (network[1:] != network[:-1])
-    quant, present, qual = links.quant[order], links.present[order], links.qual[order]
+    quant, present, qual = links.quant, links.present, links.qual
+    # Stable, so (source, network, target) order, where source is as stored.
+    order = np.lexsort((links.network, links.source))
+    network = links.network[order]
+    first = np.r_[True, (links.source[1:] != links.source[:-1]) | (network[1:] != network[:-1])]
     # value > 0 also drops NaN, -0.0 and absent values, as link_trust's
-    # running maximum from 0.0 does.
-    positive = np.where(present & (quant > 0.0), quant, 0.0)
-    top = np.maximum.reduceat(positive, np.flatnonzero(first), axis=0)[np.cumsum(first) - 1]
+    # running maximum from 0.0 does; then each group's maxima replace them.
+    top = np.where(present & (quant > 0.0), quant, 0.0)
+    top[order] = np.maximum.reduceat(top[order], np.flatnonzero(first), axis=0)[np.cumsum(first) - 1]
 
     # The links link_trust rejects: a weighted value missing, outside
     # [0, normalizer] or with no finite positive normalizer, no judgement
@@ -375,28 +377,29 @@ def compute_trust_values(graph: "SocialGraph", rules: FuzzyRuleSet) -> None:
             except MissingAttributeError:
                 bad |= qual[:, c] == code
 
-    good = np.flatnonzero(~bad)
-    trust = np.full(size, math.nan)
-    trust[good] = _column_scores(quant[good], top[good], qual[good], weighted, rule_of)
-    if not bad.any():
-        links.trust[order] = trust
+    # Every link when none is bad, in storage slices (views); else the
+    # links before the first bad one in group order.
+    stop = int(np.argmax(bad[order])) if bad.any() else size
+    for lo in range(0, stop, _SCORE_CHUNK):
+        rows = slice(lo, min(lo + _SCORE_CHUNK, stop))
+        rows = rows if stop == size else order[rows]
+        links.trust[rows] = _column_scores(quant[rows], top[rows], qual[rows], weighted, rule_of)
+    if stop == size:
         return
-    stop = int(np.argmax(bad))
-    links.trust[order[:stop]] = trust[:stop]
     row = int(order[stop])
     link = graph.link(int(links.source[row]), int(links.target[row]), int(links.network[row]))
     # Every weighted value the link has has a normalizer, so naming all of
     # them gives link_trust the same checks as the source's own maxima.
-    link_trust(link, dict(zip(links.quant_names, top[stop].tolist())), rules)
+    link_trust(link, dict(zip(links.quant_names, top[row].tolist())), rules)
     raise AssertionError(
         "link %d->%d network %d passes link_trust"
         % (link.source, link.target, link.network)
     )
 
 
-#: Links whose e**2 and e**3 _column_scores takes as Python floats at once,
-#: so that its float lists hold about half a megabyte at any link count.
-_POWER_CHUNK = 1 << 13
+#: Links that compute_trust_values scores at once, so that _column_scores'
+#: columns and float lists hold about half a megabyte at any link count.
+_SCORE_CHUNK = 1 << 13
 
 
 def _column_scores(quant, top, codes, weighted, rule_of) -> np.ndarray:
@@ -406,20 +409,15 @@ def _column_scores(quant, top, codes, weighted, rule_of) -> np.ndarray:
     codes; weighted lists (weight, column) in sorted-name order and rule_of
     maps (class column, code) to the rule it fires. Every sum runs in the
     order link_trust adds, and e**2, e**3 are Python float powers, since
-    numpy's power differs from them in some bits, taken _POWER_CHUNK links
-    at a time.
+    numpy's power differs from them in some bits.
     """
     e = np.zeros(len(quant))
     for weight, a in weighted:
         e = e + weight * (quant[:, a] / top[:, a])
     e = np.minimum(1.0, np.maximum(0.0, e))
-    e2, e3 = np.empty(len(e)), np.empty(len(e))
-    for lo in range(0, len(e), _POWER_CHUNK):
-        part = e[lo : lo + _POWER_CHUNK].tolist()
-        e2[lo : lo + len(part)] = [x**2 for x in part]
-        e3[lo : lo + len(part)] = [x**3 for x in part]
-    moment = np.zeros(len(e))
-    mass = np.zeros(len(e))
+    part = e.tolist()
+    e2, e3 = np.array([x**2 for x in part]), np.array([x**3 for x in part])
+    moment, mass = np.zeros(len(e)), np.zeros(len(e))
     high = e > 0.5
     for (c, code), rule in rule_of.items():  # class columns in name order
         rows = codes[:, c] == code

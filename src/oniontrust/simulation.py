@@ -623,8 +623,9 @@ def sweep(
         batch = [scenarios[k] for k in members]
         graph = build_scenario_graph(batch[0], rules)
         arrays = propagate_arrays(graph, batch[0].max_hops)
+        reached = arrays.hops > 0
         for k, result in zip(members, _run_rounds(graph, batch, None, arrays, circuits)):
-            trustworthy = (arrays.best >= scenarios[k].ts_threshold) & (arrays.hops > 0)
+            trustworthy = np.count_nonzero(reached & (arrays.best >= scenarios[k].ts_threshold))
             results[k] = result
             rows[k] = SweepRow(
                 axis=axis,
@@ -633,8 +634,8 @@ def sweep(
                 mean_r_mc=result.mean_r_mc,
                 mean_bandwidth=result.mean_bandwidth,
                 mean_circle_size=arrays.mean_circle_size(),
-                mean_trustworthy_size=float(np.mean(trustworthy.sum(axis=1))),
+                mean_trustworthy_size=trustworthy / n,
             )
         # Rebinding would keep this graph alive while the next is built.
-        del graph, arrays, trustworthy
+        del graph, arrays, reached
     return SweepResult(axis=axis, rows=rows, results=results)

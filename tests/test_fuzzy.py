@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from oniontrust.errors import (
     WeightSumError,
     ZeroNormalizerError,
 )
+from oniontrust import fuzzy
 from oniontrust.fuzzy import (
     DENSITY,
     defuzzify,
@@ -40,6 +42,7 @@ from oniontrust.fuzzy import (
     rule_trust_value,
     truncated_moment_and_mass,
 )
+from oniontrust.graph import _LINK_ARRAYS
 
 from helpers import (
     default_rules,
@@ -376,13 +379,56 @@ def test_the_column_scorer_equals_link_trust_bit_for_bit(graph):
     assert got == {key: _trust_hex(want.get(key, tv)) for key, tv in before.items()}
 
 
-def test_the_column_scorer_equals_link_trust_on_a_generated_graph():
+@pytest.fixture(params=[1, 7, pytest.param(fuzzy._SCORE_CHUNK, id="default")])
+def score_chunk(request, monkeypatch):
+    """Runs a test at score chunks of 1, 7 and the default number of links."""
+    monkeypatch.setattr(fuzzy, "_SCORE_CHUNK", request.param)
+
+
+def test_the_column_scorer_equals_link_trust_on_a_generated_graph(score_chunk):
     # About 2000 links with spread-out aggregates: enough that a cube taken
     # by numpy instead of Python's float pow would change some bits.
     graph = generate_graph(GeneratorParams(n=150, kind="er", value=0.1), seed=3)
     want = scalar_trust_values(graph, default_rules())
     compute_trust_values(graph, default_rules())
     assert [l.trust_value.hex() for l in graph.links()] == [want[k].hex() for k in sorted(want)]
+
+
+def test_the_links_before_the_first_bad_one_are_scored_at_any_chunk_size(score_chunk):
+    # Source 75's last network group holds only a NaN value, a zero
+    # maximum, and about half the links come before it in (source,
+    # network, target) order.
+    graph = generate_graph(GeneratorParams(n=150, kind="er", value=0.1), seed=3)
+    profile = graph.links()[0].profile
+    values = dict.fromkeys(profile.quantitative, 1.0)
+    values[min(values)] = float("nan")
+    graph.add_link(FriendLink(75, 76, 9, AttributeProfile(values, dict(profile.qualitative))))
+    graph.link_columns().trust[:] = np.nan
+    want = {}
+    with pytest.raises(ZeroNormalizerError) as expected:
+        scalar_trust_values(graph, default_rules(), want)
+    with pytest.raises(ZeroNormalizerError) as got:
+        compute_trust_values(graph, default_rules())
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("link 75->76 network 9: ")
+    got = {(l.source, l.target, l.network): _trust_hex(l.trust_value) for l in graph.links()}
+    assert got == {key: _trust_hex(want.get(key)) for key in got}
+
+
+def test_scoring_holds_at_most_twice_the_link_columns():
+    # Whole reordered copies of the columns held about 218 bytes per link
+    # here; scored where they lie, the sort index and the maxima hold about
+    # 58, next to the columns' own 52.
+    graph = generate_graph(GeneratorParams(1000, "calibrated", 0.8), 5)
+    links = graph.link_columns()
+    kept = sum(getattr(links, name).nbytes for name in _LINK_ARRAYS)
+    tracemalloc.start()
+    try:
+        compute_trust_values(graph, default_rules())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * kept
 
 
 def test_zero_mass_links_take_the_one_sided_limit():

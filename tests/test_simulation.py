@@ -21,6 +21,7 @@ from oniontrust import (
     SimScenario,
     Strategy,
     build_scenario_graph,
+    compute_trust_values,
     mean_trust_scores,
     run_circuit_rounds,
     run_selection_rounds,
@@ -881,6 +882,34 @@ def test_sweep_threshold_axis_shrinks_trustworthy_sets():
     # one shared graph: the circle metric cannot move across values
     assert len({row.mean_circle_size for row in result.rows}) == 1
     assert all(row.axis == "ts_h" for row in result.rows)
+
+
+def test_sweep_counts_trustworthy_cells_reached_through_zero_trust(monkeypatch):
+    import oniontrust.simulation
+
+    # A scored cell whose best path has zero trust counts at threshold 0.
+    def scored_with_zeros(graph, rules):
+        compute_trust_values(graph, rules)
+        graph.link_columns().trust[::4] = 0.0
+
+    monkeypatch.setattr(oniontrust.simulation, "compute_trust_values", scored_with_zeros)
+    scenario = SimScenario(
+        strategy=Strategy.ORIGINAL_TOR,
+        fraction=0.2,
+        n=40,
+        generator_kind="er",
+        generator_value=0.1,
+        rounds=5,
+        draws=20,
+    )
+    arrays = propagate_arrays(build_scenario_graph(scenario, default_rules()), scenario.max_hops)
+    scored = arrays.hops > 0
+    assert (scored & (arrays.best == 0.0)).any()
+    values = [0.0, float(np.median(arrays.best[scored])), 1.0]
+    result = sweep(scenario, "ts_h", values, default_rules())
+    for value, row in zip(values, result.rows):
+        counts = ((arrays.best >= value) & scored).sum(axis=1)
+        assert row.mean_trustworthy_size == float(np.mean(counts))
 
 
 def test_sweep_fraction_axis_tracks_flag_share():
