@@ -25,17 +25,19 @@ one keyed draw, `_weighted_draw` of `_flag_keys`, and the strategies differ
 only in its weights. The graph itself is never copied or changed.
 
 All randomness is derived from the scenario seed through fixed stream keys,
-so a scenario replays byte for byte. Round r has its own pair of streams:
-a flag stream for that round's mask and a draw stream for its uniforms.
-They are numpy's `default_rng(SeedSequence(seed, spawn_key=(_ROUND_KEY, r,
-child)))`, but `streams.spawned_states` derives their PCG64 states
-itself, many rounds per vectorized pass of SeedSequence's hash. One runner, `_run_rounds`, takes the
-rounds in blocks: it draws each round's flag uniforms and pick uniforms
-once, keys the block's flags in one pass, then samples the whole block in
-one `weighted_picks` call. A sweep runs the values on each graph as one
-batch, since the flags never read omega or ts_threshold: every value reads
-round r's uniforms, and the values with one fraction its one flag mask.
-Each value's reports are still those of its scenario run alone.
+so a scenario replays byte for byte. A run reads its rounds from two
+streams, `_stream(seed, _ROUND_KEY, 0)` for the flags and `_stream(seed,
+_ROUND_KEY, 1)` for the picks, each built once and read in round order.
+Round r's numbers follow round r - 1's, so they depend on the scenario's
+layout (draws, circuit length, n) but never on how the rounds are grouped
+into blocks, and a shorter run is a prefix of a longer one. One runner,
+`_run_rounds`, takes the rounds in blocks: it fills the block's flag
+uniforms and pick uniforms with one read of each stream, keys the block's
+flags in one pass, then samples the whole block in one `weighted_picks`
+call. A sweep runs the values on each graph as one batch, since the flags
+never read omega or ts_threshold: every value reads the same uniforms, and
+the values with one fraction the same flag masks. Each value's reports are
+still those of its scenario run alone.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .graph import (
     DEFAULT_MAX_HOPS,
     GeneratorParams,
     SocialGraph,
+    _memory_bytes,
     _require_integer,
     generate_graph,
 )
@@ -70,7 +73,6 @@ from .selection import (
     row_candidates,
     weighted_picks,
 )
-from .streams import spawned_states
 
 # Stream keys under the scenario seed. The graph generator owns spawn keys
 # (0,), (1,), (2,); these must not collide with them.
@@ -82,6 +84,11 @@ _ROUND_KEY = 11
 #: keeps a block's uniforms, picks, gathers and keys at a few hundred KB
 #: whatever the round layout. A round larger than this is a block alone.
 BLOCK_PICKS = 1 << 14
+
+#: Bytes that one pick of a round holds while the round is sampled: its
+#: uniform (float64), pick index (intp), gathered candidate row (intp),
+#: bandwidth gather (float64) and flag hit (bool).
+_PICK_BYTES = 8 + 8 + 8 + 8 + 1
 
 
 class Strategy(enum.Enum):
@@ -183,6 +190,13 @@ class SimScenario:
             circuit_length=self.circuit_length,
         )
         object.__setattr__(self, "policy", policy)
+        length = self.circuit_length if self.draw_mode is DrawMode.CIRCUIT else 1
+        need, memory = self.draws * length * _PICK_BYTES, _memory_bytes()
+        if need > memory:
+            raise DomainError(
+                "draws = %d: one round's picks would take about %d bytes, "
+                "more than the %d bytes of memory" % (self.draws, need, memory)
+            )
 
 
 @dataclass(frozen=True)
@@ -218,10 +232,9 @@ class SimulationResult:
         return float(np.mean([r.avg_bandwidth for r in self.reports]))
 
 
-def _setup_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(_SETUP_KEY,))
-    )
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """numpy's generator for the scenario seed under spawn key key."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def _flag_count(fraction: float, n: int) -> int:
@@ -383,7 +396,7 @@ class _Prepared:
         self.circle_size = int(circle.sum())
         self.bw = _correlated(
             np.array([graph.bandwidth(eid) for eid in ids]),
-            trust, circle, first.case, _setup_rng(first.seed),
+            trust, circle, first.case, _stream(first.seed, _SETUP_KEY),
         )
 
         strategy = first.strategy
@@ -432,18 +445,17 @@ def _run_rounds(
     """The rounds of scenarios that differ at most in omega, ts_threshold
     and fraction, one result per scenario, off one _Prepared.
 
-    Rounds run in blocks of at most BLOCK_PICKS picks or flag keys, and
-    spawned_states gives each round's pair of stream states once for all
-    scenarios, set in turn on two reused generators. Each round draws its
-    n flag uniforms from its flag stream into the block, unless no
-    scenario's flags are random, and its picks' uniforms from its draw
-    stream. The block's flag keys are computed once off the shared flag
-    weights, each distinct flag count m takes one _weighted_draw of its m
-    rows off them, and fixed flags are set once. Each scenario then samples
-    the block in one weighted_picks call and reduces it per round; rows are
-    independent and a row's mean sums in the same order as a single
-    round's, so the reports are those of running each scenario alone,
-    round by round.
+    Rounds run in blocks of at most BLOCK_PICKS picks or flag keys. The
+    run's two streams are built once for all scenarios and read in round
+    order: each block fills its picks' uniforms with one read of the draw
+    stream and, unless no scenario's flags are random, its n flag uniforms
+    a round with one read of the flag stream. The block's flag keys are
+    computed once off the shared flag weights, each distinct flag count m
+    takes one _weighted_draw of its m rows off them, and fixed flags are
+    set once. Each scenario then samples the block in one weighted_picks
+    call and reduces it per round; rows are independent and a row's mean
+    sums in the same order as a single round's, so the reports are those
+    of running each scenario alone, round by round.
     """
     first = scenarios[0]
     length = first.circuit_length if circuits else 1
@@ -458,19 +470,15 @@ def _run_rounds(
     keyed = prep.flag_weights is not None
     if keyed:
         flag_u = np.empty((block, n))
-    flag_rng, draw_rng = (np.random.Generator(np.random.PCG64(0)) for _ in range(2))
-    states = spawned_states(first.seed, _ROUND_KEY, range(first.rounds))
+    flag_rng = _stream(first.seed, _ROUND_KEY, 0)
+    draw_rng = _stream(first.seed, _ROUND_KEY, 1)
     reports: List[List[RoundReport]] = [[] for _ in scenarios]
     for start in range(0, first.rounds, block):
         indices = range(start, min(start + block, first.rounds))
         b = len(indices)
-        for i, (flag_state, draw_state) in zip(range(b), states):
-            if keyed:
-                flag_rng.bit_generator.state = flag_state
-                flag_rng.random(out=flag_u[i])
-            draw_rng.bit_generator.state = draw_state
-            draw_rng.random(out=u[i])
+        draw_rng.random(out=u[:b])
         if keyed:
+            flag_rng.random(out=flag_u[:b])
             keys = _flag_keys(prep.flag_weights, flag_u[:b])
             for m, mask in masks.items():
                 if m:
@@ -590,10 +598,10 @@ def sweep(
 
     The values run as one batch of rounds per graph: one graph for the
     omega, ts_h and fraction axes, one per distinct n, in the order the n
-    values first appear, each freed before the next is built. Round r's
-    streams are drawn once for a batch: every value reads its uniforms, and
-    every value with the same fraction (all of them off the fraction axis)
-    its flag mask. So sweep points differ only in the swept knob (common
+    values first appear, each freed before the next is built. A batch reads
+    its two streams once: every value reads round r's uniforms, and every
+    value with the same fraction (all of them off the fraction axis) its
+    flag mask. So sweep points differ only in the swept knob (common
     random numbers), and each value's reports equal run_simulation's for it
     alone. Each graph is propagated once, and its values read their rounds,
     circle and trustworthy sizes off its arrays. A bad value fails before

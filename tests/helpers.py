@@ -6,7 +6,7 @@ package code. The heap search, the dense propagation loop, the matmul
 circle sizes and calibration loop, the dense edge generator, the CSV
 reference writer, the whole-array score writer, the per-group scoring
 loop, the dict-based candidate and correlation references, the
-binary-search sampler, the round-by-round simulation loop with numpy's
+binary-search sampler, the round-by-round simulation loop over numpy's
 own round streams, the 1-D keyed flag draw and the widen-and-concatenate
 link merge are the exception: they are the slow paths the current code
 replaced, kept to pin its bits. The graph-file parser keeps its own slow
@@ -677,14 +677,12 @@ def reference_picks(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 # -- round-by-round reference ---------------------------------------------------
 
 
-def reference_round_streams(seed: int, index: int):
-    """(flag, draw) generators of round index: the two children that
-    SeedSequence(seed, spawn_key=(_ROUND_KEY, index)).spawn(2) would make,
-    built directly by numpy, one round at a time."""
+def reference_round_streams(seed: int):
+    """(flag, draw) generators of a run: numpy's default_rng of
+    SeedSequence(seed, spawn_key=(_ROUND_KEY, child)) for child 0 and 1,
+    built directly by numpy."""
     return tuple(
-        np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(_ROUND_KEY, index, child))
-        )
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_ROUND_KEY, child)))
         for child in (0, 1)
     )
 
@@ -705,16 +703,16 @@ def reference_weighted_draw(weights: np.ndarray, m: int, rng: np.random.Generato
 def reference_rounds(graph: SocialGraph, scenario, circuits: bool, mean_trust=None, arrays=None):
     """(reports, circle size, trustworthy size) as the per-round loop made them.
 
-    One scenario, one round at a time: the round's flag mask from its own
-    flag stream, then `draws` rows of picks from its draw stream, both
-    built by numpy's SeedSequence.
+    One scenario, one round at a time: the round's flag mask from the next
+    n uniforms of the flag stream, then `draws` rows of picks from the next
+    uniforms of the draw stream, both built by numpy's SeedSequence.
     """
     length = scenario.circuit_length if circuits else 1
     prep = _Prepared(graph, [scenario], mean_trust, arrays, length)
     (picks,) = prep.picks
     reports = []
+    flag_rng, draw_rng = reference_round_streams(scenario.seed)
     for r in range(scenario.rounds):
-        flag_rng, draw_rng = reference_round_streams(scenario.seed, r)
         flag_mask = np.zeros(len(prep.ids), dtype=bool)
         if prep.order is not None:
             flag_mask[prep.order[: picks.m]] = True

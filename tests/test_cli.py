@@ -1,6 +1,7 @@
 """End-to-end command line runs, in process."""
 
 import argparse
+import re
 import tracemalloc
 import weakref
 from collections import Counter
@@ -353,6 +354,28 @@ def test_sweep_n_axis_names_a_bad_value(tmp_path, capsys, token):
     err = capsys.readouterr().err
     assert err == "error: n must be a whole number, got %r\n" % float(token)
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["sweep", "--axis", "omega", "--values", "0,0.5"]],
+    ids=["simulate", "sweep"],
+)
+def test_a_huge_draws_gives_one_error_line(tmp_path, capsys, argv):
+    # one round of 10^12 picks takes TBs: the scenario fails when it is
+    # read, before a graph is built or an array allocated
+    scenario_path = tmp_path / "scenario.txt"
+    scenario_path.write_text(SCENARIO.replace("draws = 30", "draws = 1000000000000"),
+                             encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([argv[0], str(scenario_path), *argv[1:], "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(
+        r"error: draws = 1000000000000: one round's picks would take about \d+ bytes, "
+        r"more than the \d+ bytes of memory\n",
+        captured.err,
+    )
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,7 @@ RUNS = {
     "sweep-ts_h": (["sweep", "{in}", "--axis", "ts_h", "--values", "0.0,0.3"], SELECT_SCENARIO),
 }
 
+#: simulate-circuit, simulate-select, sweep-ts_h: rounds read one run's two streams in order.
 GOLDEN = {
     "generate-calibrated": {
         "graph.txt":
@@ -90,31 +91,31 @@ GOLDEN = {
     },
     "simulate-circuit": {
         "cdf_r_mc.csv":
-            "e0767100e330eed161708e1d5ef8363c27950ccaf1fc012e05923267f979f148",
+            "a5dd26e3ab1100e1644497c4965135bad75292f1a12f7277baba4db16b030d40",
         "cdf_r_mr.csv":
-            "85322ed2e73e6c119e83e00d1580c30321566f17f4f53f769b937079825a2f9a",
+            "51451a819e2feaf16258403fae2f32b8d9d9b365f21e20445dcbfd28eaa3a042",
         "rounds.csv":
-            "ad625dc6dabacb0e19a1599e5b2d838ab7b0d5e47c5f6e0398aba9aa91ef29b8",
+            "340a74783f5916daf4a2bf454728b7948bfafc76b6ea9eb77864d9874f34f0e8",
         "stdout":
-            "c5927b0aeea13558e1f18f2f0bc7fe65707c649f728a56db587ad78d112ff4c0",
+            "482b41d430cacdeba4c7d22ce4b9f762820b0a7404fccf0f89307d84ff8ccfef",
     },
     "simulate-select": {
         "cdf_r_mr.csv":
-            "0b0ca18492905791a19e7f3115205d81b11f902c327a2631affa54d8ff7e865b",
+            "0acca4e1a29d27b0d82f5517efe6cd57ff7fdcb05ffc1a2ee2b95b482e297c0e",
         "rounds.csv":
-            "3dbab468a1d906bbdd409cdf8ee215dc5e9132749dee91ff07e193b364bfe343",
+            "358d9871f7b878464d67cd8a2b6066afe09de6a98cd0d65643c25b203fffa225",
         "stdout":
-            "1d6782e1b5b2c458336fc012947be6940a1d0aa215ffa4e4317a2f16b5822ab3",
+            "55d7b1104fac256975333a9873e5c1b3d9d9a52246db41bfa66f14bc38f4aca9",
     },
     "sweep-ts_h": {
         "rounds_ts_h_0.0.csv":
-            "e22adc8c54d4668ce4589c473928d18e7177d08420d945686fb82e9a47a0dca2",
+            "d0ce8e04fdf285d4591775cc5866e6bc91aa00c7e16848baee4dc13bf7bb2b82",
         "rounds_ts_h_0.3.csv":
-            "93547cc1fc839fc564fae4cb51ae8e498ddcb9db521745a2867493256b89f11f",
+            "d9cb3a15f0f9ff33b7301c36ac04ee774ba9d180a73fe405b1f78794009cca6c",
         "stdout":
-            "a77e0216dec2eae6cac9469362ee8dcb57b1788af1dbf343d01445b72bc6bc81",
+            "a62c23c58b31c33f2d1bc91d473d99ec180279f680c2034931245a16ba0bf928",
         "sweep.csv":
-            "f3c2a36872ec72976cce6cb861472bd17eb32678ce70be281da5c0212a2b50ac",
+            "365d5133d9f06e67d3b5799de1cfab699de75dc4eeee33537cc04a48b3a423bd",
     },
     "trust-generated": {
         "link_trust.csv":

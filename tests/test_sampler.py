@@ -35,7 +35,6 @@ from oniontrust.errors import (
 )
 from oniontrust.selection import weighted_picks
 from oniontrust.simulation import _flag_keys, _Prepared, _ROUND_KEY, _weighted_draw
-from oniontrust.streams import spawned_states
 
 from helpers import (
     exact_order_probability,
@@ -370,10 +369,12 @@ def test_selection_rounds_match_the_cumsum_formula_bit_for_bit(strategy):
     (picks,) = prep.picks
     w = picks.weights
     cum, total = np.cumsum(w), w.sum()
-    flag_rng, draw_rng = (np.random.Generator(np.random.PCG64()) for _ in range(2))
-    states = spawned_states(scenario.seed, _ROUND_KEY, range(scenario.rounds))
-    for report, (flag_state, draw_state) in zip(result.reports, states, strict=True):
-        flag_rng.bit_generator.state, draw_rng.bit_generator.state = flag_state, draw_state
+    flag_rng, draw_rng = (
+        np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(_ROUND_KEY, child)))
+        for child in (0, 1)
+    )
+    assert len(result.reports) == scenario.rounds
+    for report in result.reports:
         u = flag_rng.random((1, len(prep.ids)))
         flags = np.zeros(len(prep.ids), dtype=bool)
         flags[_weighted_draw(_flag_keys(prep.flag_weights, u), picks.m)] = True

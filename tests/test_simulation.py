@@ -40,16 +40,18 @@ from oniontrust.errors import (
 )
 from oniontrust.propagation import TrustArrays, TrustScore, TrustScoreTable, propagate_arrays
 from oniontrust.simulation import (
+    BLOCK_PICKS,
     _correlated,
     _flag_count,
     _flag_keys,
+    _PICK_BYTES,
     _Prepared,
     _ROUND_KEY,
     _run_rounds,
-    _setup_rng,
+    _SETUP_KEY,
+    _stream,
     _weighted_draw,
 )
-from oniontrust.streams import STATE_CHUNK, spawned_states
 
 from helpers import (
     TRUST,
@@ -59,7 +61,6 @@ from helpers import (
     heap_search,
     reference_candidates,
     reference_correlation,
-    reference_round_streams,
     reference_rounds,
     scored_graphs,
 )
@@ -216,18 +217,21 @@ def test_every_random_placement_is_one_keyed_draw_of_the_rounds_uniforms(case):
 
 def test_flag_draws_leave_the_stream_alone_when_nothing_is_random(monkeypatch):
     # no routers to flag, or ORIGINAL_TOR's fixed top-bandwidth flags: the
-    # plan draws nothing, and the runner never sets a round's flag stream
-    # (a None state would fail) nor keys a block
+    # plan draws nothing, and the runner never reads the flag stream nor
+    # keys a block
     import oniontrust.simulation
 
-    def draw_states_only(seed, key, indices):
-        for _, draw in spawned_states(seed, key, indices):
-            yield None, draw
+    class Unread:
+        def random(self, *args, **kwargs):
+            raise AssertionError("read the flag stream")
+
+    def unread_flags(seed, *key):
+        return Unread() if key == (_ROUND_KEY, 0) else _stream(seed, *key)
 
     def forbidden(*args):
         raise AssertionError("keyed fixed flags")
 
-    monkeypatch.setattr(oniontrust.simulation, "spawned_states", draw_states_only)
+    monkeypatch.setattr(oniontrust.simulation, "_stream", unread_flags)
     monkeypatch.setattr(oniontrust.simulation, "_flag_keys", forbidden)
     g = star(6)
     cases = [(strategy, 0.0) for strategy in Strategy] + [(Strategy.ORIGINAL_TOR, 0.5)]
@@ -401,46 +405,6 @@ def test_simulation_is_reproducible():
     assert [r.r_mr for r in a.reports] != [r.r_mr for r in c.reports]
 
 
-@pytest.mark.parametrize("seed", [0, 11, 2**40, 2**64 + 3, 2**128 - 1, 2**160 + 7])
-def test_round_streams_are_the_round_seed_sequences_spawned_children(seed):
-    # The derived states against numpy's: entropy of one to six words (past
-    # the pool of four, which numpy does not pad), spawn keys of one and two
-    # round words, and a chunk that straddles 2**32.
-    def assert_numpy_streams(index, states):
-        parent = np.random.SeedSequence(entropy=seed, spawn_key=(_ROUND_KEY, index))
-        for state, child in zip(states, parent.spawn(2)):
-            want = np.random.default_rng(child)
-            got = np.random.Generator(np.random.PCG64(0))
-            got.bit_generator.state = state
-            assert state == want.bit_generator.state
-            assert got.random(5).tolist() == want.random(5).tolist()
-
-    for index in (0, 1, 7, 10**6, 2**32 - 1, 2**32):
-        (states,) = spawned_states(seed, _ROUND_KEY, range(index, index + 1))
-        assert_numpy_streams(index, states)
-    straddle = range(2**32 - 3, 2**32 + 3)
-    for index, states in zip(straddle, spawned_states(seed, _ROUND_KEY, straddle), strict=True):
-        assert_numpy_streams(index, states)
-
-
-def test_spawned_states_run_across_chunks():
-    rounds = range(5, 5 + 2 * STATE_CHUNK + 3)
-    got = list(spawned_states(11, _ROUND_KEY, rounds))
-    assert len(got) == len(rounds)
-    for index in (5, 4 + STATE_CHUNK, 5 + STATE_CHUNK, 5 + 2 * STATE_CHUNK, rounds[-1]):
-        want = [rng.bit_generator.state for rng in reference_round_streams(11, index)]
-        assert list(got[index - 5]) == want
-
-
-def test_spawned_states_fail_when_numpy_derives_other_streams(monkeypatch):
-    import oniontrust.streams
-
-    # a hash that no longer matches numpy's, as a changed numpy would
-    monkeypatch.setattr(oniontrust.streams, "_MULT_B", oniontrust.streams._MULT_B ^ 2)
-    with pytest.raises(RuntimeError, match="SeedSequence"):
-        next(spawned_states(0, _ROUND_KEY, range(3)))
-
-
 def test_dispatch_and_result_shape():
     g = star(8)
     select = SimScenario(
@@ -566,12 +530,21 @@ def test_sweep_reads_the_source_table_from_its_arrays(monkeypatch, strategy, cas
 def test_a_sweep_draws_each_rounds_streams_once_and_a_mask_per_fraction(monkeypatch):
     import oniontrust.simulation
 
-    streams, keys, masks = [], [], []
+    rows, keys, masks = {0: [], 1: []}, [], []
 
-    def counted_states(seed, key, indices):
-        for index, states in zip(indices, spawned_states(seed, key, indices)):
-            streams.append(index)
-            yield states
+    class Counted:
+        """A round stream that records the rows of each block it fills."""
+
+        def __init__(self, rng, counts):
+            self.rng, self.counts = rng, counts
+
+        def random(self, *, out):
+            self.counts.append(len(out))
+            return self.rng.random(out=out)
+
+    def counted_stream(seed, *key):
+        rng = _stream(seed, *key)
+        return Counted(rng, rows[key[1]]) if key[0] == _ROUND_KEY else rng
 
     def counted_keys(weights, u):
         keys.append(len(u))
@@ -581,28 +554,32 @@ def test_a_sweep_draws_each_rounds_streams_once_and_a_mask_per_fraction(monkeypa
         masks.append((m, len(block_keys)))
         return _weighted_draw(block_keys, m)
 
-    monkeypatch.setattr(oniontrust.simulation, "spawned_states", counted_states)
+    def reset():
+        for counts in (rows[0], rows[1], keys, masks):
+            del counts[:]
+
+    monkeypatch.setattr(oniontrust.simulation, "_stream", counted_stream)
     monkeypatch.setattr(oniontrust.simulation, "_flag_keys", counted_keys)
     monkeypatch.setattr(oniontrust.simulation, "_weighted_draw", counted_draw)
     scenario = SimScenario(
         strategy=Strategy.PRACTICAL_STOR, fraction=0.1, n=40, generator_kind="er",
         generator_value=0.08, rounds=10, draws=40, source=5,
     )
-    # one block of all ten rounds: each round's states once, one set of
-    # keys, and one draw of the ten rounds' masks per distinct fraction
-    # (m = 4, 8 and 12 of 40)
+    # one block of all ten rounds: each stream read once for the block, one
+    # set of keys, and one draw of the ten rounds' masks per distinct
+    # fraction (m = 4, 8 and 12 of 40)
     sweep(scenario, "ts_h", [0.0, 0.01, 0.02, 0.03], default_rules())
-    assert streams == list(range(10))
+    assert rows == {0: [10], 1: [10]}
     assert (keys, masks) == ([10], [(4, 10)])
-    del streams[:], keys[:], masks[:]
+    reset()
     sweep(scenario, "fraction", [0.1, 0.2, 0.1, 0.3], default_rules())
-    assert streams == list(range(10))
+    assert rows == {0: [10], 1: [10]}
     assert (keys, masks) == ([10], [(4, 10), (8, 10), (12, 10)])
     # blocks of 4, 4 and 2 rounds: 40 picks and 40 keys a round
-    del streams[:], keys[:], masks[:]
+    reset()
     monkeypatch.setattr(oniontrust.simulation, "BLOCK_PICKS", 4 * 40 + 39)
     sweep(scenario, "fraction", [0.1, 0.2], default_rules())
-    assert streams == list(range(10))
+    assert rows == {0: [4, 4, 2], 1: [4, 4, 2]}
     assert keys == [4, 4, 2]
     assert masks == [(4, 4), (8, 4), (4, 4), (8, 4), (4, 2), (8, 2)]
 
@@ -692,6 +669,25 @@ def test_batched_rounds_equal_the_round_by_round_loop(monkeypatch, strategy):
             want, circle, trustworthy = reference_rounds(graph, sc, circuits, arrays=arrays)
             assert got.reports == want
             assert (got.circle_size, got.trustworthy_size) == (circle, trustworthy)
+
+
+@pytest.mark.parametrize("block_picks", [BLOCK_PICKS, 80])
+def test_a_shorter_run_is_a_prefix_of_a_longer_one(monkeypatch, block_picks):
+    import oniontrust.simulation
+
+    # at 80 cells, seven select rounds are blocks of 2, 2, 2 and 1 and three
+    # are 2 and 1; circuit rounds are a block each
+    monkeypatch.setattr(oniontrust.simulation, "BLOCK_PICKS", block_picks)
+    base = SimScenario(
+        strategy=Strategy.PRACTICAL_STOR, fraction=0.15, n=40, generator_kind="er",
+        generator_value=0.1, rounds=7, draws=30, seed=4, source=5,
+    )
+    graph = build_scenario_graph(base, default_rules())
+    for draw_mode in DrawMode:
+        longer = dataclasses.replace(base, draw_mode=draw_mode)
+        shorter = dataclasses.replace(longer, rounds=3)
+        want = run_simulation(graph, longer).reports[:3]
+        assert run_simulation(graph, shorter).reports == want
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
@@ -826,6 +822,26 @@ def test_a_non_integer_source_fails_by_name():
     for bad in (1.5, "1"):
         with pytest.raises(DomainError, match=re.escape("source must be an integer, got %r" % bad)):
             SimScenario(strategy=Strategy.ORIGINAL_TOR, fraction=0.1, n=3, source=bad)
+
+
+def test_draws_too_large_for_memory_fail_at_construction(monkeypatch):
+    import oniontrust.simulation
+
+    # 10^12 picks take TBs, more than any host has; 1000 circuits do not
+    message = r"^draws = 1000000000000: .* about \d+ bytes, more than the \d+ bytes of memory$"
+    for draw_mode in DrawMode:
+        with pytest.raises(DomainError, match=message):
+            SimScenario(strategy=Strategy.PRACTICAL_STOR, fraction=0.1, n=30,
+                        draws=10**12, draw_mode=draw_mode)
+    circuits = SimScenario(strategy=Strategy.PRACTICAL_STOR, fraction=0.1,
+                           draws=1000, draw_mode=DrawMode.CIRCUIT)
+    assert circuits.draws == 1000
+    # a circuit round holds circuit_length picks a draw
+    monkeypatch.setattr(oniontrust.simulation, "_memory_bytes", lambda: 100 * _PICK_BYTES)
+    SimScenario(strategy=Strategy.PRACTICAL_STOR, fraction=0.1, draws=100)
+    with pytest.raises(DomainError, match="^draws = 100: .* about %d bytes" % (300 * _PICK_BYTES)):
+        SimScenario(strategy=Strategy.PRACTICAL_STOR, fraction=0.1, draws=100,
+                    draw_mode=DrawMode.CIRCUIT)
 
 
 def test_a_source_outside_the_generated_ids_fails_before_generation(monkeypatch):
@@ -1035,13 +1051,18 @@ def test_prepared_rows_match_the_dict_based_references(graph, max_hops, seed, da
             strategy=strategy, fraction=fraction, case=case, omega=omega,
             ts_threshold=ts_h, source=source, max_hops=max_hops, seed=seed,
         )
-        bandwidth = reference_correlation(graph, case, table, _setup_rng(seed))
+        bandwidth = reference_correlation(graph, case, table, _stream(seed, _SETUP_KEY))
         try:
             want_ids, want_weights = reference_candidates(
                 bandwidth, table, source, scenario.policy
             )
         except EmptyCandidateSetError:
             with pytest.raises(EmptyCandidateSetError):
+                _Prepared(graph, [scenario], arrays=arrays)
+            continue
+        if not want_weights.any():
+            # every candidate scores trust 0 at omega 0: no pick is defined
+            with pytest.raises(ZeroDenominatorError):
                 _Prepared(graph, [scenario], arrays=arrays)
             continue
         prep = _Prepared(graph, [scenario], arrays=arrays)
