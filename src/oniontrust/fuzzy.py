@@ -20,6 +20,7 @@ operations, so both give the same bits. One sort index puts the links in
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Tuple
@@ -408,15 +409,17 @@ def _column_scores(quant, top, codes, weighted, rule_of) -> np.ndarray:
     quant and top are the links' values and normalizers, codes their class
     codes; weighted lists (weight, column) in sorted-name order and rule_of
     maps (class column, code) to the rule it fires. Every sum runs in the
-    order link_trust adds, and e**2, e**3 are Python float powers, since
-    numpy's power differs from them in some bits.
+    order link_trust adds. e**2 and e**3 come from math.pow, the libm pow
+    that Python's float ** calls for e in [0, 1]; numpy's power and e * e
+    differ from it in some bits. Each rule's closed form is taken only on
+    the rows that fire it, gathered, and added back into those rows; the
+    form is elementwise, so each row gets the bits it gets alone.
     """
     e = np.zeros(len(quant))
     for weight, a in weighted:
         e = e + weight * (quant[:, a] / top[:, a])
     e = np.minimum(1.0, np.maximum(0.0, e))
-    part = e.tolist()
-    e2, e3 = np.array([x**2 for x in part]), np.array([x**3 for x in part])
+    e2, e3 = _powers(e, 2.0), _powers(e, 3.0)
     moment, mass = np.zeros(len(e)), np.zeros(len(e))
     high = e > 0.5
     for (c, code), rule in rule_of.items():  # class columns in name order
@@ -425,13 +428,17 @@ def _column_scores(quant, top, codes, weighted, rule_of) -> np.ndarray:
         if rule is Rule.MEDIUM:
             pieces = [(rows & ~high, False), (rows & high, True)]
         for at, side in pieces:
-            # The closed form is elementwise, so taking it over every link
-            # and adding where the rule fires gives its rows' bits.
-            mp, m = _closed_form(rule, side, e, e2, e3)
-            np.add(moment, mp, out=moment, where=at)
-            np.add(mass, m, out=mass, where=at)
+            idx = np.flatnonzero(at)
+            mp, m = _closed_form(rule, side, e[idx], e2[idx], e3[idx])
+            moment[idx] += mp
+            mass[idx] += m
     scores = np.divide(moment, mass, out=np.zeros(len(e)), where=mass != 0.0)
     for k in np.flatnonzero(mass == 0.0).tolist():
         matched = [rule_of[c, code] for c, code in enumerate(codes[k].tolist()) if code >= 0]
         scores[k] = defuzzify(matched, float(e[k]))
     return scores
+
+
+def _powers(part: np.ndarray, k: float) -> np.ndarray:
+    """[x**k for x in part] for part in [0, 1], bit for bit, as an array."""
+    return np.fromiter(map(math.pow, part.tolist(), itertools.repeat(k)), float, len(part))

@@ -156,6 +156,9 @@ class LinkColumns:
 #: The LinkColumns fields that hold one entry per link.
 _LINK_ARRAYS = ("source", "target", "network", "quant", "present", "qual", "trust")
 
+#: The ones LinkColumns.widen keeps as they are, shared with the original.
+_SHARED_ARRAYS = ("source", "target", "network", "trust")
+
 _CLASS_CODE = {value_class: code for code, value_class in enumerate(VALUE_CLASSES)}
 
 
@@ -184,19 +187,35 @@ class LinkRows:
         qualitative: Mapping[str, ValueClass],
         trust: Optional[float] = None,
     ):
+        """Add one link; a value that is not a number, or a judgement that
+        is not a ValueClass, fails naming the link and attribute, and adds
+        nothing."""
+        quant, qual = [], []
+        for name, value in quantitative.items():
+            try:
+                quant.append((name, float(value)))
+            except (TypeError, ValueError):
+                raise DomainError(
+                    "link %d->%d network %d: attribute %r = %r is not a number"
+                    % (source, target, network, name, value)
+                ) from None
+        for name, value_class in qualitative.items():
+            if not isinstance(value_class, ValueClass):
+                raise DomainError(
+                    "link %d->%d network %d: attribute %r = %r is not a ValueClass"
+                    % (source, target, network, name, value_class)
+                )
+            qual.append((name, _CLASS_CODE[value_class]))
         row = len(self.source)
         self.source.append(source)
         self.target.append(target)
         self.network.append(network)
         self.trust.append(math.nan if trust is None else float(trust))
-        for name, value in quantitative.items():
-            rows, values = self.quant.setdefault(name, ([], []))
-            rows.append(row)
-            values.append(float(value))
-        for name, value_class in qualitative.items():
-            rows, codes = self.qual.setdefault(name, ([], []))
-            rows.append(row)
-            codes.append(_CLASS_CODE[value_class])
+        for columns, pairs in ((self.quant, quant), (self.qual, qual)):
+            for name, value in pairs:
+                rows, values = columns.setdefault(name, ([], []))
+                rows.append(row)
+                values.append(value)
 
     def columns(self) -> LinkColumns:
         size = len(self.source)
@@ -230,14 +249,19 @@ def _merged(old: LinkColumns, new: LinkColumns) -> LinkColumns:
     the same key replaces the earlier one.
 
     new is widened to the merged names. Into empty columns of the same
-    dtypes it is then sorted alone, so the result is its one copy.
+    dtypes it is taken alone, with its key and trust columns copied, so
+    the result is its one copy and shares nothing with the caller's. Keys
+    that already strictly increase, as generate_graph and serialize_graph
+    give them, are kept in place; only keys out of order or repeated are
+    sorted.
     """
     quant_names = tuple(sorted(set(old.quant_names) | set(new.quant_names)))
     qual_names = tuple(sorted(set(old.qual_names) | set(new.qual_names)))
     both = new.widen(quant_names, qual_names)
-    if len(old) or any(
-        getattr(old, name).dtype != getattr(both, name).dtype for name in _LINK_ARRAYS
-    ):
+    alone = not len(old) and all(
+        getattr(old, name).dtype == getattr(both, name).dtype for name in _LINK_ARRAYS
+    )
+    if not alone:
         old = old.widen(quant_names, qual_names)
         both = dataclasses.replace(
             old,
@@ -246,10 +270,21 @@ def _merged(old: LinkColumns, new: LinkColumns) -> LinkColumns:
                 for name in _LINK_ARRAYS
             },
         )
+    source, target, network = both.source, both.target, both.network
+    rises = (source[1:] > source[:-1]) | (
+        (source[1:] == source[:-1])
+        & ((target[1:] > target[:-1]) | ((target[1:] == target[:-1]) & (network[1:] > network[:-1])))
+    )
+    if rises.all():
+        if alone:  # widen shares these columns with new
+            both = dataclasses.replace(
+                both, **{name: getattr(both, name).copy() for name in _SHARED_ARRAYS}
+            )
+        return both
     # lexsort is stable, so the last row of each run of equal keys is the
     # latest one added.
-    order = np.lexsort((both.network, both.target, both.source))
-    source, target, network = both.source[order], both.target[order], both.network[order]
+    order = np.lexsort((network, target, source))
+    source, target, network = source[order], target[order], network[order]
     last = np.ones(len(order), dtype=bool)
     last[:-1] = (
         (source[1:] != source[:-1]) | (target[1:] != target[:-1]) | (network[1:] != network[:-1])
@@ -318,6 +353,7 @@ class SocialGraph:
         """Insert many links at once, as add_link would one by one."""
         if self._frozen:
             raise FrozenGraphError("graph is frozen")
+        _check_layout(links)
         ids = np.array(self.entity_ids(), dtype=np.int64)
         bad = (
             (links.source == links.target)
@@ -447,6 +483,32 @@ class SocialGraph:
             np.searchsorted(index, links.source[starts]),
             np.searchsorted(index, links.target[starts]),
             tv,
+        )
+
+
+def _check_layout(links: LinkColumns):
+    """Fail naming the field unless every per-link column has one entry (a
+    row) per link, each attribute name is given once with one matrix
+    column of its own, and every class code is -1 or a VALUE_CLASSES
+    index."""
+    size = (np.size(links.source),)
+    shapes = {name: size for name in ("source", "target", "network", "trust")}
+    for field, names in (("quant", links.quant_names), ("qual", links.qual_names)):
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise DomainError("link columns: %s_names gives %r more than once" % (field, repeated[0]))
+        shapes[field] = size + (len(names),)
+    shapes["present"] = shapes["quant"]
+    for name in _LINK_ARRAYS:
+        shape = np.shape(getattr(links, name))
+        if shape != shapes[name]:
+            raise DomainError("link columns: %s has shape %r, expected %r" % (name, shape, shapes[name]))
+    codes = np.asarray(links.qual)
+    bad = (codes < -1) | (codes >= len(VALUE_CLASSES))
+    if bad.any():
+        raise DomainError(
+            "link columns: qual holds class code %r; codes are -1..%d"
+            % (codes[bad][0].item(), len(VALUE_CLASSES) - 1)
         )
 
 

@@ -415,6 +415,29 @@ def test_the_links_before_the_first_bad_one_are_scored_at_any_chunk_size(score_c
     assert got == {key: _trust_hex(want.get(key)) for key in got}
 
 
+def test_a_rule_firing_on_no_rows_or_on_every_row_scores_as_link_trust():
+    # Every link is Major POSITIVE, so LARGE fires on every row and SMALL
+    # on none; Relationship NEGATIVE fires SMALLEST on one link only.
+    graph = _profile_graph([(1, 2, 1, 0.0, 2.0), (1, 3, 1, 4.0, 1.0), (2, 3, 1, 3.0, 3.0),
+                            (3, 1, 2, 1.0, 0.5), (3, 4, 2, 2.0, 2.0)])
+    profile = AttributeProfile({"freq": 2.0, "time": 1.0},
+                               {"Major": ValueClass.POSITIVE, "Relationship": ValueClass.NEGATIVE})
+    graph.add_link(FriendLink(4, 5, 1, profile))
+    codes = graph.link_columns().qual
+    assert (codes[:, 0] == 0).all() and not (codes[:, 0] == 2).any()
+    want = scalar_trust_values(graph, default_rules())
+    compute_trust_values(graph, default_rules())
+    assert [l.trust_value.hex() for l in graph.links()] == [want[k].hex() for k in sorted(want)]
+
+
+def test_the_aggregate_powers_are_python_float_powers_bit_for_bit():
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 0.5, np.nextafter(1.0, 0.0), 1.0]
+    part = np.r_[edges, np.random.default_rng(7).random(8192)]
+    for k in (2, 3):
+        want = np.array([x**k for x in part.tolist()])
+        assert fuzzy._powers(part, float(k)).tobytes() == want.tobytes()
+
+
 def test_scoring_holds_at_most_twice_the_link_columns():
     # Whole reordered copies of the columns held about 218 bytes per link
     # here; scored where they lie, the sort index and the maxima hold about

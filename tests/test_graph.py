@@ -17,6 +17,7 @@ from oniontrust import (
     GeneratorParams,
     SocialGraph,
     ValueClass,
+    compute_trust_values,
     generate_graph,
     mean_circle_size,
 )
@@ -32,6 +33,7 @@ import oniontrust.graph
 
 from helpers import (
     assert_same_column_bits,
+    default_rules,
     friendship_circle,
     graph_from_trust_links,
     profiled_graphs,
@@ -221,6 +223,148 @@ def test_add_links_widens_a_batch_not_in_the_graphs_layout(layout):
     g = _entities()
     g.add_links(batch)
     assert_same_column_bits(g.link_columns(), reference_merged(oniontrust.graph.LinkRows().columns(), batch))
+
+
+#: Key layouts the merge oracle draws: in order (the layout generate_graph
+#: and serialize_graph give, which skips the sort), out of order, repeated
+#: keys in order, no rows, one row, and in order at int32.
+KEY_LAYOUTS = ("sorted", "shuffled", "duplicates", "empty", "single", "int32")
+
+
+@st.composite
+def key_batches(draw):
+    """(layout, LinkColumns) between ids 1..6 on networks 1-3, each row with
+    its own trust value, so the oracle sees which of a repeated key's rows
+    is kept."""
+    keys = draw(
+        st.lists(
+            st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3)).filter(
+                lambda key: key[0] != key[1]
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    unique = sorted(set(keys))
+    layout = draw(st.sampled_from(KEY_LAYOUTS))
+    keys = {
+        "sorted": lambda: unique,
+        "shuffled": lambda: draw(st.permutations(unique)),
+        "duplicates": lambda: sorted(unique + draw(st.lists(st.sampled_from(unique), min_size=1))),
+        "empty": lambda: [],
+        "single": lambda: unique[:1],
+        "int32": lambda: unique,
+    }[layout]()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = len(keys)
+    source, target, network = np.array(keys, dtype=np.int64).reshape(size, 3).T
+    if layout == "int32":
+        source, target = source.astype(np.int32), target.astype(np.int32)
+    return layout, oniontrust.graph.LinkColumns(
+        source=source,
+        target=target,
+        network=network,
+        quant_names=("freq",),
+        quant=rng.lognormal(size=(size, 1)),
+        present=rng.random((size, 1)) < 0.7,
+        qual_names=("Major", "Relationship"),
+        qual=rng.integers(-1, 3, size=(size, 2)).astype(np.int8),
+        trust=np.where(rng.random(size) < 0.3, np.nan, rng.random(size)),
+    )
+
+
+@settings(max_examples=200)
+@given(key_batches(), st.booleans())
+def test_add_links_matches_the_sorting_merge_for_any_key_layout(drawn, linked):
+    layout, batch = drawn
+    empty = oniontrust.graph.LinkRows().columns()
+    g, want = _entities(6), empty
+    if linked:
+        first = _link_batch(np.random.default_rng(len(batch)), 30, quant=("time",), qual=("Major",), ids=6)
+        g.add_links(first)
+        want = reference_merged(empty, first)
+    g.add_links(batch)
+    assert_same_column_bits(g.link_columns(), reference_merged(want, batch))
+
+
+@pytest.mark.parametrize("order", ["in order", "reversed"])
+def test_the_graph_shares_no_array_with_an_added_batch(order):
+    links = generate_graph(GeneratorParams(n=40, kind="er", value=0.2), seed=2).link_columns()
+    rows = slice(None) if order == "in order" else slice(None, None, -1)
+    batch = dataclasses.replace(
+        links.take(np.arange(len(links))[rows]), trust=np.full(len(links), np.nan)
+    )
+    g = _entities(40)
+    g.add_links(batch)
+    kept = g.link_columns().take(np.arange(g.link_count()))
+    for name in oniontrust.graph._LINK_ARRAYS:
+        assert not np.shares_memory(getattr(g.link_columns(), name), getattr(batch, name)), name
+    batch.source[:] = 99
+    batch.trust[:] = 0.5
+    assert_same_column_bits(g.link_columns(), kept)
+    batch.trust[:] = np.nan
+    compute_trust_values(g, default_rules())
+    assert np.isnan(batch.trust).all()
+    assert not np.isnan(g.link_columns().trust).any()
+
+
+def _misshapen(batch, field):
+    """batch with one field broken: a name given twice, a class code
+    outside -1..2, or a column of the wrong length or width."""
+    return dataclasses.replace(
+        batch,
+        **{
+            "quant_names": lambda: {"quant_names": ("freq", "freq")},
+            "qual_names": lambda: {"qual_names": ("Major", "Major")},
+            "qual 7": lambda: {"qual": np.where(batch.qual == 1, 7, batch.qual).astype(np.int8)},
+            "qual -2": lambda: {"qual": np.where(batch.qual == 1, -2, batch.qual).astype(np.int8)},
+            "target": lambda: {"target": batch.target[:-1]},
+            "trust": lambda: {"trust": np.append(batch.trust, 0.5)},
+            "present": lambda: {"present": batch.present[:, :1]},
+        }[field](),
+    )
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("quant_names", "quant_names gives 'freq' more than once"),
+        ("qual_names", "qual_names gives 'Major' more than once"),
+        ("qual 7", "qual holds class code 7; codes are -1..2"),
+        ("qual -2", "qual holds class code -2; codes are -1..2"),
+        ("target", "target has shape (99,), expected (100,)"),
+        ("trust", "trust has shape (101,), expected (100,)"),
+        ("present", "present has shape (100, 1), expected (100, 2)"),
+    ],
+)
+def test_add_links_names_the_field_of_a_malformed_batch(field, message):
+    batch = _link_batch(np.random.default_rng(11), 100)
+    assert batch.quant_names == ("freq", "time") and (batch.qual == 1).any()
+    g = _entities()
+    g.add_links(batch.take(slice(0, 10)))
+    kept = g.link_columns()
+    with pytest.raises(DomainError, match=re.escape("link columns: " + message)):
+        g.add_links(_misshapen(batch, field))
+    assert_same_column_bits(g.link_columns(), kept)
+
+
+@pytest.mark.parametrize(
+    "profile, message",
+    [
+        (AttributeProfile({}, {"Major": "POSITIVE"}), "attribute 'Major' = 'POSITIVE' is not a ValueClass"),
+        (AttributeProfile({}, {"Major": None}), "attribute 'Major' = None is not a ValueClass"),
+        (AttributeProfile({"freq": "often"}, {}), "attribute 'freq' = 'often' is not a number"),
+        (AttributeProfile({"freq": 1.0, "time": [2.0]}, {}), "attribute 'time' = [2.0] is not a number"),
+    ],
+)
+def test_add_link_names_the_link_and_attribute_of_a_bad_value(profile, message):
+    g = graph_from_trust_links([(1, 2, 0.5)])
+    with pytest.raises(DomainError, match=re.escape("link 2->1 network 3: " + message)):
+        g.add_link(FriendLink(2, 1, 3, profile))
+    # nothing of the rejected link is kept
+    assert g.link_count() == 1 and g.networks() == frozenset({1})
+    g.add_link(FriendLink(2, 1, 3, AttributeProfile({"time": 1.0}, {"Major": ValueClass.NEUTRAL})))
+    assert g.link(2, 1, 3).profile == AttributeProfile({"time": 1.0}, {"Major": ValueClass.NEUTRAL})
 
 
 def test_link_replacement_and_networks():
